@@ -52,8 +52,9 @@ def test_outliers_cluster_single_run(benchmark):
 
 def test_outliers_cluster_radius_probes(benchmark):
     # The radius-probe pattern of search_radius: many run() calls over the
-    # same cached pairwise matrix. Tracks the cost of the per-probe setup
-    # (boolean selection balls + incremental ball-weight maintenance).
+    # same cached pairwise matrix. Tracks the cost of the per-probe work:
+    # ball weights built from row blocks of that matrix, then updated from
+    # gathered rows as centers are selected.
     points = _points(900)
     coreset = WeightedPoints(points=points, weights=np.ones(points.shape[0]))
     solver = OutliersClusterSolver(coreset, k=15, eps_hat=1 / 6)

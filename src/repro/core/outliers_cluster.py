@@ -13,9 +13,15 @@ The routine is a weighted modification of Charikar et al.'s algorithm
 it is the second-round workhorse of both the MapReduce and the Streaming
 algorithms for the outlier formulation.
 
-:class:`OutliersClusterSolver` precomputes the (small) pairwise distance
-matrix of ``T`` once so that the radius search of
-:mod:`repro.core.radius_search` can probe many radii cheaply.
+:class:`OutliersClusterSolver` precomputes the pairwise distance matrix
+of ``T`` once (``8 * m**2`` bytes for ``m = |T|``, one ``(m, m)``
+float64 matrix) so that the radius search of
+:mod:`repro.core.radius_search` can probe many radii cheaply. A probe
+reads that matrix by contiguous or gathered rows through a fixed
+``(_BLOCK_ROWS, m)`` float64 buffer, so on top of the cached matrix it
+holds only ``O(_BLOCK_ROWS * m)`` bytes, never another ``(m, m)`` array.
+:meth:`OutliersClusterSolver.candidate_radii` holds the ``m * (m - 1) / 2``
+upper-triangle distances once, sorted in place.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ from ..metricspace.distance import Metric, get_metric
 from ..metricspace.points import WeightedPoints
 
 __all__ = ["OutliersClusterResult", "OutliersClusterSolver", "outliers_cluster"]
+
+# Rows of the pairwise matrix thresholded at once by a probe; the probe
+# buffer holds ``_BLOCK_ROWS * m`` float64 values.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -121,9 +131,25 @@ class OutliersClusterSolver:
         return self._pairwise
 
     def candidate_radii(self) -> np.ndarray:
-        """Sorted unique pairwise distances — the radius-search candidates."""
-        upper = self._pairwise[np.triu_indices(self._pairwise.shape[0], k=1)]
-        return np.unique(upper)
+        """Sorted unique pairwise distances — the radius-search candidates.
+
+        Equal, bit for bit, to ``np.unique(D[np.triu_indices(m, 1)])`` but
+        without the two int64 index arrays: the strict upper triangle is
+        copied row by row into one array, sorted in place and deduplicated
+        with a neighbour mask.
+        """
+        m = self._pairwise.shape[0]
+        upper = np.empty(m * (m - 1) // 2, dtype=np.float64)
+        start = 0
+        for row in range(m - 1):
+            stop = start + m - 1 - row
+            upper[start:stop] = self._pairwise[row, row + 1 :]
+            start = stop
+        upper.sort()
+        distinct = np.empty(upper.shape, dtype=bool)
+        distinct[:1] = True
+        np.not_equal(upper[1:], upper[:-1], out=distinct[1:])
+        return upper[distinct]
 
     # -- the algorithm -----------------------------------------------------------------
 
@@ -141,26 +167,38 @@ class OutliersClusterSolver:
         coverage_radius = (3.0 + 4.0 * self._eps_hat) * radius
 
         n = len(self._coreset)
+        pairwise, weights = self._pairwise, self._weights
         uncovered = np.ones(n, dtype=bool)
-        # One boolean threshold pass over the cached pairwise matrix per
-        # probe (no (n, n) float64 materialisation), then the per-ball
-        # uncovered weights are maintained *incrementally*: selecting a
-        # center only subtracts the newly covered points' contributions
-        # (narrow column slices) instead of redoing a dense matrix-vector
-        # product per iteration. For the integer proxy weights of the
-        # coreset constructions the running values are exact.
-        selection_balls = self._pairwise <= selection_radius
-        ball_weights = selection_balls @ self._weights
+        remaining = n
+        # ball_weights[j] is the uncovered weight inside the selection ball
+        # of point j. It is built from the cached matrix in row blocks and
+        # then maintained incrementally, so no (n, n) temporary exists. The
+        # sums stay in float64: the proxy weights are integer counts up to
+        # the input size, exact in float64 below 2**53.
+        buffer = np.empty((min(_BLOCK_ROWS, n), n), dtype=np.float64)
+        ball_weights = np.empty(n, dtype=np.float64)
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            block = buffer[: stop - start]
+            np.less_equal(pairwise[start:stop], selection_radius, out=block)
+            np.matmul(block, weights, out=ball_weights[start:stop])
         centers: list[int] = []
 
-        while len(centers) < self._k and uncovered.any():
+        while remaining and len(centers) < self._k:
             center = int(np.argmax(ball_weights))
             centers.append(center)
-            newly_covered = np.flatnonzero(
-                uncovered & (self._pairwise[center] <= coverage_radius)
-            )
+            newly_covered = np.flatnonzero(uncovered & (pairwise[center] <= coverage_radius))
             uncovered[newly_covered] = False
-            ball_weights -= selection_balls[:, newly_covered] @ self._weights[newly_covered]
+            remaining -= newly_covered.size
+            if not remaining or len(centers) == self._k:
+                break
+            # Subtract what the newly covered points contributed or rebuild
+            # from the uncovered points, whichever reads fewer rows of D.
+            if remaining < newly_covered.size:
+                uncovered_rows = np.flatnonzero(uncovered)
+                ball_weights = self._ball_weights_of(uncovered_rows, selection_radius, buffer)
+            else:
+                ball_weights -= self._ball_weights_of(newly_covered, selection_radius, buffer)
 
         return OutliersClusterResult(
             center_indices=np.array(centers, dtype=np.intp),
@@ -168,6 +206,27 @@ class OutliersClusterSolver:
             uncovered_weight=float(self._weights[uncovered].sum()),
             radius=float(radius),
         )
+
+    def _ball_weights_of(
+        self, rows: np.ndarray, selection_radius: float, buffer: np.ndarray
+    ) -> np.ndarray:
+        """Weight of the points ``rows`` inside each point's selection ball.
+
+        Entry ``j`` is ``sum(w[i] for i in rows if D[i, j] <= selection_radius)``.
+        It reads the rows of ``D`` rather than its columns, which is the
+        same thing because ``D`` is symmetric, and gathers them block by
+        block into ``buffer``.
+        """
+        total = np.zeros(self._pairwise.shape[0], dtype=np.float64)
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            block_rows = rows[start : start + _BLOCK_ROWS]
+            block = buffer[: block_rows.size]
+            # mode="clip" writes straight into ``block``; mode="raise"
+            # would buffer a copy. The indices are in range either way.
+            np.take(self._pairwise, block_rows, axis=0, out=block, mode="clip")
+            np.less_equal(block, selection_radius, out=block)
+            total += self._weights[block_rows] @ block
+        return total
 
     def uncovered_weight(self, radius: float) -> float:
         """Total uncovered weight after a run with radius ``radius``."""

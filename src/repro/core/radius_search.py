@@ -102,8 +102,9 @@ def search_radius(
     The candidate set is the sorted list of pairwise coreset distances.
     The largest candidate is always feasible (a single ball of that radius
     centered anywhere covers everything), so the binary search is well
-    defined; radius 0 is also probed to handle degenerate coresets where
-    every point coincides.
+    defined. Radius 0 is probed first, before the candidate list is built:
+    it ends the search on degenerate coresets (a single point, or every
+    point coinciding) after one probe.
     """
     z = check_non_negative_int(z, name="z")
     if delta is None:
@@ -119,17 +120,13 @@ def search_radius(
         result = solver.run(radius)
         return result if result.uncovered_weight <= z else None
 
-    candidates = solver.candidate_radii()
-    # Degenerate coreset: all points coincide, any radius (even 0) works.
+    # Degenerate coreset: all points coincide (or there is at most one),
+    # so radius 0 already works and the O(|T|^2) candidate list is never
+    # built. Otherwise two distinct points exist and the list is non-empty.
     zero_result = feasible(0.0)
     if zero_result is not None:
         return RadiusSearchResult(radius=0.0, solution=zero_result, probes=probes)
-    if candidates.size == 0:
-        # A single distinct point that is still infeasible can only happen
-        # when z is smaller than the weight k centers cannot absorb, which
-        # is impossible for k >= 1; guard nonetheless.
-        result = solver.run(0.0)
-        return RadiusSearchResult(radius=0.0, solution=result, probes=probes)
+    candidates = solver.candidate_radii()
 
     # Binary search over the sorted pairwise distances for the smallest
     # feasible candidate.

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core import OutliersClusterSolver, outliers_cluster
+from repro.core import OutliersClusterSolver, outliers_cluster, search_radius
+from repro.core.outliers_cluster import OutliersClusterResult
 from repro.evaluation import optimal_kcenter_with_outliers_radius
 from repro.exceptions import InvalidParameterError
 from repro.metricspace import WeightedPoints
@@ -113,38 +116,152 @@ class TestOutliersClusterSolver:
         assert solver.uncovered_weight(1e9) == pytest.approx(0.0)
 
 
+def _naive_run(solver: OutliersClusterSolver, radius: float):
+    """Algorithm 1 written out literally: a dense ball-weight pass per center."""
+    selection_radius = (1.0 + 2.0 * solver.eps_hat) * radius
+    coverage_radius = (3.0 + 4.0 * solver.eps_hat) * radius
+    pairwise = solver.pairwise_distances
+    weights = solver.coreset.weights
+    uncovered = np.ones(len(solver.coreset), dtype=bool)
+    centers = []
+    while len(centers) < solver.k and uncovered.any():
+        uncovered_weight = np.where(uncovered, weights, 0.0)
+        ball_weights = (pairwise <= selection_radius) @ uncovered_weight
+        center = int(np.argmax(ball_weights))
+        centers.append(center)
+        uncovered &= ~(pairwise[center] <= coverage_radius)
+    return centers, uncovered
+
+
+def _reference_candidates(solver: OutliersClusterSolver) -> np.ndarray:
+    pairwise = solver.pairwise_distances
+    return np.unique(pairwise[np.triu_indices(pairwise.shape[0], k=1)])
+
+
+class _ReferenceSolver:
+    """The solver interface of search_radius over the literal reference."""
+
+    def __init__(self, solver: OutliersClusterSolver) -> None:
+        self._solver = solver
+        self.eps_hat = solver.eps_hat
+
+    def candidate_radii(self) -> np.ndarray:
+        return _reference_candidates(self._solver)
+
+    def run(self, radius: float) -> OutliersClusterResult:
+        centers, uncovered = _naive_run(self._solver, radius)
+        return OutliersClusterResult(
+            center_indices=np.array(centers, dtype=np.intp),
+            uncovered_mask=uncovered,
+            uncovered_weight=float(self._solver.coreset.weights[uncovered].sum()),
+            radius=float(radius),
+        )
+
+
+def _integer_weights(size: int, seed: int = 4, high: int = 9) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.asarray(rng.integers(1, high, size=size), dtype=np.float64)
+
+
 class TestIncrementalBallWeights:
     """The incremental ball-weight maintenance must match Algorithm 1 literally."""
 
     @staticmethod
-    def _naive_run(solver: OutliersClusterSolver, radius: float):
-        selection_radius = (1.0 + 2.0 * solver.eps_hat) * radius
-        coverage_radius = (3.0 + 4.0 * solver.eps_hat) * radius
-        pairwise = solver.pairwise_distances
-        weights = solver.coreset.weights
-        uncovered = np.ones(len(solver.coreset), dtype=bool)
-        centers = []
-        while len(centers) < solver.k and uncovered.any():
-            uncovered_weight = np.where(uncovered, weights, 0.0)
-            ball_weights = (pairwise <= selection_radius) @ uncovered_weight
-            center = int(np.argmax(ball_weights))
-            centers.append(center)
-            uncovered &= ~(pairwise[center] <= coverage_radius)
-        return centers, uncovered
-
-    @pytest.mark.parametrize("quantile", (0.02, 0.1, 0.3, 0.6))
-    def test_matches_naive_reference(self, small_blobs, quantile):
-        weights = np.asarray(
-            np.random.default_rng(4).integers(1, 9, size=small_blobs.shape[0]),
-            dtype=np.float64,
-        )
-        coreset = WeightedPoints(points=small_blobs, weights=weights)
-        solver = OutliersClusterSolver(coreset, k=4, eps_hat=1 / 6)
-        radius = float(np.quantile(solver.candidate_radii(), quantile))
+    def _assert_matches_naive(
+        solver: OutliersClusterSolver, radius: float
+    ) -> OutliersClusterResult:
         result = solver.run(radius)
-        expected_centers, expected_uncovered = self._naive_run(solver, radius)
+        expected_centers, expected_uncovered = _naive_run(solver, radius)
         assert list(result.center_indices) == expected_centers
         assert np.array_equal(result.uncovered_mask, expected_uncovered)
+        weights = solver.coreset.weights
+        assert result.uncovered_weight == float(weights[expected_uncovered].sum())
+        return result
+
+    @staticmethod
+    def _spy_on_updates(solver: OutliersClusterSolver, monkeypatch) -> list[np.ndarray]:
+        """Record the rows passed to each ball-weight update of ``solver``."""
+        calls = []
+        original = solver._ball_weights_of
+
+        def spy(rows, selection_radius, buffer):
+            calls.append(rows.copy())
+            return original(rows, selection_radius, buffer)
+
+        monkeypatch.setattr(solver, "_ball_weights_of", spy)
+        return calls
+
+    @pytest.mark.parametrize("eps_hat", (0.0, 1 / 6))
+    @pytest.mark.parametrize("quantile", (0.0, 0.02, 0.1, 0.3, 0.6, 0.9, 0.99, 1.0))
+    def test_matches_naive_reference(self, small_blobs, quantile, eps_hat):
+        weights = _integer_weights(small_blobs.shape[0])
+        coreset = WeightedPoints(points=small_blobs, weights=weights)
+        solver = OutliersClusterSolver(coreset, k=4, eps_hat=eps_hat)
+        radius = float(np.quantile(solver.candidate_radii(), quantile))
+        self._assert_matches_naive(solver, radius)
+
+    @pytest.mark.parametrize("eps_hat", (0.0, 1 / 6))
+    def test_recompute_from_uncovered_rows(self, rng, monkeypatch, eps_hat):
+        # A dense cluster of 300 points and 40 scattered ones: the first
+        # center covers the cluster, so fewer points stay uncovered than
+        # were just covered and the weights are rebuilt from those rows.
+        points = np.vstack([rng.normal(size=(300, 2)), rng.uniform(-80, 80, size=(40, 2))])
+        coreset = WeightedPoints(points=points, weights=_integer_weights(340))
+        solver = OutliersClusterSolver(coreset, k=6, eps_hat=eps_hat)
+        calls = self._spy_on_updates(solver, monkeypatch)
+        self._assert_matches_naive(solver, radius=1.5)
+        # The first update passes the 40-odd uncovered rows, not the
+        # ~300 newly covered ones.
+        assert calls and calls[0].size < 150
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_kth_center_exit_skips_the_update(self, small_blobs, monkeypatch, k):
+        coreset = WeightedPoints(points=small_blobs, weights=_integer_weights(200))
+        solver = OutliersClusterSolver(coreset, k=k, eps_hat=1 / 6)
+        calls = self._spy_on_updates(solver, monkeypatch)
+        radius = float(np.quantile(solver.candidate_radii(), 0.01))
+        result = self._assert_matches_naive(solver, radius)
+        assert result.n_centers == k
+        # One update between consecutive centers, none after the k-th.
+        assert len(calls) == k - 1
+
+    @pytest.mark.parametrize("eps_hat", (0.0, 1 / 6))
+    def test_zero_radius_with_duplicates(self, rng, eps_hat):
+        base = rng.normal(size=(30, 3))
+        points = base[rng.integers(0, 30, size=120)]
+        coreset = WeightedPoints(points=points, weights=_integer_weights(120))
+        for k in (1, 5, 40):
+            solver = OutliersClusterSolver(coreset, k=k, eps_hat=eps_hat)
+            self._assert_matches_naive(solver, radius=0.0)
+
+    @pytest.mark.parametrize("k", (7, 8, 20))
+    def test_k_at_least_m(self, rng, k):
+        points = rng.normal(size=(7, 2))
+        coreset = WeightedPoints(points=points, weights=_integer_weights(7))
+        solver = OutliersClusterSolver(coreset, k=k, eps_hat=1 / 6)
+        for radius in (0.0, *solver.candidate_radii()):
+            self._assert_matches_naive(solver, float(radius))
+
+    def test_weights_beyond_float32_exactness(self):
+        # Ball weights of 2**25 + 1 and 2**25 differ by one, which float32
+        # cannot represent: a float32 sum would tie them and argmax would
+        # pick index 0. The float64 sums pick the heavier ball at index 1.
+        points = np.array([[100.0], [0.0], [0.5]])
+        weights = np.array([2.0**25, 2.0**25, 1.0])
+        solver = OutliersClusterSolver(WeightedPoints(points=points, weights=weights), k=1)
+        result = solver.run(radius=1.0)
+        assert list(result.center_indices) == [1]
+        assert result.uncovered_weight == 2.0**25
+
+    @pytest.mark.parametrize("quantile", (0.05, 0.3, 0.9))
+    def test_large_integer_weights_match_naive(self, small_blobs, quantile):
+        # Total weight far above 2**24: every running sum must stay exact.
+        weights = 2.0**24 + _integer_weights(200, seed=9, high=1000)
+        assert weights.sum() > 2**24
+        coreset = WeightedPoints(points=small_blobs, weights=weights)
+        solver = OutliersClusterSolver(coreset, k=5, eps_hat=1 / 6)
+        radius = float(np.quantile(solver.candidate_radii(), quantile))
+        self._assert_matches_naive(solver, radius)
 
     def test_repeated_probes_are_independent(self, small_blobs):
         solver = OutliersClusterSolver(_unit_coreset(small_blobs), k=3, eps_hat=1 / 6)
@@ -153,6 +270,80 @@ class TestIncrementalBallWeights:
         second = solver.run(radius)
         assert np.array_equal(first.center_indices, second.center_indices)
         assert first.uncovered_weight == second.uncovered_weight
+
+    @pytest.mark.parametrize("eps_hat", (0.0, 1 / 6))
+    @pytest.mark.parametrize("z", (0, 7, 40))
+    def test_search_radius_matches_reference_search(self, small_blobs, eps_hat, z):
+        coreset = WeightedPoints(points=small_blobs, weights=_integer_weights(200))
+        solver = OutliersClusterSolver(coreset, k=4, eps_hat=eps_hat)
+        result = search_radius(solver, z=z)
+        expected = search_radius(_ReferenceSolver(solver), z=z)
+        assert result.radius == expected.radius
+        assert result.probes == expected.probes
+        assert np.array_equal(result.solution.center_indices, expected.solution.center_indices)
+        assert np.array_equal(result.solution.uncovered_mask, expected.solution.uncovered_mask)
+
+
+class TestCandidateRadii:
+    """candidate_radii equals np.unique over the strict upper triangle, bit for bit."""
+
+    @staticmethod
+    def _assert_matches_unique(points: np.ndarray) -> None:
+        solver = OutliersClusterSolver(_unit_coreset(points), k=1)
+        candidates = solver.candidate_radii()
+        expected = _reference_candidates(solver)
+        assert candidates.dtype == expected.dtype == np.float64
+        assert candidates.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 255, 256, 257))
+    def test_random_points(self, rng, m):
+        self._assert_matches_unique(rng.normal(size=(m, 4)))
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 255, 256, 257))
+    def test_duplicated_points(self, rng, m):
+        base = rng.normal(size=(max(1, m // 4), 3))
+        self._assert_matches_unique(base[rng.integers(0, base.shape[0], size=m)])
+
+    @pytest.mark.parametrize("m", (2, 3, 255, 256, 257))
+    def test_integer_grid(self, rng, m):
+        self._assert_matches_unique(rng.integers(0, 4, size=(m, 2)).astype(np.float64))
+
+    def test_all_coincident(self):
+        self._assert_matches_unique(np.full((50, 2), 3.0))
+
+
+class TestProbeMemory:
+    """A probe allocates no (m, m) temporary on top of the cached matrix."""
+
+    M = 2048
+
+    @pytest.fixture(scope="class")
+    def solver(self):
+        rng = np.random.default_rng(11)
+        points = rng.normal(size=(self.M, 5))
+        weights = np.asarray(rng.integers(1, 50, size=self.M), dtype=np.float64)
+        return OutliersClusterSolver(WeightedPoints(points=points, weights=weights), k=20)
+
+    @staticmethod
+    def _traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_run_peak_below_quarter_matrix(self, solver):
+        diameter = float(solver.pairwise_distances.max())
+        # Small radii take the subtract path, large ones the recompute path.
+        for radius in (0.0, 0.05 * diameter, 0.2 * diameter, 0.6 * diameter, diameter):
+            peak = self._traced_peak(lambda: solver.run(radius))
+            assert peak < self.M * self.M * 8 / 4, (radius, peak)
+
+    def test_candidate_radii_peak(self, solver):
+        peak = self._traced_peak(solver.candidate_radii)
+        assert peak < self.M * (self.M - 1) / 2 * 8 * 2.2
 
 
 class TestOutliersClusterFunction:

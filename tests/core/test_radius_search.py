@@ -86,6 +86,22 @@ class TestSearchRadius:
         assert result.radius == 0.0
         assert result.solution.uncovered_weight == 0.0
 
+    @pytest.mark.parametrize(
+        "points", (np.array([[1.0, -2.0]]), np.full((40, 3), -0.5)), ids=("m=1", "coincident")
+    )
+    def test_degenerate_coreset_skips_candidate_list(self, monkeypatch, points):
+        # Radius 0 is probed first and ends the search, so the O(m^2)
+        # candidate list is never built and exactly one probe is counted.
+        solver = OutliersClusterSolver(_unit_coreset(points), k=1, eps_hat=0.1)
+        calls = []
+        monkeypatch.setattr(solver, "candidate_radii", lambda: calls.append(1))
+        result = search_radius(solver, z=0)
+        assert result.probes == 1
+        assert calls == []
+        assert result.radius == 0.0
+        assert result.solution.uncovered_weight == 0.0
+        assert list(result.solution.center_indices) == [0]
+
     def test_two_distinct_distances_converge(self):
         # Two tight clusters: the candidate set collapses to ~two distinct
         # values (intra ~0, inter ~100). The search must terminate with a
