@@ -91,8 +91,8 @@ def test_streaming_coreset_throughput(benchmark):
 
 
 def test_streaming_coreset_batch_throughput(benchmark):
-    # The vectorized update rule: same work as the per-point benchmark
-    # above, consumed in 1024-point chunks.
+    # Same work as the benchmark above, which feeds one point per call
+    # (one-row chunks), consumed in 1024-point chunks.
     points = _points(8000)
 
     def run():

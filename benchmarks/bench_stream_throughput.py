@@ -1,10 +1,10 @@
-"""Streaming-engine throughput: batched vs per-point CORESETSTREAM.
+"""Streaming-engine throughput: CORESETSTREAM at batch size 1 vs ``--batch-size``.
 
 This benchmark backs the batched streaming engine with a number: it runs
-the same seeded synthetic stream through CORESETSTREAM twice — once
-through the classic per-point path (one ``process`` call per point) and
-once through the batched path (``process_batch`` over chunks) — and
-reports points/second for both, plus their ratio.
+the same seeded synthetic stream through CORESETSTREAM twice — once with
+one point per ``process_batch`` call (``batch_size=1``) and once in
+chunks of ``--batch-size`` points — and reports points/second for both,
+plus their ratio.
 
 The measured trajectory is written to ``BENCH_stream.json`` (override
 the location with ``REPRO_BENCH_STREAM_JSON``) so CI can archive the
@@ -30,7 +30,7 @@ from .conftest import bench_batch_size, bench_seed, stream_points
 
 K = 50
 MU = 8
-#: Batched throughput must beat per-point by this factor on streams long
+#: Batched throughput must beat batch size 1 by this factor on streams long
 #: enough to amortise the warm-up (the acceptance bar of the engine).
 MIN_SPEEDUP = 5.0
 #: Below this stream length the interpreter warm-up dominates both paths,
@@ -42,7 +42,7 @@ def _trajectory_path() -> str:
     return os.environ.get("REPRO_BENCH_STREAM_JSON", "BENCH_stream.json")
 
 
-def _run_once(points: np.ndarray, batch_size: int | None):
+def _run_once(points: np.ndarray, batch_size: int):
     algorithm = CoresetStreamKCenter(K, coreset_multiplier=MU, random_state=bench_seed())
     runner = StreamingRunner(batch_size=batch_size)
     start = time.perf_counter()
@@ -51,22 +51,22 @@ def _run_once(points: np.ndarray, batch_size: int | None):
     return report, elapsed
 
 
-def test_stream_throughput_batched_vs_per_point():
+def test_stream_throughput_batched_vs_one_point():
     n = stream_points()
-    batch_size = bench_batch_size() or 1024
+    batch_size = bench_batch_size()
     points = higgs_like(n, random_state=bench_seed())
 
-    per_point_report, _ = _run_once(points, None)
+    one_point_report, _ = _run_once(points, 1)
     batched_report, _ = _run_once(points, batch_size)
 
     # Identical results: batching is an execution detail, not an algorithm
     # change.
     assert np.array_equal(
-        batched_report.result.centers, per_point_report.result.centers
+        batched_report.result.centers, one_point_report.result.centers
     )
-    assert batched_report.n_points == per_point_report.n_points == n
+    assert batched_report.n_points == one_point_report.n_points == n
 
-    speedup = batched_report.throughput / per_point_report.throughput
+    speedup = batched_report.throughput / one_point_report.throughput
     trajectory = {
         "benchmark": "bench_stream_throughput",
         "algorithm": "CoresetStreamKCenter",
@@ -76,10 +76,10 @@ def test_stream_throughput_batched_vs_per_point():
         "seed": bench_seed(),
         "records": [
             {
-                "mode": "per-point",
+                "mode": "one-point",
                 "batch_size": 1,
-                "stream_time_s": per_point_report.stream_time,
-                "points_per_sec": per_point_report.throughput,
+                "stream_time_s": one_point_report.stream_time,
+                "points_per_sec": one_point_report.throughput,
             },
             {
                 "mode": "batched",
@@ -97,7 +97,7 @@ def test_stream_throughput_batched_vs_per_point():
     print()
     print(
         f"stream throughput (n={n}, batch_size={batch_size}): "
-        f"per-point {per_point_report.throughput:,.0f} pts/s, "
+        f"batch size 1 {one_point_report.throughput:,.0f} pts/s, "
         f"batched {batched_report.throughput:,.0f} pts/s, "
         f"speedup {speedup:.1f}x"
     )
@@ -105,6 +105,6 @@ def test_stream_throughput_batched_vs_per_point():
     assert speedup > 1.0
     if n >= FULL_ASSERT_POINTS:
         assert speedup >= MIN_SPEEDUP, (
-            f"batched throughput only {speedup:.2f}x the per-point path "
+            f"batched throughput only {speedup:.2f}x batch size 1 "
             f"(need >= {MIN_SPEEDUP}x at n={n})"
         )

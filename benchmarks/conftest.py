@@ -49,8 +49,8 @@ def pytest_addoption(parser):
     group.addoption("--scaling-points", type=int, default=100_000,
                     help="instance size for the true wall-clock scaling benchmark")
     group.addoption("--batch-size", type=int, default=1024,
-                    help="streaming chunk size for the batched streaming benchmarks "
-                         "(0 = per-point path)")
+                    help="streaming chunk size (points per process_batch call) "
+                         "for the streaming benchmarks")
     group.addoption("--stream-points", type=int, default=100_000,
                     help="stream length for the streaming throughput benchmark")
 
@@ -97,10 +97,9 @@ def scaling_points() -> int:
     return int(_option("--scaling-points", default=100_000))
 
 
-def bench_batch_size() -> int | None:
-    """Streaming chunk size requested on the command line (``None`` = per point)."""
-    value = int(_option("--batch-size", default=1024))
-    return None if value == 0 else value
+def bench_batch_size() -> int:
+    """Streaming chunk size requested on the command line."""
+    return int(_option("--batch-size", default=1024))
 
 
 def stream_points() -> int:

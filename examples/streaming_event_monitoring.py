@@ -10,13 +10,13 @@ The script runs the paper's 1-pass CORESETOUTLIERS algorithm at several
 working-memory budgets and the BASEOUTLIERS baseline of McCutchen and
 Khuller, and reports solution quality (clustering radius after discarding
 the spam), peak working memory, and throughput — the axes of Figure 5.
-The stream is consumed through a generator, so the full dataset is never
-materialised by the algorithms.
+The algorithms see the stream only chunk by chunk and keep nothing but
+their bounded working set.
 
-The runs use the batched streaming engine (events are ingested in
-1024-point chunks, the realistic shape for a high-rate pipeline); the
-last row repeats the mu=8 configuration on the per-point path to show
-that the answer is identical and only the throughput changes.
+Events are ingested in 1024-point chunks, the realistic shape for a
+high-rate pipeline; the last row repeats the mu=8 configuration with one
+event per chunk (``batch_size=1``) to show that the answer is identical
+and only the throughput changes.
 
 Run with:  python examples/streaming_event_monitoring.py
 """
@@ -66,14 +66,14 @@ def main() -> None:
         }
     )
 
-    # Same configuration, per-point path: identical answer, lower throughput.
-    per_point = CoresetStreamOutliers(k, z, coreset_multiplier=8)
-    report = StreamingRunner().run(
-        per_point, ArrayStream(stream_data, shuffle=True, random_state=2)
+    # Same configuration, one event per chunk: identical answer, lower throughput.
+    one_event = CoresetStreamOutliers(k, z, coreset_multiplier=8)
+    report = StreamingRunner(batch_size=1).run(
+        one_event, ArrayStream(stream_data, shuffle=True, random_state=2)
     )
     records.append(
         {
-            "algorithm": "CoresetOutliers mu=8 (per-point)",
+            "algorithm": "CoresetOutliers mu=8 (batch size 1)",
             "peak memory (points)": report.peak_memory,
             "radius (excl. spam)": radius_with_outliers(stream_data, report.result.centers, z),
             "throughput (events/s)": report.throughput,
@@ -83,11 +83,12 @@ def main() -> None:
     print(f"Event stream: {n_events} events + {z} spam, k={k} topics\n")
     print(format_records(records))
     print("\nThe coreset algorithm keeps a working set of mu*(k+z) points and "
-          "trades memory for quality; the buffered baseline needs a much "
-          "larger working set for comparable radii and runs slower. The "
-          "batched rows ingest 1024-event chunks through the vectorized "
-          "update rule — same answers as the per-point row, roughly an "
-          "order of magnitude more events per second.")
+          "trades memory for quality. The buffered baseline, with a working "
+          "set between those of mu=4 and mu=8 and a throughput in the range "
+          "of the coreset rows, returns a radius about ten times larger. The "
+          "first five rows ingest 1024-event chunks; the last row feeds one "
+          "event per chunk and returns the same answer as the mu=8 row at "
+          "several times fewer events per second.")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from .exceptions import DatasetError, InvalidParameterError
 
 __all__ = [
     "check_points",
+    "check_batch",
     "check_positive_int",
     "check_non_negative_int",
     "check_epsilon",
@@ -59,6 +60,29 @@ def check_points(points: Any, *, name: str = "points") -> np.ndarray:
     if not np.all(np.isfinite(array)):
         raise DatasetError(f"{name} contains NaN or infinite coordinates")
     return np.ascontiguousarray(array)
+
+
+def check_batch(batch: Any, dimension: int | None) -> np.ndarray:
+    """Validate a chunk of stream points; return it as a 2-d ``float64`` array.
+
+    A 1-d array is one point. Rows must be non-empty and finite, with
+    ``dimension`` coordinates unless that is ``None``; a chunk without rows
+    passes. Violations raise :class:`InvalidParameterError`.
+    """
+    array = np.asarray(batch, dtype=np.float64)
+    if array.ndim == 1:
+        array = array.reshape(1, -1)
+    if array.ndim != 2:
+        raise InvalidParameterError("a batch must be a (n, d) array of points")
+    if array.shape[0] == 0:
+        return array
+    if array.shape[1] == 0 or not np.all(np.isfinite(array)):
+        raise InvalidParameterError("stream points must be finite, non-empty vectors")
+    if dimension is not None and array.shape[1] != dimension:
+        raise InvalidParameterError(
+            f"stream point has dimension {array.shape[1]}, expected {dimension}"
+        )
+    return array
 
 
 def check_positive_int(value: Any, *, name: str) -> int:

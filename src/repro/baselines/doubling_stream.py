@@ -65,10 +65,6 @@ class DoublingStreamKCenter(StreamingAlgorithm):
         self.metric = get_metric(metric)
         self._coreset = StreamingCoreset(self.k, metric=self.metric)
 
-    def process(self, point: np.ndarray) -> None:
-        """Feed one stream point into the doubling algorithm."""
-        self._coreset.process(point)
-
     def process_batch(self, batch: np.ndarray) -> None:
         """Feed a chunk of stream points through the vectorized update rule."""
         self._coreset.process_batch(batch)
@@ -80,7 +76,7 @@ class DoublingStreamKCenter(StreamingAlgorithm):
 
     @property
     def peak_working_memory_size(self) -> int:
-        """Exact peak tracked by the coreset, drive-path independent."""
+        """Exact peak tracked by the coreset, the same at every batch size."""
         return self._coreset.peak_working_memory_size
 
     def finalize(self) -> DoublingStreamSolution:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import check_non_negative_int, check_positive_int
+from .._validation import check_batch, check_non_negative_int, check_positive_int
 from ..exceptions import InvalidParameterError, NotFittedError
 from ..metricspace.distance import Metric, get_metric
 from ..streaming.runner import StreamingAlgorithm
@@ -39,6 +39,94 @@ __all__ = [
     "BaseOutliersSolution",
     "BaseStreamOutliers",
 ]
+
+
+def _separated(centers: list[np.ndarray], threshold: float, metric) -> list[np.ndarray]:
+    """Greedily keep the centers farther than ``threshold`` from every earlier kept one."""
+    if len(centers) <= 1:
+        return centers
+    points = np.vstack(centers)
+    kept = [0]
+    for index in range(1, points.shape[0]):
+        if metric.point_to_points(points[index], points[kept]).min() > threshold:
+            kept.append(index)
+    return [points[i] for i in kept]
+
+
+# --------------------------------------------------------------------------------------
+# Shared base: m parallel radius-guess instances over one stream
+# --------------------------------------------------------------------------------------
+
+
+class _GuessParallelStream(StreamingAlgorithm):
+    """Buffer the first ``seed_size`` points, then fan every chunk out to ``m`` instances.
+
+    The smallest positive pairwise distance among the buffered points
+    seeds the radius guesses; subclasses build one instance per guess.
+    """
+
+    def __init__(self, n_instances: int, metric: str | Metric, *, seed_size: int) -> None:
+        self.n_instances = check_positive_int(n_instances, name="n_instances")
+        self.metric = get_metric(metric)
+        self._seed_size = seed_size
+        self._buffer: list[np.ndarray] = []
+        self._instances: list = []
+        self._dimension: int | None = None
+        self._n_processed = 0
+
+    def _new_instance(self, guess: float):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _initialize(self) -> None:
+        points = np.vstack(self._buffer)
+        pairwise = self.metric.pairwise(points)
+        upper = pairwise[np.triu_indices(points.shape[0], k=1)]
+        positive = upper[upper > 0]
+        base = float(positive.min()) / 2.0 if positive.size else 1.0
+        # Stagger the m instances across one factor-2 octave so that, jointly,
+        # they realise a geometric grid of ratio 2^(1/m).
+        for index in range(self.n_instances):
+            instance = self._new_instance(base * (2.0 ** (index / self.n_instances)))
+            instance.process_batch(points)
+            self._instances.append(instance)
+        self._buffer = []
+
+    def process_batch(self, batch: np.ndarray) -> None:
+        """Feed a chunk of stream points to every parallel instance."""
+        batch = check_batch(batch, self._dimension)
+        if batch.shape[0] == 0:
+            return
+        self._dimension = int(batch.shape[1])
+        self._n_processed += batch.shape[0]
+        position = 0
+        while position < batch.shape[0] and not self._instances:
+            self._buffer.append(np.array(batch[position]))
+            position += 1
+            if len(self._buffer) == self._seed_size:
+                self._initialize()
+        if position < batch.shape[0]:
+            tail = batch[position:]
+            for instance in self._instances:
+                instance.process_batch(tail)
+
+    @property
+    def working_memory_size(self) -> int:
+        """Stored points across the buffer and every instance."""
+        return len(self._buffer) + sum(instance.size for instance in self._instances)
+
+    @property
+    def peak_working_memory_size(self) -> int:
+        """Provisioned peak: the initial buffer or the per-instance peaks summed.
+
+        Summing per-instance peaks slightly over-approximates the largest
+        instantaneous total (instances need not peak simultaneously), but
+        it is the space each instance must be provisioned for, is exact
+        per instance, and — unlike harness sampling — does not depend on
+        the batch size the stream was driven with.
+        """
+        if not self._instances:
+            return len(self._buffer)
+        return max(self._seed_size, sum(instance.peak_size for instance in self._instances))
 
 
 # --------------------------------------------------------------------------------------
@@ -88,41 +176,12 @@ class _GuessInstance:
     def size(self) -> int:
         return len(self._centers)
 
-    def _covered(self, point: np.ndarray) -> bool:
-        if not self._centers:
-            return False
-        distances = self._metric.point_to_points(point, np.vstack(self._centers))
-        return bool(distances.min() <= 2.0 * self.guess)
-
     def _remerge(self) -> None:
         """Greedily keep a subset of centers with mutual distance > 2 * guess."""
-        if len(self._centers) <= 1:
-            return
-        points = np.vstack(self._centers)
-        kept: list[int] = []
-        for index in range(points.shape[0]):
-            if not kept:
-                kept.append(index)
-                continue
-            distances = self._metric.point_to_points(points[index], points[kept])
-            if distances.min() > 2.0 * self.guess:
-                kept.append(index)
-        self._centers = [points[i] for i in kept]
-
-    def process(self, point: np.ndarray) -> None:
-        if self._covered(point):
-            return
-        self._centers.append(np.array(point))
-        self.peak_size = max(self.peak_size, len(self._centers))
-        while len(self._centers) > self._k:
-            # The guess was too small: k+1 centers pairwise > 2*guess apart
-            # certify that the optimum exceeds guess. Double and re-merge.
-            self.guess *= 2.0
-            self.restarts += 1
-            self._remerge()
+        self._centers = _separated(self._centers, 2.0 * self.guess, self._metric)
 
     def process_batch(self, batch: np.ndarray) -> None:
-        """Chunked version of :meth:`process`; equivalent to a row-by-row loop."""
+        """Open a center at each point farther than ``2 * guess`` from all centers."""
         position = 0
         n = batch.shape[0]
         while position < n:
@@ -148,6 +207,9 @@ class _GuessInstance:
             self.peak_size = max(self.peak_size, len(self._centers))
             pos = first + 1
             if len(self._centers) > self._k:
+                # The guess was too small: k+1 centers pairwise > 2*guess
+                # apart certify that the optimum exceeds guess. Double and
+                # re-merge.
                 while len(self._centers) > self._k:
                     self.guess *= 2.0
                     self.restarts += 1
@@ -161,7 +223,7 @@ class _GuessInstance:
         return start + m
 
 
-class BaseStreamKCenter(StreamingAlgorithm):
+class BaseStreamKCenter(_GuessParallelStream):
     """BASESTREAM: guess-parallel streaming k-center modelled after [27].
 
     Parameters
@@ -183,76 +245,10 @@ class BaseStreamKCenter(StreamingAlgorithm):
         metric: str | Metric = "euclidean",
     ) -> None:
         self.k = check_positive_int(k, name="k")
-        self.n_instances = check_positive_int(n_instances, name="n_instances")
-        self.metric = get_metric(metric)
-        self._buffer: list[np.ndarray] = []
-        self._instances: list[_GuessInstance] = []
-        self._n_processed = 0
+        super().__init__(n_instances, metric, seed_size=self.k + 1)
 
-    def _initialize(self) -> None:
-        points = np.vstack(self._buffer)
-        pairwise = self.metric.pairwise(points)
-        upper = pairwise[np.triu_indices(points.shape[0], k=1)]
-        positive = upper[upper > 0]
-        base = float(positive.min()) / 2.0 if positive.size else 1.0
-        # Stagger the m instances across one factor-2 octave so that, jointly,
-        # they realise a geometric grid of ratio 2^(1/m).
-        for index in range(self.n_instances):
-            guess = base * (2.0 ** (index / self.n_instances))
-            instance = _GuessInstance(self.k, self.metric, guess)
-            for point in self._buffer:
-                instance.process(point)
-            self._instances.append(instance)
-        self._buffer = []
-
-    def process(self, point: np.ndarray) -> None:
-        """Feed one stream point to every parallel instance."""
-        point = np.asarray(point, dtype=np.float64).reshape(-1)
-        self._n_processed += 1
-        if not self._instances:
-            self._buffer.append(np.array(point))
-            if len(self._buffer) == self.k + 1:
-                self._initialize()
-            return
-        for instance in self._instances:
-            instance.process(point)
-
-    def process_batch(self, batch: np.ndarray) -> None:
-        """Feed a chunk of stream points to every parallel instance."""
-        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-        self._n_processed += batch.shape[0]
-        position = 0
-        while position < batch.shape[0] and not self._instances:
-            self._buffer.append(np.array(batch[position]))
-            position += 1
-            if len(self._buffer) == self.k + 1:
-                self._initialize()
-        if position < batch.shape[0]:
-            tail = batch[position:]
-            for instance in self._instances:
-                instance.process_batch(tail)
-
-    @property
-    def working_memory_size(self) -> int:
-        """Stored points across the buffer and every instance."""
-        return len(self._buffer) + sum(instance.size for instance in self._instances)
-
-    @property
-    def peak_working_memory_size(self) -> int:
-        """Provisioned peak: the initial buffer or the per-instance peaks summed.
-
-        Summing per-instance peaks slightly over-approximates the largest
-        instantaneous total (instances need not peak simultaneously), but
-        it is the space each instance must be provisioned for, is exact
-        per instance, and — unlike harness sampling — does not depend on
-        the batch size the stream was driven with.
-        """
-        if not self._instances:
-            return len(self._buffer)
-        return max(
-            self.k + 1,
-            sum(instance.peak_size for instance in self._instances),
-        )
+    def _new_instance(self, guess: float) -> _GuessInstance:
+        return _GuessInstance(self.k, self.metric, guess)
 
     def finalize(self) -> BaseStreamSolution:
         """Return the centers of the instance with the smallest surviving guess."""
@@ -336,12 +332,6 @@ class _OutlierGuessInstance:
     def n_uncovered(self) -> int:
         return len(self._free)
 
-    def _covered_by_centers(self, point: np.ndarray) -> bool:
-        if not self._centers:
-            return False
-        distances = self._metric.point_to_points(point, np.vstack(self._centers))
-        return bool(distances.min() <= 4.0 * self.guess)
-
     def _consolidate(self) -> None:
         """Open new centers from dense regions of the free buffer.
 
@@ -367,37 +357,15 @@ class _OutlierGuessInstance:
         """The guess was too small: double it, re-merge centers, re-filter the buffer."""
         self.guess *= 2.0
         self.restarts += 1
-        if len(self._centers) > 1:
-            points = np.vstack(self._centers)
-            kept: list[int] = []
-            for index in range(points.shape[0]):
-                if not kept:
-                    kept.append(index)
-                    continue
-                distances = self._metric.point_to_points(points[index], points[kept])
-                if distances.min() > 4.0 * self.guess:
-                    kept.append(index)
-            self._centers = [points[i] for i in kept]
+        self._centers = _separated(self._centers, 4.0 * self.guess, self._metric)
         if self._free and self._centers:
             free_points = np.vstack(self._free)
             centers = np.vstack(self._centers)
             covered = self._metric.cdist(free_points, centers).min(axis=1) <= 4.0 * self.guess
             self._free = [free_points[i] for i in np.flatnonzero(~covered)]
 
-    def process(self, point: np.ndarray) -> None:
-        if self._covered_by_centers(point):
-            return
-        self._free.append(np.array(point))
-        self._note_memory()
-        if len(self._free) <= self._capacity:
-            return
-        self._consolidate()
-        while len(self._free) > self._capacity:
-            self._escalate()
-            self._consolidate()
-
     def process_batch(self, batch: np.ndarray) -> None:
-        """Chunked version of :meth:`process`; equivalent to a row-by-row loop.
+        """Buffer every point farther than ``4 * guess`` from all centers.
 
         Coverage against the current centers is computed for the whole
         tail at once; uncovered points are appended to the free buffer in
@@ -414,8 +382,8 @@ class _OutlierGuessInstance:
                 uncovered = np.flatnonzero(dmin > 4.0 * self.guess)
             else:
                 uncovered = np.arange(tail.shape[0])
-            # The (room)-th uncovered append pushes the buffer past capacity
-            # and triggers consolidation, exactly as in the per-point path.
+            # The (room)-th uncovered point pushes the buffer past capacity
+            # and triggers consolidation before the next point is looked at.
             room = self._capacity + 1 - len(self._free)
             if uncovered.size < room:
                 self._free.extend(np.array(tail[i]) for i in uncovered)
@@ -431,7 +399,7 @@ class _OutlierGuessInstance:
                 self._consolidate()
 
 
-class BaseStreamOutliers(StreamingAlgorithm):
+class BaseStreamOutliers(_GuessParallelStream):
     """BASEOUTLIERS: buffered guess-parallel streaming k-center with outliers.
 
     Parameters
@@ -460,78 +428,15 @@ class BaseStreamOutliers(StreamingAlgorithm):
     ) -> None:
         self.k = check_positive_int(k, name="k")
         self.z = check_non_negative_int(z, name="z")
-        self.n_instances = check_positive_int(n_instances, name="n_instances")
+        super().__init__(n_instances, metric, seed_size=self.k + self.z + 1)
         if buffer_capacity is None:
             buffer_capacity = self.k * max(self.z, 1) + self.z
         self.buffer_capacity = check_positive_int(buffer_capacity, name="buffer_capacity")
         if self.buffer_capacity < self.z + 1:
             raise InvalidParameterError("buffer_capacity must exceed z")
-        self.metric = get_metric(metric)
-        self._buffer: list[np.ndarray] = []
-        self._instances: list[_OutlierGuessInstance] = []
-        self._n_processed = 0
 
-    def _initialize(self) -> None:
-        points = np.vstack(self._buffer)
-        pairwise = self.metric.pairwise(points)
-        upper = pairwise[np.triu_indices(points.shape[0], k=1)]
-        positive = upper[upper > 0]
-        base = float(positive.min()) / 2.0 if positive.size else 1.0
-        for index in range(self.n_instances):
-            guess = base * (2.0 ** (index / self.n_instances))
-            instance = _OutlierGuessInstance(
-                self.k, self.z, self.metric, guess, self.buffer_capacity
-            )
-            for point in self._buffer:
-                instance.process(point)
-            self._instances.append(instance)
-        self._buffer = []
-
-    def process(self, point: np.ndarray) -> None:
-        """Feed one stream point to every parallel instance."""
-        point = np.asarray(point, dtype=np.float64).reshape(-1)
-        self._n_processed += 1
-        if not self._instances:
-            self._buffer.append(np.array(point))
-            if len(self._buffer) == self.k + self.z + 1:
-                self._initialize()
-            return
-        for instance in self._instances:
-            instance.process(point)
-
-    def process_batch(self, batch: np.ndarray) -> None:
-        """Feed a chunk of stream points to every parallel instance."""
-        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-        self._n_processed += batch.shape[0]
-        position = 0
-        while position < batch.shape[0] and not self._instances:
-            self._buffer.append(np.array(batch[position]))
-            position += 1
-            if len(self._buffer) == self.k + self.z + 1:
-                self._initialize()
-        if position < batch.shape[0]:
-            tail = batch[position:]
-            for instance in self._instances:
-                instance.process_batch(tail)
-
-    @property
-    def working_memory_size(self) -> int:
-        """Stored points across the buffer and every instance."""
-        return len(self._buffer) + sum(instance.size for instance in self._instances)
-
-    @property
-    def peak_working_memory_size(self) -> int:
-        """Provisioned peak: the initial buffer or the per-instance peaks summed.
-
-        Same convention as :attr:`BaseStreamKCenter.peak_working_memory_size`:
-        exact per instance and independent of the drive path's batch size.
-        """
-        if not self._instances:
-            return len(self._buffer)
-        return max(
-            self.k + self.z + 1,
-            sum(instance.peak_size for instance in self._instances),
-        )
+    def _new_instance(self, guess: float) -> _OutlierGuessInstance:
+        return _OutlierGuessInstance(self.k, self.z, self.metric, guess, self.buffer_capacity)
 
     def finalize(self) -> BaseOutliersSolution:
         """Pick the instance with the smallest guess whose uncovered buffer fits in ``z``.

@@ -64,10 +64,17 @@ def _add_common_dataset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
 
 
+def _positive_int(value: str) -> int:
+    """argparse type: an integer >= 1."""
+    if not value.isdigit() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1; got {value!r}")
+    return int(value)
+
+
 def _add_batch_size_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--batch-size", type=int, default=1024,
-        help="streaming chunk size for the batched engine (0 = per-point path)",
+        "--batch-size", type=_positive_int, default=1024,
+        help="streaming chunk size: points per process_batch call (1 = one point per call)",
     )
 
 
@@ -135,11 +142,6 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _batch_size_or_none(value: int) -> int | None:
-    """CLI convention: ``--batch-size 0`` selects the per-point path."""
-    return None if value == 0 else value
-
-
 def _solve(args: argparse.Namespace) -> int:
     if getattr(args, "from_stream", False) and args.command in ("mr-kcenter", "mr-outliers"):
         return _solve_from_stream(args)
@@ -157,13 +159,13 @@ def _solve(args: argparse.Namespace) -> int:
         else:
             algorithm = CoresetStreamOutliers(args.k, args.z, coreset_multiplier=args.mu)
             label = "CoresetStreamOutliers"
-        runner = StreamingRunner(batch_size=_batch_size_or_none(args.batch_size))
+        runner = StreamingRunner(batch_size=args.batch_size)
         report = runner.run(
             algorithm, ArrayStream(points, shuffle=True, random_state=args.seed)
         )
         rows = [{
             "algorithm": label,
-            "batch_size": args.batch_size or "per-point",
+            "batch_size": args.batch_size,
             "coreset_size": report.result.coreset_size,
             "peak_memory": report.peak_memory,
             "throughput_pts_per_s": report.throughput,
@@ -315,7 +317,7 @@ def _run_figure(args: argparse.Namespace) -> int:
         records = figure2_mr_kcenter(datasets, random_state=args.seed)
     elif figure == "figure3":
         records = figure3_stream_kcenter(
-            datasets, batch_size=_batch_size_or_none(args.batch_size),
+            datasets, batch_size=args.batch_size,
             random_state=args.seed,
         )
     elif figure == "figure4":
@@ -323,7 +325,7 @@ def _run_figure(args: argparse.Namespace) -> int:
     elif figure == "figure5":
         records = figure5_stream_outliers(
             datasets, k=args.k, z=args.z,
-            batch_size=_batch_size_or_none(args.batch_size),
+            batch_size=args.batch_size,
             random_state=args.seed,
         )
     elif figure == "figure6":

@@ -18,16 +18,16 @@ center if within ``8 * phi``, else open a new center) and, when the
 center budget overflows, the *merge rule* (double ``phi`` and merge
 centers closer than ``4 * phi``) until invariant (a) is restored.
 
-:meth:`StreamingCoreset.process_batch` applies the same rules to a whole
-chunk of points with one blocked nearest-neighbour computation per
-sweep: the maximal prefix of the chunk that lands within ``8 * phi`` of
-an existing center is folded into the weights in bulk
-(:func:`numpy.bincount`), the first residual point opens a new center,
-and the sweep continues incrementally (only distances to the new center
-are computed) until the budget overflows, when the merge rule runs and
-the remaining tail is reswept. The batched path is exactly equivalent
-to feeding the chunk point by point — it is the per-point update rule
-with the interpreter loop hoisted into NumPy.
+:meth:`StreamingCoreset.process_batch` is the only entry point: it
+applies these rules to a chunk of consecutive points with one blocked
+nearest-neighbour computation per sweep. The maximal prefix of the chunk
+that lands within ``8 * phi`` of an existing center is folded into the
+weights in bulk (:func:`numpy.bincount`), the first residual point opens
+a new center, and the sweep continues incrementally (only distances to
+the new center are computed) until the budget overflows, when the merge
+rule runs and the remaining tail is reswept. The outcome is the one the
+rules give point by point, in stream order, whatever the chunking;
+:meth:`StreamingCoreset.process` feeds a single point as a one-row chunk.
 
 :class:`StreamingCoreset` is used by the streaming k-center algorithm
 (with ``tau = mu * k``), the streaming outlier algorithm (with
@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_positive_int
-from ..exceptions import InvalidParameterError, NotFittedError
+from .._validation import check_batch, check_positive_int
+from ..exceptions import NotFittedError
 from ..metricspace.distance import Metric, get_metric
 from ..metricspace.points import WeightedPoints
 
@@ -69,7 +69,7 @@ class StreamingCoreset:
         self._tau = check_positive_int(tau, name="tau")
         self._metric = get_metric(metric)
         self._buffer: list[np.ndarray] = []
-        self._centers: np.ndarray | None = None  # (capacity, d) storage
+        self._centers: np.ndarray | None = None  # (tau + 1, d) storage
         self._weights: np.ndarray | None = None
         self._size = 0
         self._phi = 0.0
@@ -88,6 +88,11 @@ class StreamingCoreset:
     def phi(self) -> float:
         """The current lower bound on the optimal ``tau``-center radius."""
         return self._phi
+
+    @property
+    def dimension(self) -> int | None:
+        """Coordinates per point, fixed by the first point (``None`` before)."""
+        return self._dimension
 
     @property
     def n_processed(self) -> int:
@@ -114,8 +119,8 @@ class StreamingCoreset:
         """Largest working-memory size ever reached (at most ``tau + 1``).
 
         Tracked internally at every point of growth, so it is exact no
-        matter how coarsely the harness samples — and identical between
-        the per-point and batched processing paths.
+        matter how coarsely the harness samples, and the same at every
+        batch size.
         """
         return max(self._peak_memory, self.working_memory_size)
 
@@ -128,7 +133,7 @@ class StreamingCoreset:
 
         Returned as a read-only view into the coreset's storage (no copy);
         the contents reflect the state at access time and are invalidated
-        by further :meth:`process` / :meth:`process_batch` calls. Use
+        by further :meth:`process_batch` calls. Use
         :meth:`coreset` for a stable snapshot.
         """
         if self._centers is None:
@@ -155,21 +160,7 @@ class StreamingCoreset:
 
     # -- internal helpers -----------------------------------------------------------------
 
-    def _ensure_capacity(self, extra: int) -> None:
-        needed = self._size + extra
-        capacity = self._centers.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = max(needed, capacity * 2)
-        centers = np.zeros((new_capacity, self._dimension))
-        weights = np.zeros(new_capacity)
-        centers[: self._size] = self._centers[: self._size]
-        weights[: self._size] = self._weights[: self._size]
-        self._centers = centers
-        self._weights = weights
-
     def _append_center(self, point: np.ndarray, weight: float) -> None:
-        self._ensure_capacity(1)
         self._centers[self._size] = point
         self._weights[self._size] = weight
         self._size += 1
@@ -236,9 +227,10 @@ class StreamingCoreset:
     def _initialize_from_buffer(self) -> None:
         points = np.vstack(self._buffer)
         self._dimension = points.shape[1]
-        capacity = max(2 * (self._tau + 2), points.shape[0])
-        self._centers = np.zeros((capacity, self._dimension))
-        self._weights = np.zeros(capacity)
+        # A center is only appended while at most tau are held, so tau + 1
+        # rows always suffice.
+        self._centers = np.zeros((self._tau + 1, self._dimension))
+        self._weights = np.zeros(self._tau + 1)
         self._centers[: points.shape[0]] = points
         self._weights[: points.shape[0]] = 1.0
         self._size = points.shape[0]
@@ -256,61 +248,21 @@ class StreamingCoreset:
     # -- public protocol ---------------------------------------------------------------------
 
     def process(self, point) -> None:
-        """Feed one stream point into the coreset."""
-        point = np.asarray(point, dtype=np.float64).reshape(-1)
-        if point.size == 0 or not np.all(np.isfinite(point)):
-            raise InvalidParameterError("stream points must be finite, non-empty vectors")
-        if self._dimension is not None and point.shape[0] != self._dimension:
-            raise InvalidParameterError(
-                f"stream point has dimension {point.shape[0]}, expected {self._dimension}"
-            )
-        self._n_processed += 1
-
-        if self._centers is None:
-            if self._dimension is None:
-                self._dimension = int(point.shape[0])
-            self._buffer.append(np.array(point))
-            self._note_memory()
-            if len(self._buffer) == self._tau + 1:
-                self._initialize_from_buffer()
-            return
-
-        distances = self._metric.point_to_points(point, self._centers[: self._size])
-        closest = int(np.argmin(distances))
-        if distances[closest] <= 8.0 * self._phi:
-            # Update rule: the closest center becomes the point's proxy.
-            self._weights[closest] += 1.0
-            return
-        # New center; re-establish invariant (a) if the budget overflowed.
-        self._append_center(point, 1.0)
-        while self._size > self._tau:
-            self._apply_merge_rule()
+        """Feed one stream point into the coreset (a one-row chunk)."""
+        self.process_batch(np.asarray(point, dtype=np.float64).reshape(1, -1))
 
     def process_batch(self, points) -> None:
-        """Feed a chunk of stream points into the coreset.
+        """Feed a chunk of consecutive stream points into the coreset.
 
-        Exactly equivalent to calling :meth:`process` on every row of
-        ``points`` in order, but the update rule runs vectorised: one
-        blocked nearest-center computation per sweep, bulk weight
-        accumulation for all in-radius points, and an incremental greedy
-        sweep over the residual points that open new centers. The merge
-        rule is only entered when the center budget actually overflows.
+        Leaves the coreset exactly as the rules applied to every row in
+        order would: one blocked nearest-center computation per sweep, bulk
+        weight accumulation for in-radius points, an incremental sweep over
+        the points that open new centers, and the merge rule on overflow.
         """
-        batch = np.asarray(points, dtype=np.float64)
-        if batch.ndim == 1:
-            batch = batch.reshape(1, -1)
-        if batch.ndim != 2:
-            raise InvalidParameterError("a batch must be a (n, d) array of points")
+        batch = check_batch(points, self._dimension)
         if batch.shape[0] == 0:
             return
-        if batch.shape[1] == 0 or not np.all(np.isfinite(batch)):
-            raise InvalidParameterError("stream points must be finite, non-empty vectors")
-        if self._dimension is not None and batch.shape[1] != self._dimension:
-            raise InvalidParameterError(
-                f"stream point has dimension {batch.shape[1]}, expected {self._dimension}"
-            )
-        if self._dimension is None:
-            self._dimension = int(batch.shape[1])
+        self._dimension = int(batch.shape[1])
 
         position = 0
         n = batch.shape[0]

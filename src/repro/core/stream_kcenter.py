@@ -132,10 +132,6 @@ class CoresetStreamKCenter(StreamingAlgorithm):
 
     # -- StreamingAlgorithm protocol -----------------------------------------------------
 
-    def process(self, point: np.ndarray) -> None:
-        """Feed one point of the stream into the maintained coreset."""
-        self._coreset.process(point)
-
     def process_batch(self, batch: np.ndarray) -> None:
         """Feed a chunk of stream points through the vectorized update rule."""
         self._coreset.process_batch(batch)
@@ -147,7 +143,7 @@ class CoresetStreamKCenter(StreamingAlgorithm):
 
     @property
     def peak_working_memory_size(self) -> int:
-        """Exact peak tracked by the coreset, drive-path independent."""
+        """Exact peak tracked by the coreset, the same at every batch size."""
         return self._coreset.peak_working_memory_size
 
     def finalize(self) -> StreamKCenterSolution:

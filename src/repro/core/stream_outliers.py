@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import (
+    check_batch,
     check_epsilon,
     check_non_negative_int,
     check_positive_int,
@@ -143,10 +144,6 @@ class CoresetStreamOutliers(StreamingAlgorithm):
 
     # -- StreamingAlgorithm protocol -----------------------------------------------------
 
-    def process(self, point: np.ndarray) -> None:
-        """Feed one stream point into the maintained weighted coreset."""
-        self._coreset.process(point)
-
     def process_batch(self, batch: np.ndarray) -> None:
         """Feed a chunk of stream points through the vectorized update rule."""
         self._coreset.process_batch(batch)
@@ -158,7 +155,7 @@ class CoresetStreamOutliers(StreamingAlgorithm):
 
     @property
     def peak_working_memory_size(self) -> int:
-        """Exact peak tracked by the coreset, drive-path independent."""
+        """Exact peak tracked by the coreset, the same at every batch size."""
         return self._coreset.peak_working_memory_size
 
     def finalize(self) -> StreamOutliersSolution:
@@ -235,33 +232,17 @@ class TwoPassStreamOutliers(StreamingAlgorithm):
                 radius_estimate = 0.0
             self._separation = (self.epsilon / 48.0) * radius_estimate
 
-    def process(self, point: np.ndarray) -> None:
-        """First pass feeds the doubling algorithm; second pass grows the coreset."""
-        if self._current_pass == 0:
-            self._first_pass.process(point)
-            return
-
-        point = np.asarray(point, dtype=np.float64).reshape(-1)
-        self._n_processed_second += 1
-        if self._points:
-            existing = np.vstack(self._points)
-            distances = self.metric.point_to_points(point, existing)
-            closest = int(np.argmin(distances))
-            if distances[closest] <= self._separation or (
-                self.max_coreset_size is not None
-                and len(self._points) >= self.max_coreset_size
-            ):
-                self._weights[closest] += 1.0
-                return
-        self._points.append(np.array(point))
-        self._weights.append(1.0)
-
     def process_batch(self, batch: np.ndarray) -> None:
-        """Chunked version of :meth:`process`; equivalent to a row-by-row loop."""
-        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        """First pass feeds the doubling algorithm; second pass grows the coreset.
+
+        In the second pass a point adds one to the weight of its closest
+        retained point if within the separation (or once the store is
+        full), and is retained with weight 1 otherwise.
+        """
         if self._current_pass == 0:
             self._first_pass.process_batch(batch)
             return
+        batch = check_batch(batch, self._first_pass.dimension)
         n = batch.shape[0]
         self._n_processed_second += n
         position = 0
@@ -316,7 +297,7 @@ class TwoPassStreamOutliers(StreamingAlgorithm):
 
     @property
     def peak_working_memory_size(self) -> int:
-        """Exact peak across both passes, drive-path independent.
+        """Exact peak across both passes, the same at every batch size.
 
         The second-pass store only ever grows, so the peak is the larger
         of the first pass's tracked peak and the current working set.

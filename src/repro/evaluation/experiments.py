@@ -153,14 +153,13 @@ def figure3_stream_kcenter(
     k_values: Mapping[str, int] | None = None,
     multipliers: Sequence[int] = (1, 2, 4, 8, 16),
     base_instances: Sequence[int] = (1, 2, 4, 8, 16),
-    batch_size: int | None = 1024,
+    batch_size: int = 1024,
     random_state=None,
 ) -> list[dict]:
     """CORESETSTREAM vs BASESTREAM: quality and throughput vs space (Figure 3).
 
-    ``batch_size`` selects the batched streaming engine (``None`` falls
-    back to the per-point path); the reported solutions are identical
-    either way, only the throughput column changes.
+    ``batch_size`` is the streaming chunk size; the reported solutions do
+    not depend on it, only the throughput column changes.
     """
     rng = check_random_state(random_state)
     if datasets is None:
@@ -293,7 +292,7 @@ def figure5_stream_outliers(
     multipliers: Sequence[int] = (1, 2, 4, 8, 16),
     base_instances: Sequence[int] = (1, 2),
     base_buffer_capacity: int | None = None,
-    batch_size: int | None = 1024,
+    batch_size: int = 1024,
     random_state=None,
 ) -> list[dict]:
     """CORESETOUTLIERS vs BASEOUTLIERS: quality and throughput vs space (Figure 5).
@@ -301,8 +300,8 @@ def figure5_stream_outliers(
     ``base_buffer_capacity`` overrides the per-instance buffer of the
     baseline (its default ``k * z`` may exceed scaled-down dataset sizes,
     which would let the baseline simply store everything).
-    ``batch_size`` selects the batched streaming engine (``None`` = the
-    per-point path); solutions are identical either way.
+    ``batch_size`` is the streaming chunk size; solutions do not depend
+    on it.
     """
     rng = check_random_state(random_state)
     if datasets is None:

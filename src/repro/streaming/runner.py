@@ -1,41 +1,23 @@
 """Streaming execution harness.
 
 :class:`StreamingAlgorithm` is the protocol every streaming solver in this
-package implements: points are pushed one at a time via
-:meth:`~StreamingAlgorithm.process`, the final answer is produced by
-:meth:`~StreamingAlgorithm.finalize`, and the algorithm reports its
-working-set size through :attr:`~StreamingAlgorithm.working_memory_size`
-so the harness can track peak memory (the paper's key space metric).
+package implements. Its one update rule,
+:meth:`~StreamingAlgorithm.process_batch`, consumes ``(m, d)`` chunks of
+consecutive stream points and must leave the algorithm in the state the
+chunk's rows would, fed one at a time: results do not depend on the
+chunking. :meth:`~StreamingAlgorithm.process` feeds one point as a
+one-row chunk. :meth:`~StreamingAlgorithm.finalize` produces the answer,
+and :attr:`~StreamingAlgorithm.working_memory_size` reports the working
+set so the harness can track peak memory (the paper's key space metric).
 
 :class:`StreamingRunner` drives an algorithm over a
-:class:`~repro.streaming.stream.PointStream`, honouring multi-pass
-algorithms, and reports throughput (points per second, excluding the
-finalisation step, as in the paper's throughput plots), peak working
-memory, and the number of passes used.
-
-**Batch protocol.** The protocol additionally carries an optional
-batched entry point, :meth:`~StreamingAlgorithm.process_batch`, which
-consumes a ``(m, d)`` chunk of consecutive stream points. Its contract
-is *order equivalence*: processing a chunk must leave the algorithm in
-exactly the state that feeding the chunk's rows to
-:meth:`~StreamingAlgorithm.process` one by one would have. The base
-class provides that loop as the default, so third-party solvers keep
-working unchanged; the solvers in this package override it with
-vectorised update rules (one blocked nearest-center computation per
-chunk instead of one NumPy dispatch per point), which is what lifts
-streaming throughput from interpreter-bound to hardware-bound.
-
-Passing ``batch_size`` to :class:`StreamingRunner` selects the batched
-drive path: the stream delivers chunks of (at most) that size via
-:meth:`~repro.streaming.stream.PointStream.iterate_batches` and the
-runner calls :meth:`~StreamingAlgorithm.process_batch` on each. With
-``batch_size=None`` (the default) the classic per-point loop runs.
-Results are identical either way, and so is ``memory_limit``
-enforcement: checks run between points or between chunks, but both
-paths compare the solver-tracked
-:attr:`~StreamingAlgorithm.peak_working_memory_size`, so a transient
-peak *inside* a chunk (or between two sparse per-point samples) still
-trips the budget.
+:class:`~repro.streaming.stream.PointStream` in chunks of at most
+``batch_size`` points (default 1024), honouring multi-pass algorithms,
+and reports throughput (points per second, excluding finalisation, as
+in the paper's throughput plots), peak working memory and the number of
+passes. ``memory_limit`` is checked after every chunk against the
+solver-tracked :attr:`~StreamingAlgorithm.peak_working_memory_size`, so
+a transient peak *inside* a chunk still trips the budget.
 """
 
 from __future__ import annotations
@@ -66,18 +48,16 @@ class StreamingAlgorithm(ABC):
         """Hook called before each pass (``pass_index`` is 0-based)."""
 
     @abstractmethod
-    def process(self, point: np.ndarray) -> None:
-        """Consume one point of the current pass."""
-
     def process_batch(self, batch: np.ndarray) -> None:
         """Consume a ``(m, d)`` chunk of consecutive points of the current pass.
 
-        Must be equivalent to calling :meth:`process` on every row in
-        order; the default implementation does exactly that, so solvers
-        without a vectorised path keep working under a batched runner.
+        The result must not depend on how the pass is chunked: a chunk
+        leaves the algorithm in the state its rows would, fed one by one.
         """
-        for point in np.atleast_2d(np.asarray(batch, dtype=np.float64)):
-            self.process(point)
+
+    def process(self, point: np.ndarray) -> None:
+        """Consume one point of the current pass (a one-row chunk)."""
+        self.process_batch(np.asarray(point, dtype=np.float64).reshape(1, -1))
 
     @abstractmethod
     def finalize(self):
@@ -93,11 +73,10 @@ class StreamingAlgorithm(ABC):
         """Largest working-memory size reached so far (stored points).
 
         The harness samples :attr:`working_memory_size` only between
-        points (or, on the batched path, between chunks), so a transient
-        peak inside one call can go unobserved. Algorithms that track
-        their own peak override this property to make the paper's space
-        metric exact regardless of the drive path; the default simply
-        reports the current working set.
+        chunks, so a transient peak inside one call can go unobserved.
+        Algorithms that track their own peak override this property to
+        make the paper's space metric exact at any batch size; the
+        default simply reports the current working set.
         """
         return self.working_memory_size
 
@@ -150,49 +129,33 @@ class StreamingRunner:
     memory_limit:
         Optional hard cap (stored points) on the algorithm's working
         memory; exceeding it raises
-        :class:`~repro.exceptions.MemoryBudgetExceededError`.
-    memory_check_interval:
-        Working memory is sampled every this many processed points (peak
-        tracking stays accurate for the algorithms in this package because
-        their memory only changes when a point is inserted).
-    batch_size:
-        ``None`` (default) drives the algorithm point by point. An integer
-        ``>= 1`` selects the batched path: the stream delivers chunks of at
-        most this many points and the algorithm consumes them through
-        :meth:`StreamingAlgorithm.process_batch`. Working memory is then
-        sampled once per chunk (at least every ``max(batch_size,
-        memory_check_interval)`` points); every sample — on either drive
-        path — compares the solver-tracked
+        :class:`~repro.exceptions.MemoryBudgetExceededError`. Checked
+        after every chunk against the solver-tracked
         :attr:`StreamingAlgorithm.peak_working_memory_size`, so a
         mid-chunk peak above the limit is still caught.
+    batch_size:
+        The stream delivers chunks of at most this many points (an
+        integer ``>= 1``) and the algorithm consumes each through
+        :meth:`StreamingAlgorithm.process_batch`. Results do not depend
+        on it; ``batch_size=1`` feeds one point per call.
     """
 
-    def __init__(
-        self,
-        *,
-        memory_limit: int | None = None,
-        memory_check_interval: int = 1,
-        batch_size: int | None = None,
-    ) -> None:
-        if memory_check_interval < 1:
-            raise StreamingProtocolError("memory_check_interval must be >= 1")
-        if batch_size is not None and batch_size < 1:
-            raise StreamingProtocolError("batch_size must be >= 1 (or None)")
+    def __init__(self, *, memory_limit: int | None = None, batch_size: int = 1024) -> None:
+        if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+            raise StreamingProtocolError(
+                f"batch_size must be an integer >= 1; got {batch_size!r}"
+            )
         self._memory_limit = memory_limit
-        self._interval = int(memory_check_interval)
-        self._batch_size = None if batch_size is None else int(batch_size)
+        self._batch_size = int(batch_size)
 
     @property
-    def batch_size(self) -> int | None:
-        """Chunk size of the batched drive path (``None`` = per point)."""
+    def batch_size(self) -> int:
+        """Maximum number of points per chunk."""
         return self._batch_size
 
     def _check_memory(self, algorithm: StreamingAlgorithm, peak_memory: int) -> int:
-        # Checks run between points (or between chunks on the batched
-        # path), so a transient peak inside one call could escape a
-        # current-size sample; comparing the solver-tracked
-        # peak_working_memory_size makes enforcement identical on both
-        # drive paths regardless of when the peak occurred.
+        # A current-size sample between chunks could miss a transient peak
+        # inside process_batch; the solver-tracked peak cannot.
         memory = max(
             algorithm.working_memory_size, algorithm.peak_working_memory_size
         )
@@ -219,24 +182,11 @@ class StreamingRunner:
             algorithm.start_pass(pass_index)
             points_in_pass = 0
             start = time.perf_counter()
-            if self._batch_size is None:
-                for point in stream.iterate_pass():
-                    algorithm.process(point)
-                    points_in_pass += 1
-                    if points_in_pass % self._interval == 0:
-                        peak_memory = self._check_memory(algorithm, peak_memory)
-            else:
-                next_check = self._interval
-                for chunk in stream.iterate_batches(self._batch_size):
-                    algorithm.process_batch(chunk)
-                    points_in_pass += chunk.shape[0]
-                    if points_in_pass >= next_check:
-                        peak_memory = self._check_memory(algorithm, peak_memory)
-                        next_check = points_in_pass + self._interval
+            for chunk in stream.iterate_batches(self._batch_size):
+                algorithm.process_batch(chunk)
+                points_in_pass += chunk.shape[0]
+                peak_memory = self._check_memory(algorithm, peak_memory)
             stream_time += time.perf_counter() - start
-            # One last check per pass so a spike inside the final chunk (or
-            # between two sparse per-point samples) cannot escape the budget.
-            peak_memory = self._check_memory(algorithm, peak_memory)
 
         if points_in_pass == 0:
             raise EmptyStreamError(

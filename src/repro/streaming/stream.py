@@ -1,8 +1,8 @@
 """Stream sources for the Streaming algorithms.
 
-A *stream* delivers points one at a time and enforces the streaming
-discipline: no random access, and only as many sequential passes as the
-source supports. Two sources are provided:
+A *stream* delivers the points of one pass in order and enforces the
+streaming discipline: no random access, and only as many sequential
+passes as the source supports. Two sources are provided:
 
 * :class:`ArrayStream` — wraps an in-memory ``(n, d)`` array (optionally
   shuffled once up front, as the paper does before streaming); supports an
@@ -17,14 +17,11 @@ source supports. Two sources are provided:
   the MapReduce drivers' out-of-core shuffle needs for contiguous
   partitioning (and uses to cap ``ell``).
 
-Besides the classic point-at-a-time :meth:`PointStream.iterate_pass`,
-every stream can deliver the same pass in configurable-size chunks via
-:meth:`PointStream.iterate_batches` — the delivery side of the batched
-streaming engine. :class:`ArrayStream` serves zero-copy slices of its
-matrix; :class:`GeneratorStream` passes batches native to its source
-through without re-splitting (loose single points are grouped up to the
-requested size). Both iteration styles visit the same points in the
-same order, so a batched run is equivalent to a per-point run.
+:meth:`PointStream.iterate_batches` delivers a pass in chunks — zero-copy
+slices of an :class:`ArrayStream`'s matrix, or a :class:`GeneratorStream`
+source's native batches unsplit, with loose single points grouped up to
+the requested size. :meth:`PointStream.iterate_pass` yields the rows of
+those chunks one at a time.
 """
 
 from __future__ import annotations
@@ -42,8 +39,8 @@ __all__ = ["PointStream", "ArrayStream", "GeneratorStream"]
 class PointStream:
     """Abstract base class for point streams.
 
-    Subclasses implement :meth:`_iterate_once`; the base class enforces the
-    pass budget and counts delivered points.
+    Subclasses implement :meth:`_iterate_batches_once`; the base class
+    enforces the pass budget and counts delivered points.
     """
 
     def __init__(self, *, max_passes: int) -> None:
@@ -68,10 +65,8 @@ class PointStream:
 
     def iterate_pass(self) -> Iterator[np.ndarray]:
         """Begin a new pass and yield its points one at a time."""
-        self._begin_pass()
-        for point in self._iterate_once():
-            self._points_delivered += 1
-            yield point
+        for chunk in self.iterate_batches(1024):
+            yield from chunk
 
     def iterate_batches(self, batch_size: int) -> Iterator[np.ndarray]:
         """Begin a new pass and yield its points as ``(m, d)`` chunks.
@@ -98,19 +93,9 @@ class PointStream:
             )
         self._passes_started += 1
 
-    def _iterate_once(self) -> Iterator[np.ndarray]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _iterate_batches_once(self, batch_size: int) -> Iterator[np.ndarray]:
-        """Group the per-point iterator into chunks (sources may override)."""
-        pending: list[np.ndarray] = []
-        for point in self._iterate_once():
-            pending.append(point)
-            if len(pending) == batch_size:
-                yield np.vstack(pending)
-                pending = []
-        if pending:
-            yield np.vstack(pending)
+        """Yield one pass as ``(m, d)`` chunks (implemented by sources)."""
+        raise NotImplementedError  # pragma: no cover - abstract
 
 
 class ArrayStream(PointStream):
@@ -152,10 +137,6 @@ class ArrayStream(PointStream):
         """Number of coordinates per point."""
         return int(self._points.shape[1])
 
-    def _iterate_once(self) -> Iterator[np.ndarray]:
-        for row in self._points:
-            yield row
-
     def _iterate_batches_once(self, batch_size: int) -> Iterator[np.ndarray]:
         # Zero-copy slices of the backing matrix.
         for start in range(0, self._points.shape[0], batch_size):
@@ -166,12 +147,10 @@ class GeneratorStream(PointStream):
     """Single-pass stream over an iterable of points or point batches.
 
     Each item of ``source`` may be a single point (1-d array-like) or a
-    batch (2-d array-like). Under :meth:`~PointStream.iterate_pass`
-    batches are unrolled point by point; under
-    :meth:`~PointStream.iterate_batches` native batches are passed
-    through without re-splitting (whatever their size), while loose
-    single points are grouped into chunks of the requested size. Either
-    way, generators such as :func:`repro.datasets.inflate_streaming` can
+    batch (2-d array-like). :meth:`~PointStream.iterate_batches` passes
+    native batches through without re-splitting (whatever their size)
+    and groups loose single points into chunks of the requested size.
+    Generators such as :func:`repro.datasets.inflate_streaming` can
     feed the streaming algorithms without materialising the data.
 
     Parameters
@@ -211,22 +190,13 @@ class GeneratorStream(PointStream):
             )
         return array
 
-    def _iterate_once(self) -> Iterator[np.ndarray]:
-        for item in self._source:
-            array = self._as_array(item)
-            if array.ndim == 1:
-                yield array
-            else:
-                for row in array:
-                    yield row
-
     def _iterate_batches_once(self, batch_size: int) -> Iterator[np.ndarray]:
         pending: list[np.ndarray] = []
         for item in self._source:
             array = self._as_array(item)
             if array.ndim == 2:
-                # Flush grouped singles first so the point order matches the
-                # per-point iteration, then hand the native batch through.
+                # Flush grouped singles first so the source order is kept,
+                # then hand the native batch through.
                 if pending:
                     yield np.vstack(pending)
                     pending = []

@@ -3,8 +3,8 @@
 The batch protocol's contract is *order equivalence*: for any stream and
 any ``batch_size`` (including 1 and larger than the stream), processing
 the stream in chunks must leave every streaming solver in exactly the
-state that per-point processing produces — identical coreset state
-(centers, weights, phi, n_processed) and identical final solutions.
+state the per-point rules of ``_per_point.py`` produce — identical coreset
+state (centers, weights, phi, n_processed) and identical final solutions.
 
 Two layers of evidence:
 
@@ -14,7 +14,7 @@ Two layers of evidence:
   (CORESETSTREAM, CORESETOUTLIERS, BASESTREAM of McCutchen–Khuller, and
   the doubling baseline) plus the 2-pass variant and BASEOUTLIERS
   through :class:`~repro.streaming.StreamingRunner` at batch sizes
-  {1, 7, 64, 1024} against the per-point path.
+  {1, 7, 64, 1024} against the per-point references.
 """
 
 from __future__ import annotations
@@ -31,8 +31,11 @@ from repro.core import (
     StreamingCoreset,
     TwoPassStreamOutliers,
 )
-from repro.streaming import ArrayStream, StreamingRunner
+from repro.exceptions import InvalidParameterError
+from repro.streaming import ArrayStream, GeneratorStream, StreamingAlgorithm, StreamingRunner
 
+import _per_point
+from _per_point import PerPointCoresetStreamKCenter, PerPointStreamingCoreset, run_per_point
 from _strategies import streams
 
 BATCH_SIZES = (1, 7, 64, 1024)
@@ -55,7 +58,7 @@ class TestStreamingCoresetBatchEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_arbitrary_chunking_matches_per_point(self, points, tau, chunking):
-        reference = StreamingCoreset(tau=tau)
+        reference = PerPointStreamingCoreset(tau=tau)
         for point in points:
             reference.process(point)
 
@@ -72,7 +75,7 @@ class TestStreamingCoresetBatchEquivalence:
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_batch_sizes_match_per_point(self, medium_blobs, batch_size):
         tau = 25
-        reference = StreamingCoreset(tau=tau)
+        reference = PerPointStreamingCoreset(tau=tau)
         for point in medium_blobs:
             reference.process(point)
 
@@ -87,18 +90,21 @@ class TestStreamingCoresetBatchEquivalence:
         assert coreset.n_processed == 0
 
 
-def _solver_factories():
+def _solver_factories(reference: bool = False):
+    def of(cls):
+        return getattr(_per_point, "PerPoint" + cls.__name__) if reference else cls
+
     return {
-        "coreset-stream": lambda: CoresetStreamKCenter(
+        "coreset-stream": lambda: of(CoresetStreamKCenter)(
             6, coreset_multiplier=4, random_state=5
         ),
-        "coreset-outliers": lambda: CoresetStreamOutliers(4, 10, coreset_multiplier=2),
-        "base-stream": lambda: BaseStreamKCenter(6, n_instances=4),
-        "doubling": lambda: DoublingStreamKCenter(7),
-        "base-outliers": lambda: BaseStreamOutliers(
+        "coreset-outliers": lambda: of(CoresetStreamOutliers)(4, 10, coreset_multiplier=2),
+        "base-stream": lambda: of(BaseStreamKCenter)(6, n_instances=4),
+        "doubling": lambda: of(DoublingStreamKCenter)(7),
+        "base-outliers": lambda: of(BaseStreamOutliers)(
             4, 8, n_instances=2, buffer_capacity=40
         ),
-        "two-pass": lambda: TwoPassStreamOutliers(
+        "two-pass": lambda: of(TwoPassStreamOutliers)(
             4, 10, epsilon=0.5, max_coreset_size=80
         ),
     }
@@ -116,35 +122,60 @@ def _stress_stream(medium_blobs: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("name", sorted(_solver_factories()))
 def test_solver_batched_runner_matches_per_point(medium_blobs, name, batch_size):
-    make = _solver_factories()[name]
     stream = _stress_stream(medium_blobs)
 
-    reference_algorithm = make()
-    reference = StreamingRunner().run(
+    reference_algorithm = _solver_factories(reference=True)[name]()
+    reference, n_points, peak_memory = run_per_point(
         reference_algorithm,
         ArrayStream(stream, max_passes=reference_algorithm.n_passes),
     )
 
-    algorithm = make()
+    algorithm = _solver_factories()[name]()
     report = StreamingRunner(batch_size=batch_size).run(
         algorithm, ArrayStream(stream, max_passes=algorithm.n_passes)
     )
 
-    assert report.n_points == reference.n_points
-    assert report.n_passes == reference.n_passes
-    assert report.peak_memory == reference.peak_memory
-    assert np.array_equal(report.result.centers, reference.result.centers)
-    assert report.result.n_processed == reference.result.n_processed
+    assert report.n_points == n_points
+    assert report.n_passes == reference_algorithm.n_passes
+    assert report.peak_memory == peak_memory
+    assert np.array_equal(report.result.centers, reference.centers)
+    assert report.result.n_processed == reference.n_processed
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_coreset_stream_internal_state_matches(medium_blobs, batch_size):
     stream = _stress_stream(medium_blobs)
 
-    reference = CoresetStreamKCenter(6, coreset_multiplier=4, random_state=5)
-    StreamingRunner().run(reference, ArrayStream(stream))
+    reference = PerPointCoresetStreamKCenter(6, coreset_multiplier=4, random_state=5)
+    run_per_point(reference, ArrayStream(stream))
 
     batched = CoresetStreamKCenter(6, coreset_multiplier=4, random_state=5)
     StreamingRunner(batch_size=batch_size).run(batched, ArrayStream(stream))
 
     _assert_same_coreset(batched._coreset, reference._coreset)
+
+
+@pytest.mark.parametrize("name", sorted(_solver_factories()))
+def test_solver_defines_no_per_point_rule(name):
+    assert type(_solver_factories()[name]()).process is StreamingAlgorithm.process
+
+
+@pytest.mark.parametrize("name", sorted(_solver_factories()))
+def test_nan_row_and_wrong_dimension_raise(name, small_blobs):
+    points = np.array(small_blobs)
+    points[150, 1] = np.nan
+    algorithm = _solver_factories()[name]()
+    if algorithm.n_passes == 1:
+        with pytest.raises(InvalidParameterError, match="finite"):
+            StreamingRunner(batch_size=64).run(algorithm, GeneratorStream(iter(points)))
+    for pass_index in range(algorithm.n_passes):
+        algorithm = _solver_factories()[name]()
+        for clean in range(pass_index):
+            algorithm.start_pass(clean)
+            algorithm.process_batch(small_blobs)
+        algorithm.start_pass(pass_index)
+        algorithm.process_batch(points[:64])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            algorithm.process_batch(points[64:])
+        with pytest.raises(InvalidParameterError, match="dimension 3, expected 2"):
+            algorithm.process_batch(np.zeros((10, 3)))

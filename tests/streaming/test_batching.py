@@ -16,18 +16,15 @@ from repro.streaming import (
 
 
 class CollectBatches(StreamingAlgorithm):
-    """Records every chunk it receives; stores nothing else."""
+    """Records every chunk it receives and the points in them."""
 
     def __init__(self) -> None:
         self.chunks: list[np.ndarray] = []
         self.points: list[np.ndarray] = []
 
-    def process(self, point: np.ndarray) -> None:
-        self.points.append(np.array(point))
-
     def process_batch(self, batch: np.ndarray) -> None:
         self.chunks.append(np.array(batch))
-        super().process_batch(batch)
+        self.points.extend(np.array(batch))
 
     def finalize(self):
         return np.vstack(self.points) if self.points else np.empty((0, 0))
@@ -60,7 +57,7 @@ class TestArrayStreamBatches:
         with pytest.raises(StreamingProtocolError):
             next(ArrayStream(small_blobs).iterate_batches(0))
 
-    def test_matches_per_point_iteration_order(self, small_blobs):
+    def test_matches_point_iteration_order(self, small_blobs):
         batched = np.vstack(list(ArrayStream(small_blobs).iterate_batches(7)))
         per_point = np.vstack(list(ArrayStream(small_blobs).iterate_pass()))
         assert np.array_equal(batched, per_point)
@@ -99,8 +96,10 @@ class TestGeneratorStreamBatches:
 
 
 class TestBatchedRunner:
-    def test_reports_match_per_point_path(self, small_blobs):
-        reference = StreamingRunner().run(CollectBatches(), ArrayStream(small_blobs))
+    def test_reports_match_one_point_batches(self, small_blobs):
+        reference = StreamingRunner(batch_size=1).run(
+            CollectBatches(), ArrayStream(small_blobs)
+        )
         batched = StreamingRunner(batch_size=16).run(
             CollectBatches(), ArrayStream(small_blobs)
         )
@@ -119,18 +118,19 @@ class TestBatchedRunner:
         with pytest.raises(MemoryBudgetExceededError):
             runner.run(CollectBatches(), ArrayStream(small_blobs))
 
-    def test_invalid_batch_size_raises(self):
+    @pytest.mark.parametrize("batch_size", [0, None, 2.5])
+    def test_invalid_batch_size_raises(self, batch_size):
         with pytest.raises(StreamingProtocolError):
-            StreamingRunner(batch_size=0)
+            StreamingRunner(batch_size=batch_size)
 
     def test_batch_size_property(self):
-        assert StreamingRunner().batch_size is None
+        assert StreamingRunner().batch_size == 1024
         assert StreamingRunner(batch_size=64).batch_size == 64
 
-    def test_default_process_batch_loops_over_process(self):
+    def test_process_feeds_a_one_row_batch(self):
         algorithm = CollectBatches()
-        algorithm.process_batch(np.arange(8.0).reshape(4, 2))
-        assert len(algorithm.points) == 4
+        algorithm.process([1, 2])
+        assert [chunk.tolist() for chunk in algorithm.chunks] == [[[1.0, 2.0]]]
 
 
 class TestReadOnlyCoresetViews:

@@ -15,8 +15,8 @@ class CollectEverything(StreamingAlgorithm):
     def __init__(self) -> None:
         self.points: list[np.ndarray] = []
 
-    def process(self, point: np.ndarray) -> None:
-        self.points.append(np.array(point))
+    def process_batch(self, batch: np.ndarray) -> None:
+        self.points.extend(np.array(batch))
 
     def finalize(self):
         return np.vstack(self.points)
@@ -38,8 +38,8 @@ class TwoPassCounter(StreamingAlgorithm):
     def start_pass(self, pass_index: int) -> None:
         self._current = pass_index
 
-    def process(self, point: np.ndarray) -> None:
-        self.counts[self._current] += 1
+    def process_batch(self, batch: np.ndarray) -> None:
+        self.counts[self._current] += batch.shape[0]
 
     def finalize(self):
         return tuple(self.counts)
@@ -72,15 +72,6 @@ class TestStreamingRunner:
         with pytest.raises(StreamingProtocolError):
             StreamingRunner().run(TwoPassCounter(), ArrayStream(small_blobs, max_passes=1))
 
-    def test_invalid_check_interval(self):
-        with pytest.raises(StreamingProtocolError):
-            StreamingRunner(memory_check_interval=0)
-
-    def test_sparse_memory_checks_still_catch_peak(self, small_blobs):
-        runner = StreamingRunner(memory_check_interval=1000)
-        report = runner.run(CollectEverything(), ArrayStream(small_blobs))
-        assert report.peak_memory == small_blobs.shape[0]
-
 
 class SpikyBatchCompressor(StreamingAlgorithm):
     """Buffers a whole chunk, then compresses to one point at chunk end.
@@ -96,13 +87,9 @@ class SpikyBatchCompressor(StreamingAlgorithm):
         self._summary: np.ndarray | None = None
         self._peak = 1
 
-    def process(self, point: np.ndarray) -> None:
-        self._pending.append(np.asarray(point))
-        self._peak = max(self._peak, self.working_memory_size)
-
     def process_batch(self, batch: np.ndarray) -> None:
-        for point in np.atleast_2d(np.asarray(batch, dtype=np.float64)):
-            self.process(point)
+        self._pending.extend(batch)
+        self._peak = max(self._peak, self.working_memory_size)
         # Compress: the mid-chunk peak disappears from the current size.
         self._summary = np.mean(np.vstack(self._pending), axis=0)
         self._pending = []
@@ -127,8 +114,8 @@ class TestBatchedMemoryEnforcement:
         with pytest.raises(MemoryBudgetExceededError):
             runner.run(SpikyBatchCompressor(), ArrayStream(small_blobs))
 
-    def test_mid_chunk_peak_matches_per_point_enforcement(self, small_blobs):
-        # The per-point path already caught this; batched must agree.
+    def test_mid_chunk_peak_trips_the_limit_by_default(self, small_blobs):
+        # One 200-point chunk: the whole stream peaks inside one call.
         with pytest.raises(MemoryBudgetExceededError):
             StreamingRunner(memory_limit=10).run(
                 SpikyBatchCompressor(), ArrayStream(small_blobs)

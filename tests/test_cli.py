@@ -52,6 +52,15 @@ class TestParser:
         args = build_parser().parse_args(["figure7", "--backend", "processes"])
         assert args.backend == "processes"
 
+    @pytest.mark.parametrize("command", [["solve", "stream-outliers"], ["figure5"]])
+    def test_batch_size_must_be_positive(self, command, capsys):
+        assert build_parser().parse_args([*command, "--batch-size", "1"]).batch_size == 1
+        for value in ("0", "-2", "x"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([*command, "--batch-size", value])
+            assert excinfo.value.code != 0
+            assert "--batch-size: must be an integer >= 1" in capsys.readouterr().err
+
 
 class TestMain:
     def test_solve_mr_kcenter(self, capsys):
