@@ -19,14 +19,13 @@ Three complementary measurements:
   ``--backend processes``; the speedup assertion additionally needs at
   least 4 CPUs (it is reported either way).
 * ``test_figure7_streamed_shuffle_memory`` — the out-of-core shuffle on
-  the seeded fig7 configuration: per backend, ``fit`` vs ``fit_stream``
-  — on the backend's natural partition tier *and* with
-  ``storage="disk"`` spill files — must agree bit for bit while the
-  coordinator's accounted working set drops from ``n`` to
+  the seeded fig7 configuration: per backend, ``fit_stream`` with the
+  ``"memory"`` partition tier and with ``"disk"`` spill files must agree
+  bit for bit while the coordinator's accounted working set stays at
   ``O(chunk + coreset)``. Emits points/sec, spilled bytes, the exact
   coordinator accounting and the process peak RSS to
   ``BENCH_mapreduce.json`` (override with ``REPRO_BENCH_MAPREDUCE_JSON``)
-  so CI can archive the trajectory, tracking the disk tier from day one.
+  so CI can archive the trajectory.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .conftest import (
     attach_records,
     bench_backend,
     bench_seed,
-    bench_storage,
     scaling_points,
 )
 
@@ -121,7 +119,7 @@ def _peak_rss_kib() -> int:
 
 
 def test_figure7_streamed_shuffle_memory(paper_datasets):
-    """Out-of-core shuffle: bit-identical to in-memory, coordinator O(chunk + coreset)."""
+    """Out-of-core shuffle: memory and disk tiers agree, coordinator O(chunk + coreset)."""
     k, z, ell, chunk_size = K, Z, 8, 256
     points = inject_outliers(
         paper_datasets["power"], Z, random_state=bench_seed()
@@ -130,61 +128,44 @@ def test_figure7_streamed_shuffle_memory(paper_datasets):
 
     records = []
     for backend in ("serial", "threads", "processes"):
-        def solver():
+        def solve(storage):
             # mu = 1 keeps the coreset union well below n at smoke scale so
-            # the coordinator-memory separation is visible; at paper scale
+            # the coordinator-memory bound is visible; at paper scale
             # (millions of points) any mu leaves union << n.
-            return MapReduceKCenterOutliers(
+            solver = MapReduceKCenterOutliers(
                 k, z, ell=ell, coreset_multiplier=1, randomized=True,
                 include_log_term=False, random_state=bench_seed(),
                 backend=backend, max_workers=2,
             )
-
-        start = time.perf_counter()
-        in_memory = solver().fit(points)
-        in_memory_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        streamed = solver().fit_stream(
-            ArrayStream(points), chunk_size=chunk_size, storage=bench_storage()
-        )
-        streamed_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        spilled = solver().fit_stream(
-            ArrayStream(points), chunk_size=chunk_size, storage="disk"
-        )
-        spilled_s = time.perf_counter() - start
-
-        # The acceptance contract: identical solutions, bounded coordinator —
-        # on the in-memory partition tier and on the spill-to-disk tier alike.
-        for variant in (streamed, spilled):
-            np.testing.assert_array_equal(
-                variant.center_indices, in_memory.center_indices
+            start = time.perf_counter()
+            result = solver.fit_stream(
+                ArrayStream(points), chunk_size=chunk_size, storage=storage
             )
-            assert variant.radius == in_memory.radius
-            np.testing.assert_array_equal(
-                variant.outlier_indices, in_memory.outlier_indices
-            )
+            return result, time.perf_counter() - start
+
+        in_memory, in_memory_s = solve("memory")
+        spilled, spilled_s = solve("disk")
+
+        # The acceptance contract: identical solutions and a bounded
+        # coordinator on the in-memory tier and the spill-to-disk tier alike.
+        np.testing.assert_array_equal(spilled.center_indices, in_memory.center_indices)
+        assert spilled.radius == in_memory.radius
+        np.testing.assert_array_equal(spilled.outlier_indices, in_memory.outlier_indices)
+        for variant in (in_memory, spilled):
             assert variant.stats.coordinator_peak_items <= max(
                 chunk_size, variant.coreset_size
             )
             if max(chunk_size, variant.coreset_size) < n:
                 assert variant.stats.coordinator_peak_items < n
-        assert in_memory.stats.coordinator_peak_items >= n
+        assert in_memory.stats.storage_tier == "memory"
         assert spilled.stats.storage_tier == "disk"
         assert spilled.stats.spilled_bytes > 0
 
-        for mode, result, elapsed in (
-            ("in-memory", in_memory, in_memory_s),
-            ("streamed", streamed, streamed_s),
-            ("streamed-disk", spilled, spilled_s),
-        ):
+        for result, elapsed in ((in_memory, in_memory_s), (spilled, spilled_s)):
             records.append({
                 "backend": backend,
-                "mode": mode,
-                "chunk_size": chunk_size if mode != "in-memory" else None,
-                "storage": result.stats.storage_tier or "n/a",
+                "storage": result.stats.storage_tier,
+                "chunk_size": chunk_size,
                 "spilled_bytes": result.stats.spilled_bytes,
                 "n_points": n,
                 "radius": float(result.radius),
@@ -213,7 +194,7 @@ def test_figure7_streamed_shuffle_memory(paper_datasets):
     print()
     print(format_records(
         records,
-        columns=["backend", "mode", "storage", "points_per_sec", "spilled_bytes",
+        columns=["backend", "storage", "points_per_sec", "spilled_bytes",
                  "coordinator_peak_items", "peak_local_memory", "peak_working_memory",
                  "coordinator_peak_rss_kib"],
     ))

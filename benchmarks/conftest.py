@@ -30,7 +30,7 @@ import os
 import pytest
 
 from repro.evaluation import default_datasets
-from repro.mapreduce import available_backends, available_storage_tiers
+from repro.mapreduce import available_backends
 
 _CONFIG = None
 
@@ -43,9 +43,6 @@ def pytest_addoption(parser):
                     help="points per dataset stand-in (overrides REPRO_BENCH_POINTS)")
     group.addoption("--backend", choices=available_backends(), default=None,
                     help="MapReduce executor backend for backend-aware benchmarks")
-    group.addoption("--storage", choices=available_storage_tiers(), default="auto",
-                    help="partition-storage tier for the streamed-shuffle benchmark's "
-                         "'streamed' mode (the spill-to-disk column always runs)")
     group.addoption("--scaling-points", type=int, default=100_000,
                     help="instance size for the true wall-clock scaling benchmark")
     group.addoption("--batch-size", type=int, default=1024,
@@ -85,11 +82,6 @@ def bench_seed() -> int:
 def bench_backend() -> str | None:
     """Executor backend requested on the command line (``None`` = serial)."""
     return _option("--backend")
-
-
-def bench_storage() -> str:
-    """Partition-storage tier requested on the command line (default ``"auto"``)."""
-    return str(_option("--storage", default="auto"))
 
 
 def scaling_points() -> int:

@@ -61,7 +61,7 @@ def main() -> None:
     print(f"  radius over all points      : {outlier_result.radius_all_points:.3f}")
     print(f"  planted outliers recovered  : {recovered}")
     print(f"  union coreset size          : {outlier_result.coreset_size}")
-    print(f"  rounds                      : {outlier_result.stats.n_rounds}")
+    print(f"  rounds (2 + evaluation)     : {outlier_result.stats.n_rounds}")
 
 
 if __name__ == "__main__":

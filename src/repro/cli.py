@@ -259,7 +259,7 @@ def _chunks_with_planted_outliers(args):
 def _solve_from_stream(args: argparse.Namespace) -> int:
     """Out-of-core solve: chunked dataset generation into the streamed shuffle."""
     if args.command == "mr-outliers":
-        # Same problem instance as the in-memory path: z planted outliers
+        # Same problem instance as without --from-stream: z planted outliers
         # ride along with the stream (chunk-wise injection).
         chunks = _chunks_with_planted_outliers(args)
         stream = GeneratorStream(chunks, length_hint=args.n_points + args.z)

@@ -69,8 +69,8 @@ class Clustering:
         """Indices of the ``n_outliers`` points farthest from their centers.
 
         Ties at the cut-off are broken deterministically towards larger
-        indices (stable sort), so the selection is reproducible across
-        the in-memory and streamed drive paths.
+        indices (stable sort), the same tie-break the MapReduce drivers'
+        evaluation round uses.
         """
         n_outliers = check_non_negative_int(n_outliers, name="n_outliers")
         if n_outliers == 0:

@@ -6,258 +6,43 @@ rule is met (either the theoretical ``epsilon`` rule or the experimental
 ``tau = mu * k`` rule). Round 2 gathers the union of the per-partition
 coresets into one reducer and runs GMM on the union to produce the final
 ``k`` centers. The result is a ``(2 + eps)``-approximation with local
-memory ``O(|S|/ell + ell * k * (4/eps)^D)``.
+memory ``O(|S|/ell + ell * k * (4/eps)^D)``. A third round computes the
+radius, partition by partition (see :mod:`repro.core.mr_driver`).
 
 Setting ``coreset_multiplier = 1`` recovers the algorithm of Malkomes et
 al. [26] (the paper's baseline in Figure 2), which is also exposed
 directly as :class:`repro.baselines.malkomes.MalkomesKCenter`.
-
-The reducers are module-level functions parameterised with
-:func:`functools.partial` over picklable arguments (the point matrix
-travels as a :class:`~repro.mapreduce.backends.SharedArray`), so the
-driver runs unchanged — and produces identical results — on every
-executor backend, including ``"processes"``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .._validation import check_points, check_positive_int, check_random_state
-from ..exceptions import InvalidParameterError
-from ..mapreduce.backends import ExecutorBackend, SharedArray
-from ..mapreduce.partitioner import (
-    draw_partition_seeds,
-    split_contiguous,
-    split_random,
-    split_round_robin,
-)
-from ..mapreduce.runtime import (
-    JobStats,
-    MapReduceRuntime,
-    StreamedPartition,
-    identity_mapper,
-    shuffle_point_stream,
-)
-from ..metricspace.distance import Metric, get_metric
-from .assignment import assign_to_centers
-from .coreset import CoresetSpec, build_coreset
+from ..mapreduce.runtime import JobStats
+# Bound here too: instrumentation (perfbench/tracing.py) wraps these names
+# in every driver module.
+from ..mapreduce.runtime import shuffle_point_stream  # noqa: F401
+from ..metricspace.distance import Metric
+from ..metricspace.points import WeightedPoints
+from .coreset import build_coreset  # noqa: F401
 from .gmm import gmm_select
+from .mr_driver import Evaluation, MapReduceDriver, Solution
 
 __all__ = ["MRKCenterResult", "MapReduceKCenter"]
 
 
-_PARTITIONERS = {
-    "contiguous": split_contiguous,
-    "round_robin": split_round_robin,
-    "random": split_random,
-}
-
-
-@dataclass(frozen=True)
-class _CoresetPhaseOutput:
-    """Round-1 reducer output: a partition's coreset plus its build time.
-
-    The timing rides along to the coordinator, which harvests it in the
-    round-2 mapper; only the indices continue into the shuffle, so memory
-    accounting sees exactly the same values on every backend.
-    """
-
-    indices: np.ndarray
-    elapsed: float
-
-
-@dataclass(frozen=True)
-class _SolvePhaseOutput:
-    """Round-2 reducer output: the final solution data plus the solve time."""
-
-    center_indices: np.ndarray
-    coreset_size: int
-    elapsed: float
-
-
-# -- streamed (out-of-core) shuffle payloads and reducers ------------------------------
-
-
-@dataclass(frozen=True)
-class _StreamedCoreset:
-    """Round-1 output on the streamed path: coreset rows with global indices."""
-
-    points: np.ndarray
-    origin_indices: np.ndarray
-    elapsed: float
-
-    def __len__(self) -> int:
-        return int(self.points.shape[0])
-
-
-@dataclass(frozen=True)
-class _StreamedSolution:
-    """Round-2 output on the streamed path: the solution with coordinates."""
-
-    centers: np.ndarray
-    center_indices: np.ndarray
-    coreset_size: int
-    elapsed: float
-
-
-@dataclass(frozen=True)
-class _AssignTask:
-    """Round-3 input on the streamed path: score one partition against the centers."""
-
-    partition: StreamedPartition
-    centers: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.partition)
-
-
-def _coreset_reducer(
-    partition_id,
-    values,
-    *,
-    points: SharedArray,
-    spec: CoresetSpec,
-    metric: Metric,
-    seeds: tuple[int, ...],
-):
-    """Build the coreset of one partition (round-1 reducer; picklable)."""
-    indices = np.concatenate(values)
-    start = time.perf_counter()
-    result = build_coreset(
-        points.array[indices],
-        spec,
-        metric,
-        weighted=False,
-        first_center=None,
-        random_state=seeds[partition_id],
-    )
-    elapsed = time.perf_counter() - start
-    return [(0, _CoresetPhaseOutput(indices[result.center_indices], elapsed))]
-
-
-def _solve_reducer(
-    _key,
-    values,
-    *,
-    points: SharedArray,
-    k: int,
-    metric: Metric,
-    seed: int,
-):
-    """Run GMM on the union of the coresets (round-2 reducer; picklable)."""
-    union_indices = np.concatenate(values)
-    start = time.perf_counter()
-    solution = gmm_select(
-        points.array[union_indices],
-        k,
-        metric,
-        first_center=None,
-        random_state=seed,
-    )
-    elapsed = time.perf_counter() - start
-    return [
-        (
-            0,
-            _SolvePhaseOutput(
-                center_indices=union_indices[solution.centers],
-                coreset_size=int(union_indices.shape[0]),
-                elapsed=elapsed,
-            ),
-        )
-    ]
-
-
-def _stream_coreset_reducer(
-    partition_id,
-    values,
-    *,
-    spec: CoresetSpec,
-    metric: Metric,
-    seeds: tuple[int, ...],
-):
-    """Build the coreset of one streamed partition (round-1 reducer; picklable).
-
-    Identical to :func:`_coreset_reducer` except that the reducer works
-    on its own partition matrix (no full shared dataset exists) and
-    therefore forwards coreset *coordinates* alongside the global
-    indices.
-    """
-    part: StreamedPartition = values[0]
-    start = time.perf_counter()
-    result = build_coreset(
-        part.points.array,
-        spec,
-        metric,
-        weighted=False,
-        first_center=None,
-        random_state=seeds[partition_id],
-    )
-    elapsed = time.perf_counter() - start
-    return [
-        (
-            0,
-            _StreamedCoreset(
-                points=part.points.array[result.center_indices],
-                origin_indices=part.indices.array[result.center_indices],
-                elapsed=elapsed,
-            ),
-        )
-    ]
-
-
-def _stream_solve_reducer(
-    _key,
-    values,
-    *,
-    k: int,
-    metric: Metric,
-    seed: int,
-):
-    """Run GMM on the union of the streamed coresets (round-2 reducer; picklable)."""
-    union_points = np.concatenate([value.points for value in values])
-    union_origin = np.concatenate([value.origin_indices for value in values])
-    start = time.perf_counter()
-    solution = gmm_select(
-        union_points,
-        k,
-        metric,
-        first_center=None,
-        random_state=seed,
-    )
-    elapsed = time.perf_counter() - start
-    return [
-        (
-            0,
-            _StreamedSolution(
-                centers=union_points[solution.centers],
-                center_indices=union_origin[solution.centers],
-                coreset_size=int(union_points.shape[0]),
-                elapsed=elapsed,
-            ),
-        )
-    ]
-
-
-def _stream_assign_reducer(_partition_id, values, *, metric: Metric):
-    """Radius of one partition w.r.t. the final centers (round-3 reducer; picklable).
-
-    Uses the blocked :meth:`~repro.metricspace.distance.Metric.nearest`
-    kernel, so the reducer's working set stays at its partition plus the
-    ``k`` centers — never the ``(n_i, k)`` cross matrix.
-    """
-    task: _AssignTask = values[0]
-    distances, _ = metric.nearest(task.partition.points.array, task.centers)
-    return [(0, float(distances.max()))]
+def _gmm_solve(union: WeightedPoints, *, k: int, metric: Metric, seed: int):
+    """Round-2 solver: GMM on the coreset union (picklable)."""
+    solution = gmm_select(union.points, k, metric, first_center=None, random_state=seed)
+    return solution.centers, None
 
 
 @dataclass(frozen=True)
 class MRKCenterResult:
-    """Result of a 2-round MapReduce k-center run.
+    """Result of a MapReduce k-center run.
 
     Attributes
     ----------
@@ -273,8 +58,8 @@ class MRKCenterResult:
     ell:
         Number of partitions (degree of parallelism) used.
     stats:
-        MapReduce accounting (rounds, local / aggregate memory, parallel
-        time estimate).
+        MapReduce accounting: three rounds (coresets, solve,
+        evaluation), local / aggregate memory, parallel time estimate.
     coreset_time:
         Wall-clock seconds spent building the per-partition coresets
         (sum over partitions; divide by ``ell`` for the ideal parallel time,
@@ -284,8 +69,7 @@ class MRKCenterResult:
     peak_working_memory_size:
         The paper's space metric (stored points): the largest working
         set any single participant held — reducers *and* the
-        coordinator. ``O(n)`` for the in-memory drive path,
-        ``O(n/ell + chunk + union coreset)`` for the streamed one.
+        coordinator, ``O(n/ell + chunk + union coreset)``.
     """
 
     centers: np.ndarray
@@ -304,7 +88,7 @@ class MRKCenterResult:
         return int(self.centers.shape[0])
 
 
-class MapReduceKCenter:
+class MapReduceKCenter(MapReduceDriver):
     """Coreset-based 2-round MapReduce solver for the k-center problem.
 
     Parameters
@@ -357,274 +141,13 @@ class MapReduceKCenter:
     5
     """
 
-    def __init__(
-        self,
-        k: int,
-        *,
-        ell: int = 4,
-        epsilon: float | None = None,
-        coreset_multiplier: float | None = None,
-        partitioning: str = "contiguous",
-        metric: str | Metric = "euclidean",
-        random_state=None,
-        local_memory_limit: int | None = None,
-        max_workers: int | None = None,
-        backend: str | ExecutorBackend | None = None,
-        workers=None,
-    ) -> None:
-        self.k = check_positive_int(k, name="k")
-        self.ell = check_positive_int(ell, name="ell")
-        if epsilon is not None and coreset_multiplier is not None:
-            raise InvalidParameterError(
-                "epsilon and coreset_multiplier are mutually exclusive"
-            )
-        if epsilon is None and coreset_multiplier is None:
-            epsilon = 1.0
-        self.epsilon = epsilon
-        self.coreset_multiplier = coreset_multiplier
-        if partitioning not in _PARTITIONERS:
-            raise InvalidParameterError(
-                f"partitioning must be one of {sorted(_PARTITIONERS)}; got {partitioning!r}"
-            )
-        self.partitioning = partitioning
-        self.metric = get_metric(metric)
-        self.random_state = random_state
-        self.local_memory_limit = local_memory_limit
-        if max_workers is not None:
-            max_workers = check_positive_int(max_workers, name="max_workers")
-        self.max_workers = max_workers
-        self.backend = backend
-        self.workers = None if workers is None else list(workers)
+    def _base_size(self, n: int, ell: int) -> int:
+        return self.k
 
-    # -- helpers -----------------------------------------------------------------------
-
-    def _coreset_spec(self) -> CoresetSpec:
-        if self.coreset_multiplier is not None:
-            return CoresetSpec.from_multiplier(self.k, self.coreset_multiplier)
-        return CoresetSpec.from_epsilon(self.k, self.epsilon)
-
-    def _partition(self, n: int, rng: np.random.Generator) -> list[np.ndarray]:
-        # Random partitioning can leave a part empty on tiny inputs; both
-        # MapReduce drivers handle that identically by *dropping* empty
-        # parts (the round-1 mappers skip them), which only lowers the
-        # effective parallelism — see tests/mapreduce/test_empty_partitions.py.
-        ell = min(self.ell, n)
-        if self.partitioning == "random":
-            return split_random(n, ell, random_state=rng)
-        return _PARTITIONERS[self.partitioning](n, ell)
-
-    # -- main entry point --------------------------------------------------------------
-
-    def fit(self, points) -> MRKCenterResult:
-        """Run the 2-round algorithm on ``points`` and return the solution."""
-        pts = check_points(points)
-        n = pts.shape[0]
-        if self.k > n:
-            raise InvalidParameterError(f"k={self.k} exceeds the dataset size {n}")
-        rng = check_random_state(self.random_state)
-        spec = self._coreset_spec()
-        parts = self._partition(n, rng)
-
-        # Per-partition seeds (and the second-round seed) are drawn up front
-        # so that reducers are free of shared mutable state and the result is
-        # identical on every backend (serial, thread pool, process pool).
-        partition_seeds = draw_partition_seeds(rng, len(parts))
-        final_seed = int(rng.integers(2**31 - 1))
-
-        timings = {"coreset": 0.0}
-
-        def first_round_mapper(_key, value):
-            # The mapper only routes point indices to their partition; it is
-            # the constant-space transformation the paper describes. Empty
-            # parts (possible under random partitioning on tiny inputs) are
-            # dropped, matching the outlier driver and the streamed path.
-            del value
-            for partition_id, indices in enumerate(parts):
-                if indices.size:
-                    yield (partition_id, indices)
-
-        def second_round_mapper(_key, value: _CoresetPhaseOutput):
-            # Runs in the coordinator: harvest the per-partition build times
-            # and forward only the coreset indices into the shuffle.
-            timings["coreset"] += value.elapsed
-            yield (0, value.indices)
-
-        with MapReduceRuntime(
-            local_memory_limit=self.local_memory_limit,
-            max_workers=self.max_workers,
-            backend=self.backend,
-            workers=self.workers,
-        ) as runtime:
-            shared_pts = runtime.share_array(pts)
-            first_round_reducer = partial(
-                _coreset_reducer,
-                points=shared_pts,
-                spec=spec,
-                metric=self.metric,
-                seeds=partition_seeds,
-            )
-            second_round_reducer = partial(
-                _solve_reducer,
-                points=shared_pts,
-                k=self.k,
-                metric=self.metric,
-                seed=final_seed,
-            )
-            output = runtime.execute_job(
-                [(None, np.arange(n))],
-                [
-                    (first_round_mapper, first_round_reducer),
-                    (second_round_mapper, second_round_reducer),
-                ],
-            )
-            stats = runtime.stats
-
-        solution: _SolvePhaseOutput = output[0][1]
-        center_indices = solution.center_indices
-        clustering = assign_to_centers(pts, pts[center_indices], self.metric)
-        return MRKCenterResult(
-            centers=pts[center_indices],
-            center_indices=center_indices,
-            radius=clustering.radius,
-            coreset_size=solution.coreset_size,
-            ell=sum(1 for p in parts if p.size),
-            stats=stats,
-            coreset_time=timings["coreset"],
-            solve_time=solution.elapsed,
-            peak_working_memory_size=stats.peak_working_memory_size,
+    def _solver(self, rng: np.random.Generator):
+        return partial(
+            _gmm_solve, k=self.k, metric=self.metric, seed=int(rng.integers(2**31 - 1))
         )
 
-    def fit_stream(
-        self,
-        stream,
-        *,
-        chunk_size: int = 4096,
-        storage: str = "auto",
-        spill_dir: str | None = None,
-        memory_budget_bytes: int | None = None,
-    ) -> MRKCenterResult:
-        """Run the 2-round algorithm on a chunked point stream, out of core.
-
-        Equivalent to :meth:`fit` on the same points in the same order —
-        bit-identical centers, indices and radius on every backend — but
-        the coordinator never materialises the ``(n, d)`` matrix: chunks
-        are routed straight into per-partition buffers (shared-memory
-        segments under the ``"processes"`` backend), the reducers build
-        their coresets from their own partitions, and the final radius is
-        computed by a third MapReduce round that scores each partition
-        against the centers with the blocked
-        :meth:`~repro.metricspace.distance.Metric.nearest` kernel. The
-        coordinator's working set is ``O(chunk_size + union coreset)``
-        (see ``stats.coordinator_peak_items``), which restores the
-        paper's memory model: dataset size is bounded by the *reducers'*
-        memory, not the coordinator's.
-
-        Parameters
-        ----------
-        stream:
-            A :class:`~repro.streaming.stream.PointStream`, or any
-            iterable of points / point batches (wrapped in a
-            :class:`~repro.streaming.stream.GeneratorStream`).
-            ``"contiguous"`` partitioning needs a stream with a known
-            length (``len(stream)``); unknown-length sources can use
-            ``"round_robin"`` or ``"random"``. For unknown-length
-            streams ``ell`` is used as given (the in-memory path caps it
-            at ``n``), so exact ``fit`` equivalence additionally needs
-            ``ell <= n`` or a sized stream.
-        chunk_size:
-            Rows per routing chunk; also the coordinator's transient
-            working set during the shuffle.
-        storage:
-            Partition-storage tier for the shuffle: ``"auto"``
-            (default), ``"memory"``, ``"shared"`` or ``"disk"``. Under
-            ``"auto"`` with a ``memory_budget_bytes``, streams whose
-            estimated partition footprint exceeds the budget spill to
-            disk; ``stats.storage_tier`` / ``stats.spilled_bytes``
-            report what ran. Every tier is bit-identical.
-        spill_dir:
-            Directory for ``"disk"``-tier spill files (default: a
-            run-owned temporary directory, removed afterwards).
-        memory_budget_bytes:
-            In-memory partition budget consulted by ``storage="auto"``.
-        """
-        chunk_size = check_positive_int(chunk_size, name="chunk_size")
-        rng = check_random_state(self.random_state)
-        spec = self._coreset_spec()
-
-        with MapReduceRuntime(
-            local_memory_limit=self.local_memory_limit,
-            max_workers=self.max_workers,
-            backend=self.backend,
-            workers=self.workers,
-            storage=storage,
-            spill_dir=spill_dir,
-            memory_budget_bytes=memory_budget_bytes,
-        ) as runtime:
-            parts, n, _ = shuffle_point_stream(
-                runtime,
-                stream,
-                ell=self.ell,
-                partitioning=self.partitioning,
-                rng=rng,
-                chunk_size=chunk_size,
-            )
-            if self.k > n:
-                raise InvalidParameterError(f"k={self.k} exceeds the dataset size {n}")
-            partition_seeds = draw_partition_seeds(rng, len(parts))
-            final_seed = int(rng.integers(2**31 - 1))
-
-            coreset_pairs = [
-                (partition_id, part)
-                for partition_id, part in enumerate(parts)
-                if len(part)
-            ]
-            coreset_outputs = runtime.execute_round(
-                coreset_pairs,
-                identity_mapper,
-                partial(
-                    _stream_coreset_reducer,
-                    spec=spec,
-                    metric=self.metric,
-                    seeds=partition_seeds,
-                ),
-            )
-            coreset_time = sum(value.elapsed for _, value in coreset_outputs)
-
-            solution: _StreamedSolution = runtime.execute_round(
-                coreset_outputs,
-                identity_mapper,
-                partial(
-                    _stream_solve_reducer,
-                    k=self.k,
-                    metric=self.metric,
-                    seed=final_seed,
-                ),
-            )[0][1]
-            # The union of the coresets passed through the coordinator
-            # between rounds 1 and 2: charge it to the coordinator's peak.
-            runtime.note_coordinator_items(solution.coreset_size)
-
-            assign_pairs = [
-                (partition_id, _AssignTask(part, solution.centers))
-                for partition_id, part in enumerate(parts)
-                if len(part)
-            ]
-            assign_outputs = runtime.execute_round(
-                assign_pairs,
-                identity_mapper,
-                partial(_stream_assign_reducer, metric=self.metric),
-            )
-            radius = max(value for _, value in assign_outputs)
-            stats = runtime.stats
-
-        return MRKCenterResult(
-            centers=solution.centers,
-            center_indices=solution.center_indices,
-            radius=radius,
-            coreset_size=solution.coreset_size,
-            ell=len(coreset_pairs),
-            stats=stats,
-            coreset_time=coreset_time,
-            solve_time=solution.elapsed,
-            peak_working_memory_size=stats.peak_working_memory_size,
-        )
+    def _result(self, solution: Solution, evaluation: Evaluation, common: dict):
+        return MRKCenterResult(radius=evaluation.radius_all_points, **common)

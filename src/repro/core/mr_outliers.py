@@ -22,195 +22,44 @@ Figure 4.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .._validation import (
-    check_non_negative_int,
-    check_points,
-    check_positive_int,
-    check_random_state,
-)
+from .._validation import check_non_negative_int
 from ..exceptions import InvalidParameterError
-from ..mapreduce.backends import ExecutorBackend, SharedArray
-from ..mapreduce.partitioner import (
-    draw_partition_seeds,
-    split_adversarial,
-    split_contiguous,
-    split_random,
-    split_round_robin,
-)
-from ..mapreduce.runtime import (
-    JobStats,
-    MapReduceRuntime,
-    StreamedPartition,
-    identity_mapper,
-    shuffle_point_stream,
-)
-from ..metricspace.distance import Metric, get_metric
+from ..mapreduce.backends import ExecutorBackend
+from ..mapreduce.runtime import JobStats
+# Bound here too: instrumentation (perfbench/tracing.py) wraps these names
+# in every driver module.
+from ..mapreduce.runtime import shuffle_point_stream  # noqa: F401
+from ..metricspace.distance import Metric
 from ..metricspace.points import WeightedPoints
-from .assignment import assign_to_centers
-from .coreset import CoresetSpec, build_coreset
+from .coreset import build_coreset  # noqa: F401
+from .mr_driver import Evaluation, MapReduceDriver, Solution
 from .outliers_cluster import OutliersClusterSolver
 from .radius_search import search_radius
 
 __all__ = ["MROutliersResult", "MapReduceKCenterOutliers"]
 
 
-@dataclass(frozen=True)
-class _CoresetPhaseOutput:
-    """Round-1 reducer output: a partition's weighted coreset plus its build time.
-
-    The timing rides along to the coordinator, which harvests it in the
-    round-2 mapper; only the coreset continues into the shuffle, so memory
-    accounting sees exactly the same values on every backend.
-    """
-
-    coreset: WeightedPoints
-    elapsed: float
-
-
-@dataclass(frozen=True)
-class _SolvePhaseOutput:
-    """Round-2 reducer output: the union, the radius search outcome, the solve time."""
-
-    union: WeightedPoints
-    search: object
-    elapsed: float
-
-
-def _coreset_reducer(
-    partition_id,
-    values,
-    *,
-    points: SharedArray,
-    spec: CoresetSpec,
-    metric: Metric,
-    seeds: tuple[int, ...],
-):
-    """Build one partition's weighted coreset (round-1 reducer; picklable)."""
-    indices = np.concatenate(values)
-    start = time.perf_counter()
-    result = build_coreset(
-        points.array[indices],
-        spec,
-        metric,
-        weighted=True,
-        origin_offset=0,
-        first_center=None,
-        random_state=seeds[partition_id],
-    )
-    elapsed = time.perf_counter() - start
-    coreset = WeightedPoints(
-        points=result.coreset.points,
-        weights=result.coreset.weights,
-        origin_indices=indices[result.center_indices],
-    )
-    return [(0, _CoresetPhaseOutput(coreset, elapsed))]
-
-
-def _solve_reducer(
-    _key,
-    values,
-    *,
-    k: int,
-    z: int,
-    eps_hat: float,
-    metric: Metric,
-):
-    """Radius search + OUTLIERSCLUSTER on the coreset union (round-2 reducer; picklable)."""
-    union = WeightedPoints.concatenate(values)
-    start = time.perf_counter()
-    solver = OutliersClusterSolver(union, k, eps_hat=eps_hat, metric=metric)
-    search = search_radius(solver, z)
-    elapsed = time.perf_counter() - start
-    return [(0, _SolvePhaseOutput(union, search, elapsed))]
-
-
-# -- streamed (out-of-core) shuffle reducers -------------------------------------------
-
-
-def _stream_coreset_reducer(
-    partition_id,
-    values,
-    *,
-    spec: CoresetSpec,
-    metric: Metric,
-    seeds: tuple[int, ...],
-):
-    """Build one streamed partition's weighted coreset (round-1 reducer; picklable).
-
-    Identical to :func:`_coreset_reducer` except that the reducer works
-    on its own partition matrix instead of indexing a full shared
-    dataset; global origin indices come from the partition's index
-    column.
-    """
-    part: StreamedPartition = values[0]
-    start = time.perf_counter()
-    result = build_coreset(
-        part.points.array,
-        spec,
-        metric,
-        weighted=True,
-        origin_offset=0,
-        first_center=None,
-        random_state=seeds[partition_id],
-    )
-    elapsed = time.perf_counter() - start
-    coreset = WeightedPoints(
-        points=result.coreset.points,
-        weights=result.coreset.weights,
-        origin_indices=part.indices.array[result.center_indices],
-    )
-    return [(0, _CoresetPhaseOutput(coreset, elapsed))]
-
-
-@dataclass(frozen=True)
-class _OutlierAssignTask:
-    """Round-3 input on the streamed path: score one partition against the centers."""
-
-    partition: StreamedPartition
-    centers: np.ndarray
-    z: int
-
-    def __len__(self) -> int:
-        return len(self.partition)
-
-
-def _stream_assign_reducer(_partition_id, values, *, metric: Metric):
-    """Per-partition distance summary vs the final centers (round-3; picklable).
-
-    Uses the blocked :meth:`~repro.metricspace.distance.Metric.nearest`
-    kernel and returns only what the coordinator needs to reconstruct
-    the global outlier set: the partition's ``z + 1`` largest
-    center-distances with their global indices. Merging the
-    per-partition top lists recovers the exact global top ``z + 1``
-    (every globally-large distance is large within its partition).
-    """
-    task: _OutlierAssignTask = values[0]
-    indices = task.partition.indices.array
-    distances, _ = metric.nearest(task.partition.points.array, task.centers)
-    keep = min(task.z + 1, distances.shape[0])
-    # Order by (distance, global index) — the same tie-break the global
-    # selection uses — so the kept candidates are exactly the ones the
-    # in-memory path would pick among equal distances.
-    order = np.lexsort((indices, distances))[-keep:]
-    return [(0, (distances[order], indices[order]))]
+def _outliers_solve(union: WeightedPoints, *, k: int, z: int, eps_hat: float, metric: Metric):
+    """Round-2 solver: radius search + OUTLIERSCLUSTER on the coreset union (picklable)."""
+    search = search_radius(OutliersClusterSolver(union, k, eps_hat=eps_hat, metric=metric), z)
+    return search.solution.center_indices, search
 
 
 @dataclass(frozen=True)
 class MROutliersResult:
-    """Result of a 2-round MapReduce k-center-with-outliers run.
+    """Result of a MapReduce k-center-with-outliers run.
 
     Attributes
     ----------
     centers:
         ``(<=k, d)`` coordinates of the returned centers.
     center_indices:
-        Indices of the centers in the original dataset (when available).
+        Indices of the centers in the original dataset.
     radius:
         Radius of the dataset w.r.t. the centers **after discarding the
         z farthest points** (the problem's objective).
@@ -227,7 +76,8 @@ class MROutliersResult:
     randomized:
         Whether the randomized variant was used.
     stats:
-        MapReduce accounting.
+        MapReduce accounting: three rounds (coresets, solve,
+        evaluation), local / aggregate memory, parallel time estimate.
     coreset_time, solve_time:
         Wall-clock seconds in the two phases (coreset construction summed
         over partitions; radius search + OUTLIERSCLUSTER for the solve).
@@ -236,8 +86,7 @@ class MROutliersResult:
     peak_working_memory_size:
         The paper's space metric (stored points): the largest working
         set any single participant held — reducers *and* the
-        coordinator. ``O(n)`` for the in-memory drive path,
-        ``O(n/ell + chunk + union coreset)`` for the streamed one.
+        coordinator, ``O(n/ell + chunk + union coreset)``.
     """
 
     centers: np.ndarray
@@ -261,7 +110,7 @@ class MROutliersResult:
         return int(self.centers.shape[0])
 
 
-class MapReduceKCenterOutliers:
+class MapReduceKCenterOutliers(MapReduceDriver):
     """Coreset-based 2-round MapReduce solver for k-center with z outliers.
 
     Parameters
@@ -306,6 +155,9 @@ class MapReduceKCenterOutliers:
         (``workers`` are the distributed backend's daemon addresses).
     """
 
+    partitionings = ("contiguous", "round_robin", "random", "adversarial")
+    weighted = True
+
     def __init__(
         self,
         k: int,
@@ -326,49 +178,36 @@ class MapReduceKCenterOutliers:
         backend: str | ExecutorBackend | None = None,
         workers=None,
     ) -> None:
-        self.k = check_positive_int(k, name="k")
+        super().__init__(
+            k,
+            ell=ell,
+            epsilon=epsilon,
+            coreset_multiplier=coreset_multiplier,
+            partitioning=partitioning,
+            metric=metric,
+            random_state=random_state,
+            local_memory_limit=local_memory_limit,
+            max_workers=max_workers,
+            backend=backend,
+            workers=workers,
+        )
         self.z = check_non_negative_int(z, name="z")
-        self.ell = check_positive_int(ell, name="ell")
-        if epsilon is not None and coreset_multiplier is not None:
-            raise InvalidParameterError(
-                "epsilon and coreset_multiplier are mutually exclusive"
-            )
-        if epsilon is None and coreset_multiplier is None:
-            epsilon = 1.0
-        self.epsilon = epsilon
-        self.coreset_multiplier = coreset_multiplier
         self.randomized = bool(randomized)
         if eps_hat is None:
             eps_hat = (epsilon / 6.0) if epsilon is not None else 1.0 / 6.0
         if eps_hat < 0:
             raise InvalidParameterError("eps_hat must be non-negative")
         self.eps_hat = float(eps_hat)
-        valid_partitionings = {"contiguous", "round_robin", "random", "adversarial"}
-        if partitioning not in valid_partitionings:
-            raise InvalidParameterError(
-                f"partitioning must be one of {sorted(valid_partitionings)}; got {partitioning!r}"
-            )
         if partitioning == "adversarial" and adversarial_indices is None:
             raise InvalidParameterError(
                 "adversarial partitioning requires adversarial_indices"
             )
-        self.partitioning = partitioning
         self.adversarial_indices = (
             None
             if adversarial_indices is None
             else np.asarray(adversarial_indices, dtype=np.intp)
         )
         self.include_log_term = bool(include_log_term)
-        self.metric = get_metric(metric)
-        self.random_state = random_state
-        self.local_memory_limit = local_memory_limit
-        if max_workers is not None:
-            max_workers = check_positive_int(max_workers, name="max_workers")
-        self.max_workers = max_workers
-        self.backend = backend
-        self.workers = None if workers is None else list(workers)
-
-    # -- helpers -----------------------------------------------------------------------
 
     def _z_prime(self, n: int, ell: int) -> int:
         """The randomized variant's per-partition outlier bound ``z'`` (Lemma 7)."""
@@ -380,286 +219,34 @@ class MapReduceKCenterOutliers:
             return self.k + self._z_prime(n, ell)
         return self.k + self.z
 
-    def _coreset_spec(self, n: int, ell: int) -> CoresetSpec:
-        base = self._base_size(n, ell)
-        if self.coreset_multiplier is not None:
-            return CoresetSpec.from_multiplier(base, self.coreset_multiplier)
-        return CoresetSpec.from_epsilon(base, self.epsilon)
+    def _routing(self) -> dict:
+        # The randomized variant's analysis (Lemma 7) needs random partitioning.
+        if self.randomized:
+            return {"partitioning": "random"}
+        return {
+            "partitioning": self.partitioning,
+            "adversarial_indices": self.adversarial_indices,
+        }
 
-    def _partition(self, n: int, ell: int, rng: np.random.Generator) -> list[np.ndarray]:
-        # Empty parts (possible under random partitioning on tiny inputs)
-        # are dropped by the round-1 mapper, identically in both MapReduce
-        # drivers — see tests/mapreduce/test_empty_partitions.py.
-        if self.randomized or self.partitioning == "random":
-            return split_random(n, ell, random_state=rng)
-        if self.partitioning == "adversarial":
-            return split_adversarial(
-                n, ell, self.adversarial_indices, random_state=rng
-            )
-        if self.partitioning == "round_robin":
-            return split_round_robin(n, ell)
-        return split_contiguous(n, ell)
-
-    # -- main entry point --------------------------------------------------------------
-
-    def fit(self, points) -> MROutliersResult:
-        """Run the 2-round algorithm on ``points`` and return the solution."""
-        pts = check_points(points)
-        n = pts.shape[0]
-        if self.k > n:
-            raise InvalidParameterError(f"k={self.k} exceeds the dataset size {n}")
+    def _check_size(self, n: int) -> None:
+        super()._check_size(n)
         if self.z >= n:
-            raise InvalidParameterError(f"z={self.z} must be smaller than the dataset size {n}")
-        rng = check_random_state(self.random_state)
-        ell = min(self.ell, n)
-        spec = self._coreset_spec(n, ell)
-        parts = self._partition(n, ell, rng)
-
-        # Per-partition seeds are drawn up front so reducers carry no shared
-        # random state; results are identical on every backend (serial,
-        # thread pool, process pool).
-        partition_seeds = draw_partition_seeds(rng, len(parts))
-
-        timings = {"coreset": 0.0}
-
-        def first_round_mapper(_key, value):
-            del value
-            for partition_id, indices in enumerate(parts):
-                if indices.size:
-                    yield (partition_id, indices)
-
-        def second_round_mapper(_key, value: _CoresetPhaseOutput):
-            # Runs in the coordinator: harvest the per-partition build times
-            # and forward only the weighted coresets into the shuffle.
-            timings["coreset"] += value.elapsed
-            yield (0, value.coreset)
-
-        with MapReduceRuntime(
-            local_memory_limit=self.local_memory_limit,
-            max_workers=self.max_workers,
-            backend=self.backend,
-            workers=self.workers,
-        ) as runtime:
-            shared_pts = runtime.share_array(pts)
-            first_round_reducer = partial(
-                _coreset_reducer,
-                points=shared_pts,
-                spec=spec,
-                metric=self.metric,
-                seeds=partition_seeds,
-            )
-            second_round_reducer = partial(
-                _solve_reducer,
-                k=self.k,
-                z=self.z,
-                eps_hat=self.eps_hat,
-                metric=self.metric,
-            )
-            output = runtime.execute_job(
-                [(None, np.arange(n))],
-                [
-                    (first_round_mapper, first_round_reducer),
-                    (second_round_mapper, second_round_reducer),
-                ],
-            )
-            stats = runtime.stats
-
-        solution: _SolvePhaseOutput = output[0][1]
-        union = solution.union
-        search = solution.search
-        coreset_center_positions = search.solution.center_indices
-        centers = union.points[coreset_center_positions]
-        center_indices = (
-            union.origin_indices[coreset_center_positions]
-            if union.origin_indices is not None
-            else np.full(coreset_center_positions.shape[0], -1, dtype=np.intp)
-        )
-
-        clustering = assign_to_centers(pts, centers, self.metric)
-        return MROutliersResult(
-            centers=centers,
-            center_indices=center_indices,
-            radius=clustering.radius_excluding(self.z),
-            radius_all_points=clustering.radius,
-            outlier_indices=clustering.outlier_indices(self.z),
-            estimated_radius=search.radius,
-            coreset_size=len(union),
-            ell=sum(1 for p in parts if p.size),
-            randomized=self.randomized,
-            stats=stats,
-            coreset_time=timings["coreset"],
-            solve_time=solution.elapsed,
-            search_probes=search.probes,
-            peak_working_memory_size=stats.peak_working_memory_size,
-        )
-
-    def fit_stream(
-        self,
-        stream,
-        *,
-        chunk_size: int = 4096,
-        storage: str = "auto",
-        spill_dir: str | None = None,
-        memory_budget_bytes: int | None = None,
-    ) -> MROutliersResult:
-        """Run the 2-round algorithm on a chunked point stream, out of core.
-
-        Equivalent to :meth:`fit` on the same points in the same order —
-        bit-identical centers, radii and outlier sets on every backend —
-        without the coordinator ever materialising the ``(n, d)``
-        matrix. The shuffle routes chunks directly into per-partition
-        buffers (shared-memory segments under the ``"processes"``
-        backend); a third MapReduce round evaluates the final solution
-        by scoring each partition against the centers with the blocked
-        :meth:`~repro.metricspace.distance.Metric.nearest` kernel and
-        returning only its ``z + 1`` largest distances, from which the
-        coordinator reconstructs the exact global outlier set and radii.
-
-        Parameters
-        ----------
-        stream:
-            A :class:`~repro.streaming.stream.PointStream`, or any
-            iterable of points / point batches. ``"contiguous"``
-            partitioning needs a known stream length;
-            ``"adversarial"`` partitioning is inherently offline and not
-            supported here. For unknown-length streams ``ell`` is used
-            as given (the in-memory path caps it at ``n``), so exact
-            ``fit`` equivalence additionally needs ``ell <= n`` or a
-            sized stream.
-        chunk_size:
-            Rows per routing chunk; also the coordinator's transient
-            working set during the shuffle.
-        storage:
-            Partition-storage tier for the shuffle: ``"auto"``
-            (default), ``"memory"``, ``"shared"`` or ``"disk"``. Under
-            ``"auto"`` with a ``memory_budget_bytes``, streams whose
-            estimated partition footprint exceeds the budget spill to
-            disk; ``stats.storage_tier`` / ``stats.spilled_bytes``
-            report what ran. Every tier is bit-identical.
-        spill_dir:
-            Directory for ``"disk"``-tier spill files (default: a
-            run-owned temporary directory, removed afterwards).
-        memory_budget_bytes:
-            In-memory partition budget consulted by ``storage="auto"``.
-        """
-        chunk_size = check_positive_int(chunk_size, name="chunk_size")
-        if self.partitioning == "adversarial" and not self.randomized:
             raise InvalidParameterError(
-                "adversarial partitioning requires the full index set up front "
-                "and cannot be streamed; use fit() instead"
+                f"z={self.z} must be smaller than the dataset size {n}"
             )
-        rng = check_random_state(self.random_state)
-        partitioning = (
-            "random" if self.randomized or self.partitioning == "random"
-            else self.partitioning
+
+    def _solver(self, rng: np.random.Generator):
+        return partial(
+            _outliers_solve, k=self.k, z=self.z, eps_hat=self.eps_hat, metric=self.metric
         )
 
-        with MapReduceRuntime(
-            local_memory_limit=self.local_memory_limit,
-            max_workers=self.max_workers,
-            backend=self.backend,
-            workers=self.workers,
-            storage=storage,
-            spill_dir=spill_dir,
-            memory_budget_bytes=memory_budget_bytes,
-        ) as runtime:
-            parts, n, ell = shuffle_point_stream(
-                runtime,
-                stream,
-                ell=self.ell,
-                partitioning=partitioning,
-                rng=rng,
-                chunk_size=chunk_size,
-            )
-            if self.k > n:
-                raise InvalidParameterError(f"k={self.k} exceeds the dataset size {n}")
-            if self.z >= n:
-                raise InvalidParameterError(
-                    f"z={self.z} must be smaller than the dataset size {n}"
-                )
-            spec = self._coreset_spec(n, ell)
-            partition_seeds = draw_partition_seeds(rng, len(parts))
-
-            coreset_pairs = [
-                (partition_id, part)
-                for partition_id, part in enumerate(parts)
-                if len(part)
-            ]
-            coreset_outputs = runtime.execute_round(
-                coreset_pairs,
-                identity_mapper,
-                partial(
-                    _stream_coreset_reducer,
-                    spec=spec,
-                    metric=self.metric,
-                    seeds=partition_seeds,
-                ),
-            )
-            coreset_time = sum(value.elapsed for _, value in coreset_outputs)
-
-            solve_pairs = [(0, value.coreset) for _, value in coreset_outputs]
-            solution: _SolvePhaseOutput = runtime.execute_round(
-                solve_pairs,
-                identity_mapper,
-                partial(
-                    _solve_reducer,
-                    k=self.k,
-                    z=self.z,
-                    eps_hat=self.eps_hat,
-                    metric=self.metric,
-                ),
-            )[0][1]
-            union = solution.union
-            search = solution.search
-            runtime.note_coordinator_items(len(union))
-            coreset_center_positions = search.solution.center_indices
-            centers = union.points[coreset_center_positions]
-            center_indices = (
-                union.origin_indices[coreset_center_positions]
-                if union.origin_indices is not None
-                else np.full(coreset_center_positions.shape[0], -1, dtype=np.intp)
-            )
-
-            assign_pairs = [
-                (partition_id, _OutlierAssignTask(part, centers, self.z))
-                for partition_id, part in enumerate(parts)
-                if len(part)
-            ]
-            assign_outputs = runtime.execute_round(
-                assign_pairs,
-                identity_mapper,
-                partial(_stream_assign_reducer, metric=self.metric),
-            )
-            stats = runtime.stats
-
-        # Merge the per-partition top-(z+1) summaries into the global
-        # outlier set. Sorting by (distance, index) reproduces the stable
-        # tie-break of Clustering.outlier_indices, so the streamed path
-        # selects exactly the outliers the in-memory path selects.
-        top_distances = np.concatenate([value[0] for _, value in assign_outputs])
-        top_indices = np.concatenate([value[1] for _, value in assign_outputs])
-        order = np.lexsort((top_indices, top_distances))
-        radius_all = float(top_distances[order[-1]])
-        if self.z == 0:
-            outlier_indices = np.empty(0, dtype=np.intp)
-            radius = radius_all
-        else:
-            outlier_indices = np.sort(top_indices[order[-self.z :]])
-            radius = float(top_distances[order[-(self.z + 1)]])
-
+    def _result(self, solution: Solution, evaluation: Evaluation, common: dict):
         return MROutliersResult(
-            centers=centers,
-            center_indices=center_indices,
-            radius=radius,
-            radius_all_points=radius_all,
-            outlier_indices=outlier_indices,
-            estimated_radius=search.radius,
-            coreset_size=len(union),
-            ell=len(coreset_pairs),
+            radius=evaluation.radius,
+            radius_all_points=evaluation.radius_all_points,
+            outlier_indices=evaluation.outlier_indices,
+            estimated_radius=solution.search.radius,
             randomized=self.randomized,
-            stats=stats,
-            coreset_time=coreset_time,
-            solve_time=solution.elapsed,
-            search_probes=search.probes,
-            peak_working_memory_size=stats.peak_working_memory_size,
+            search_probes=solution.search.probes,
+            **common,
         )

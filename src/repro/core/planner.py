@@ -82,27 +82,22 @@ class MapReducePlan:
         sizing (``ceil(ell / suggested_workers)``); the round's parallel
         time scales with this factor, so a distributed plan shows
         directly what another worker daemon would buy.
-    streamed:
-        Whether the plan targets the out-of-core drive path
-        (``fit_stream``); chunked ingestion keeps the coordinator's
-        working set at ``chunk_size + union`` instead of ``n``.
     chunk_size:
-        Suggested shuffle chunk size for the streamed path.
+        Suggested shuffle chunk size.
     coordinator_memory:
-        Predicted coordinator working set (points): ``n`` for the
-        in-memory path, ``chunk_size + union`` for the streamed one —
-        the quantity that decides whether a dataset fits the machine
-        driving the job.
+        Predicted coordinator working set (points):
+        ``min(chunk_size, n) + union`` — the quantity that decides
+        whether a dataset fits the machine driving the job.
     storage:
-        Partition-storage tier the plan selects for the streamed
-        shuffle (``"memory"``, ``"shared"`` or ``"disk"``): an explicit
-        request is passed through; ``"auto"`` keeps the backend's
-        natural tier unless the predicted partition footprint exceeds
+        Partition-storage tier the plan selects for the shuffle
+        (``"memory"``, ``"shared"`` or ``"disk"``): an explicit request
+        is passed through; ``"auto"`` keeps the backend's natural tier
+        unless the predicted partition footprint exceeds
         ``memory_budget_bytes``, in which case the plan spills to disk.
     partition_tier_bytes:
         Predicted bytes held by the partition tier: the ``(n, d)``
-        float64 rows plus, on the streamed path, the ``intp`` global-
-        index column. ``0`` when ``point_dimension`` is not given.
+        float64 rows plus the ``intp`` global-index column. ``0`` when
+        ``point_dimension`` is not given.
     predicted_spill_bytes:
         Bytes expected to land in spill files (``partition_tier_bytes``
         when the selected tier is ``"disk"``, else 0).
@@ -119,7 +114,6 @@ class MapReducePlan:
     backend: str = "serial"
     suggested_workers: int = 1
     partitions_per_worker: int = 1
-    streamed: bool = False
     chunk_size: int = 4096
     coordinator_memory: int = 0
     storage: str = "memory"
@@ -178,7 +172,6 @@ def plan_mapreduce(
     random_state=None,
     backend: str | None = None,
     workers=None,
-    streamed: bool = False,
     chunk_size: int = 4096,
     storage: str | None = None,
     memory_budget_bytes: int | None = None,
@@ -218,25 +211,21 @@ def plan_mapreduce(
         and makes ``partitions_per_worker`` the per-daemon round-1 load.
         Required when ``backend="distributed"`` is named explicitly —
         the local CPU count says nothing about a remote cluster.
-    streamed:
-        Plan the out-of-core drive path (``fit_stream`` with chunked
-        ingestion) instead of the in-memory one. The predicted
-        ``coordinator_memory`` then drops from ``n`` to
-        ``chunk_size + union coreset``, which is what makes datasets
-        larger than the coordinator's RAM plannable at all.
     chunk_size:
-        Shuffle chunk size assumed for the streamed path.
+        Shuffle chunk size; the coordinator holds one chunk plus the
+        union coreset, which is what makes datasets larger than the
+        coordinator's RAM plannable at all.
     storage:
         Partition-storage tier to plan for (one of
         :func:`repro.mapreduce.available_storage_tiers`). ``None`` or
         ``"auto"`` asks the planner to *select* one: the backend's
         natural tier (shared memory for ``"processes"``, in-process
-        arrays otherwise) unless the streamed partition footprint is
+        arrays otherwise) unless the partition footprint is
         predicted to exceed ``memory_budget_bytes``, which selects
         ``"disk"``.
     memory_budget_bytes:
         Budget (bytes) for the in-memory partition tiers; only
-        consulted when the tier is auto-selected for a streamed plan.
+        consulted when the tier is auto-selected.
     point_dimension:
         Dimensionality ``d`` of the points, needed to predict the
         partition tier's byte footprint; when ``None`` the byte
@@ -301,21 +290,20 @@ def plan_mapreduce(
     union = practical * ell
     local_memory = max(per_partition, union)
     chunk_size = check_positive_int(chunk_size, name="chunk_size")
-    coordinator_memory = min(chunk_size, n) + union if streamed else n
+    coordinator_memory = min(chunk_size, n) + union
 
-    # Per-tier footprint of the sealed partitions: float64 rows, plus the
-    # intp global-index column that rides along on the streamed path.
+    # Per-tier footprint of the sealed partitions: float64 rows plus the
+    # intp global-index column.
     if point_dimension is not None:
         point_dimension = check_positive_int(point_dimension, name="point_dimension")
-        row_bytes = point_dimension * 8 + (8 if streamed else 0)
-        partition_tier_bytes = n * row_bytes
+        partition_tier_bytes = n * (point_dimension * 8 + 8)
     else:
         partition_tier_bytes = 0
     if storage in (None, "auto"):
         over_budget = memory_budget_bytes is not None and (
             partition_tier_bytes == 0 or partition_tier_bytes > memory_budget_bytes
         )
-        if streamed and over_budget:
+        if over_budget:
             storage = "disk"
         else:
             storage = "shared" if backend == "processes" else "memory"
@@ -324,7 +312,7 @@ def plan_mapreduce(
             f"unknown storage tier {storage!r}; available: "
             f"{', '.join(available_storage_tiers())}"
         )
-    predicted_spill = partition_tier_bytes if (streamed and storage == "disk") else 0
+    predicted_spill = partition_tier_bytes if storage == "disk" else 0
 
     if backend == "serial":
         suggested_workers = 1
@@ -345,7 +333,6 @@ def plan_mapreduce(
         backend=backend,
         suggested_workers=suggested_workers,
         partitions_per_worker=-(-ell // suggested_workers),
-        streamed=bool(streamed),
         chunk_size=chunk_size,
         coordinator_memory=coordinator_memory,
         storage=storage,

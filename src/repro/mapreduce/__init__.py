@@ -23,10 +23,6 @@ from .partitioner import (
     draw_partition_seeds,
     hashed_assignment,
     split_adversarial,
-    split_contiguous,
-    split_random,
-    split_round_robin,
-    validate_partition,
 )
 from .runtime import (
     JobStats,
@@ -66,8 +62,4 @@ __all__ = [
     "resolve_backend",
     "resolve_storage",
     "split_adversarial",
-    "split_contiguous",
-    "split_random",
-    "split_round_robin",
-    "validate_partition",
 ]

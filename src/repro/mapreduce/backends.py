@@ -18,17 +18,6 @@ which three implementations are provided:
   entirely, so pure-Python reducer work also scales, at the price of
   pickling the reducer callable and its per-group values for every task.
 
-To keep the process backend cheap for the dominant payload — the point
-matrix, which every reducer of the k-center drivers needs — large NumPy
-arrays can be published once through :meth:`ExecutorBackend.share_array`
-and referenced from reducers as a :class:`SharedArray`. Under the process
-backend the array is copied a single time into POSIX shared memory
-(:mod:`multiprocessing.shared_memory`); worker processes attach to the
-segment by name when they first unpickle a reference, so shipping a task
-costs a few bytes of metadata instead of the matrix. Under the serial and
-thread backends :class:`SharedArray` is a zero-copy wrapper around the
-original array.
-
 Orthogonal to *where reducers run* is *where the shuffle's partition rows
 live* while they are being assembled. That is the :class:`PartitionStore`
 protocol, with three tiers (see :func:`resolve_storage`):
@@ -213,24 +202,23 @@ def _rebuild_by_value(array: np.ndarray) -> "SharedArray":
     """Reconstruct a by-value :class:`SharedArray` from its pickled rows."""
     array = np.asarray(array)
     array.flags.writeable = False
-    return SharedArray(array, by_value=True)
+    return SharedArray(array)
 
 
 class SharedArray:
     """A read-only NumPy array that reducers can reference cheaply on any backend.
 
-    Instances are created by :meth:`ExecutorBackend.share_array` and by
-    the partition stores' ``finalize``. Under the serial and thread
-    backends the wrapper holds the original array (zero copy). Under the
-    process backend the data lives out of line and pickling serialises
-    only a handle: ``(name, shape, dtype)`` for a shared-memory segment,
+    Instances are created by the partition stores' ``finalize``. In the
+    coordinator the wrapper views the stored rows (zero copy). For the
+    out-of-line tiers pickling serialises only a handle:
+    ``(name, shape, dtype)`` for a shared-memory segment,
     ``(path, shape, dtype)`` for an on-disk ``.npy`` spill file that the
-    worker memory-maps read-only. Handles from the in-process memory
-    tier can optionally pickle their rows by value (``by_value=True``),
-    which is correct on every backend but pays the copy.
+    worker memory-maps read-only. Handles of in-process arrays (the
+    memory tier) pickle their rows by value, which is correct on every
+    backend but pays the copy.
     """
 
-    __slots__ = ("_array", "_segment", "_meta", "_spill_meta", "_owns_spill", "_by_value")
+    __slots__ = ("_array", "_segment", "_meta", "_spill_meta", "_owns_spill")
 
     def __init__(
         self,
@@ -240,29 +228,12 @@ class SharedArray:
         meta: tuple[str, tuple, str] | None = None,
         spill_meta: tuple[str, tuple, str] | None = None,
         owns_spill: bool = False,
-        by_value: bool = False,
     ) -> None:
         self._array = array
         self._segment = segment
         self._meta = meta
         self._spill_meta = spill_meta
         self._owns_spill = owns_spill
-        self._by_value = by_value
-
-    @classmethod
-    def wrap(cls, array) -> "SharedArray":
-        """Zero-copy wrapper for in-process backends."""
-        return cls(np.asarray(array))
-
-    @classmethod
-    def copy_to_shared_memory(cls, array) -> "SharedArray":
-        """Copy ``array`` once into a new shared-memory segment (owned by the caller)."""
-        arr = np.ascontiguousarray(array)
-        segment = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)
-        view[...] = arr
-        view.flags.writeable = False
-        return cls(view, segment=segment, meta=(segment.name, arr.shape, arr.dtype.str))
 
     @classmethod
     def from_filled_segment(
@@ -336,13 +307,7 @@ class SharedArray:
             return (_attach_shared_array, (self._meta,))
         if self._spill_meta is not None:
             return (_attach_spilled_array, (self._spill_meta,))
-        if self._by_value:
-            return (_rebuild_by_value, (np.asarray(self._array),))
-        raise TypeError(
-            "this SharedArray wraps a plain in-process array and cannot be "
-            "sent to another process; obtain it from a process backend's "
-            "share_array() instead"
-        )
+        return (_rebuild_by_value, (np.asarray(self._array),))
 
     def close(self) -> None:
         """Release the backing storage (owner side: also unlink/delete it)."""
@@ -483,7 +448,7 @@ class MemoryPartitionStore(_GrowableStore):
     def finalize(self) -> SharedArray:
         view = self._storage[: self._n]
         view.flags.writeable = False
-        return SharedArray(view, by_value=True)
+        return SharedArray(view)
 
 
 class SharedMemoryPartitionStore(_GrowableStore):
@@ -773,10 +738,6 @@ class ExecutorBackend(Protocol):
         """Execute ``reducer`` on every group and return outputs plus timings."""
         ...
 
-    def share_array(self, array) -> SharedArray:
-        """Publish a large array for cheap access from reducers."""
-        ...
-
     def close(self) -> None:
         """Release pools and shared resources. Idempotent."""
         ...
@@ -792,9 +753,6 @@ class SerialBackend:
 
     def run_reducers(self, reducer, groups):
         return {key: _timed_reduce(reducer, key, values) for key, values in groups.items()}
-
-    def share_array(self, array) -> SharedArray:
-        return SharedArray.wrap(array)
 
     def close(self) -> None:
         pass
@@ -831,9 +789,6 @@ class ThreadBackend:
         }
         return {key: future.result() for key, future in futures.items()}
 
-    def share_array(self, array) -> SharedArray:
-        return SharedArray.wrap(array)
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -841,12 +796,12 @@ class ThreadBackend:
 
 
 class ProcessBackend:
-    """Reducers run on a process pool; large arrays travel via shared memory.
+    """Reducers run on a process pool; partitions travel as shared-memory handles.
 
     Reducer callables (and their group values) are pickled per task, so
-    they must be module-level functions or partials thereof. Arrays
-    published with :meth:`share_array` are copied once into shared memory
-    and referenced by name from the workers.
+    they must be module-level functions or partials thereof. Under
+    ``storage="auto"`` the shuffle places partitions in shared memory,
+    which workers attach to by name.
     """
 
     name = "processes"
@@ -857,7 +812,6 @@ class ProcessBackend:
     def __init__(self, max_workers: int | None = None) -> None:
         self._max_workers = _check_workers(max_workers)
         self._pool: ProcessPoolExecutor | None = None
-        self._shared: list[SharedArray] = []
 
     @property
     def max_workers(self) -> int:
@@ -876,17 +830,10 @@ class ProcessBackend:
         }
         return {key: future.result() for key, future in futures.items()}
 
-    def share_array(self, array) -> SharedArray:
-        shared = SharedArray.copy_to_shared_memory(array)
-        self._shared.append(shared)
-        return shared
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        while self._shared:
-            self._shared.pop().close()
 
 
 _BACKENDS = {

@@ -58,8 +58,6 @@ import socket
 import threading
 from typing import Hashable, Sequence
 
-import numpy as np
-
 from ..exceptions import (
     InvalidParameterError,
     WorkerTaskError,
@@ -432,12 +430,6 @@ class DistributedBackend:
         self._last_bytes = shipped[0]
         self._bytes_shipped += shipped[0]
         return {key: results[key] for key in keys}
-
-    def share_array(self, array) -> SharedArray:
-        """Publish an array for reducers: pickled by value into each task."""
-        view = np.asarray(array).view()
-        view.flags.writeable = False
-        return SharedArray(view, by_value=True)
 
     def close(self) -> None:
         """End the worker connections (the daemons keep serving). Idempotent."""

@@ -4,7 +4,7 @@ The first round splits the input ``S`` into ``ell`` subsets ``S_i``.
 The paper uses three flavours:
 
 * **contiguous equal-size** splits (the deterministic algorithms only need
-  the subsets to have equal size);
+  the subsets to have equal size), plus a round-robin interleaving;
 * **uniformly random** assignment of each point to a subset — the
   randomized outlier algorithm of Section 3.2.1 relies on this to spread
   the outliers evenly (Lemma 7);
@@ -12,17 +12,14 @@ The paper uses three flavours:
   all planted outliers are forced into the same partition to stress the
   deterministic algorithm.
 
-Every function returns a list of ``ell`` index arrays (some possibly
-empty for degenerate inputs) that together partition ``range(n)``.
-
-The first three strategies assign point ``i`` to a partition as a pure
-function of ``(i, n, ell)`` — the random strategy through a seeded
+:class:`ChunkRouter` is the one partitioner: it assigns the rows of
+consecutive stream chunks to partitions. The first three strategies are
+pure functions of ``(i, n, ell)`` — the random one through a seeded
 counter-based hash (:func:`hashed_assignment`) rather than a sequential
-RNG draw. That makes every assignment *chunking-independent*: the
-streamed shuffle (:class:`ChunkRouter`) can recompute it for any chunk
-``[offset, offset + m)`` of the input without materialising the whole
-index range, and lands every point in exactly the partition the
-in-memory ``split_*`` functions would have chosen.
+RNG draw — so the router computes any chunk ``[offset, offset + m)``
+without materialising the whole index range. The adversarial split
+needs every index up front: :func:`split_adversarial` builds its
+``(n,)`` partition-id vector, and the router reads it chunk by chunk.
 
 :func:`draw_partition_seeds` is the one shared way the MapReduce drivers
 draw their per-partition coreset seeds, so the deterministic-for-any-
@@ -43,11 +40,7 @@ from .._validation import (
 from ..exceptions import InvalidParameterError
 
 __all__ = [
-    "split_contiguous",
-    "split_round_robin",
-    "split_random",
     "split_adversarial",
-    "validate_partition",
     "hashed_assignment",
     "draw_partition_seeds",
     "ChunkRouter",
@@ -97,47 +90,6 @@ def draw_partition_seeds(rng: np.random.Generator, n_partitions: int) -> tuple[i
     return tuple(int(rng.integers(2**31 - 1)) for _ in range(n_partitions))
 
 
-def split_contiguous(n: int, ell: int) -> list[np.ndarray]:
-    """Split ``range(n)`` into ``ell`` contiguous, (near-)equal-size blocks."""
-    n = check_positive_int(n, name="n")
-    ell = check_positive_int(ell, name="ell")
-    if ell > n:
-        raise InvalidParameterError(f"cannot split {n} points into {ell} non-empty parts")
-    return [np.array(part, dtype=np.intp) for part in np.array_split(np.arange(n), ell)]
-
-
-def split_round_robin(n: int, ell: int) -> list[np.ndarray]:
-    """Assign point ``i`` to partition ``i mod ell`` (deterministic interleaving)."""
-    n = check_positive_int(n, name="n")
-    ell = check_positive_int(ell, name="ell")
-    if ell > n:
-        raise InvalidParameterError(f"cannot split {n} points into {ell} non-empty parts")
-    indices = np.arange(n)
-    return [indices[indices % ell == i] for i in range(ell)]
-
-
-def split_random(n: int, ell: int, *, random_state=None) -> list[np.ndarray]:
-    """Assign each point to a uniformly random partition, independently.
-
-    This is the partitioning of the randomized outlier algorithm
-    (Section 3.2.1); unlike :func:`split_contiguous` the parts are only
-    equal in expectation, and parts can occasionally be empty for tiny
-    inputs — the MapReduce drivers simply skip empty parts (dropping a
-    partition only lowers the effective parallelism, never correctness).
-
-    The per-point draw is the counter-based :func:`hashed_assignment`
-    keyed by a single variate from ``random_state``, so the streamed
-    shuffle reproduces this split exactly, chunk by chunk, from the same
-    ``random_state``.
-    """
-    n = check_positive_int(n, name="n")
-    ell = check_positive_int(ell, name="ell")
-    rng = check_random_state(random_state)
-    seed = int(rng.integers(2**63 - 1))
-    assignment = hashed_assignment(np.arange(n), ell, seed)
-    return [np.flatnonzero(assignment == i).astype(np.intp) for i in range(ell)]
-
-
 def split_adversarial(
     n: int,
     ell: int,
@@ -145,13 +97,16 @@ def split_adversarial(
     *,
     target_partition: int = 0,
     random_state=None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Force the given indices into one partition, spreading the rest evenly.
 
     Reproduces the adversarial placement of Section 5.2: all planted
-    outliers land in ``target_partition`` and the remaining points are
-    dealt round-robin (or shuffled round-robin when a ``random_state`` is
-    given) across all ``ell`` partitions, keeping sizes balanced.
+    outliers land in ``target_partition`` and the remaining points, in
+    index order (or shuffled when a ``random_state`` is given), fill the
+    ``ell`` partitions up to balanced sizes.
+
+    Returns the ``(n,)`` partition id of every point, the explicit
+    assignment a :class:`ChunkRouter` routes from.
     """
     n = check_positive_int(n, name="n")
     ell = check_positive_int(ell, name="ell")
@@ -167,51 +122,48 @@ def split_adversarial(
         rng = check_random_state(random_state)
         remaining = rng.permutation(remaining)
 
-    # Target sizes of a balanced partition of n points into ell parts.
+    # Every partition is filled up to n // ell points (+1 for the first
+    # n % ell), in partition order; these sizes add up to n, so every
+    # remaining point is placed.
+    assignment = np.empty(n, dtype=np.intp)
+    assignment[adversarial] = target_partition
     base, extra = divmod(n, ell)
-    targets = [base + (1 if i < extra else 0) for i in range(ell)]
-
-    parts: list[list[int]] = [[] for _ in range(ell)]
-    parts[target_partition].extend(adversarial.tolist())
     cursor = 0
     for partition_id in range(ell):
-        missing = max(0, targets[partition_id] - len(parts[partition_id]))
-        take = remaining[cursor : cursor + missing]
-        parts[partition_id].extend(int(i) for i in take)
+        held = adversarial.size if partition_id == target_partition else 0
+        missing = max(0, base + (partition_id < extra) - held)
+        assignment[remaining[cursor : cursor + missing]] = partition_id
         cursor += missing
-    # Leftovers (only possible when the adversarial block overflows its
-    # partition's target size) are dealt to the smallest partitions.
-    for index in remaining[cursor:]:
-        smallest = min(range(ell), key=lambda i: len(parts[i]))
-        parts[smallest].append(int(index))
-    return [np.array(sorted(part), dtype=np.intp) for part in parts]
+    return assignment
 
 
 class ChunkRouter:
     """Route consecutive stream chunks into ``ell`` partitions.
 
     The router computes, for each incoming chunk of ``m`` points, the
-    partition id of every row — matching bit for bit the partition that
-    the corresponding in-memory ``split_*`` function assigns to the same
-    global index. It never materialises more than one chunk's worth of
-    assignment metadata, which is what keeps the coordinator's working
-    set at ``O(chunk)`` during the out-of-core shuffle.
+    partition id of every row from its global stream index alone. Apart
+    from an explicit assignment it never materialises more than one
+    chunk's worth of routing metadata, which is what keeps the
+    coordinator's working set at ``O(chunk)`` during the shuffle.
 
     Parameters
     ----------
     ell:
         Number of partitions.
     partitioning:
-        ``"contiguous"``, ``"round_robin"`` or ``"random"``.
-        ``"contiguous"`` additionally needs ``n_total`` (the equal-size
-        block boundaries depend on the stream length); ``"adversarial"``
-        is inherently offline and not supported here.
+        ``"contiguous"`` (equal-size blocks, as ``np.array_split``),
+        ``"round_robin"`` (point ``i`` to partition ``i mod ell``),
+        ``"random"`` (:func:`hashed_assignment`) or ``"explicit"``
+        (the ``assignment`` vector). ``"contiguous"`` additionally needs
+        ``n_total`` (the block boundaries depend on the stream length).
     n_total:
         Stream length, when known (e.g. from ``len(stream)``).
     seed:
-        Hash seed for the ``"random"`` strategy; drawn by the caller from
-        the run's RNG exactly like :func:`split_random` draws it, so both
-        paths consume the generator identically.
+        Hash seed for the ``"random"`` strategy, drawn by the caller from
+        the run's RNG.
+    assignment:
+        The ``(n_total,)`` partition id of every point for ``"explicit"``
+        routing, e.g. from :func:`split_adversarial`.
     """
 
     def __init__(
@@ -221,13 +173,16 @@ class ChunkRouter:
         *,
         n_total: int | None = None,
         seed: int | None = None,
+        assignment=None,
     ) -> None:
         self.ell = check_positive_int(ell, name="ell")
-        if partitioning not in ("contiguous", "round_robin", "random"):
+        if partitioning not in ("contiguous", "round_robin", "random", "explicit"):
             raise InvalidParameterError(
-                "streamed shuffling supports 'contiguous', 'round_robin' and "
-                f"'random' partitioning; got {partitioning!r}"
+                "chunk routing supports 'contiguous', 'round_robin', 'random' and "
+                f"'explicit' partitioning; got {partitioning!r}"
             )
+        self._boundaries = None
+        self._assignment = None
         if partitioning == "contiguous":
             if n_total is None:
                 raise InvalidParameterError(
@@ -240,15 +195,29 @@ class ChunkRouter:
                     f"cannot split {n_total} points into {self.ell} non-empty parts"
                 )
             # np.array_split boundaries: the first n % ell blocks get one
-            # extra point, exactly like split_contiguous.
+            # extra point.
             base, extra = divmod(n_total, self.ell)
             sizes = np.full(self.ell, base, dtype=np.intp)
             sizes[:extra] += 1
             self._boundaries = np.cumsum(sizes)
-        else:
-            self._boundaries = None
         if partitioning == "random" and seed is None:
             raise InvalidParameterError("random partitioning needs a hash seed")
+        if partitioning == "explicit":
+            if assignment is None:
+                raise InvalidParameterError("explicit partitioning needs an assignment")
+            assignment = np.asarray(assignment, dtype=np.intp)
+            if assignment.ndim != 1 or assignment.size == 0:
+                raise InvalidParameterError("assignment must be a non-empty (n,) vector")
+            if assignment.min() < 0 or assignment.max() >= self.ell:
+                raise InvalidParameterError(
+                    f"assignment holds partition ids outside [0, {self.ell})"
+                )
+            if n_total is not None and n_total != assignment.size:
+                raise InvalidParameterError(
+                    f"assignment covers {assignment.size} points, not n_total={n_total}"
+                )
+            n_total = assignment.size
+            self._assignment = assignment
         self.partitioning = partitioning
         self.n_total = n_total
         self._seed = seed
@@ -267,24 +236,17 @@ class ChunkRouter:
         """
         if chunk_length < 1:
             raise InvalidParameterError("chunk_length must be >= 1")
-        indices = self._offset + np.arange(chunk_length, dtype=np.intp)
+        start = self._offset
         self._offset += chunk_length
         if self.n_total is not None and self._offset > self.n_total:
             raise InvalidParameterError(
                 f"stream delivered more than the declared {self.n_total} points"
             )
+        if self._assignment is not None:
+            return self._assignment[start : self._offset]
+        indices = start + np.arange(chunk_length, dtype=np.intp)
         if self.partitioning == "round_robin":
             return indices % self.ell
         if self.partitioning == "random":
             return hashed_assignment(indices, self.ell, self._seed)
         return np.searchsorted(self._boundaries, indices, side="right").astype(np.intp)
-
-
-def validate_partition(parts: Sequence[np.ndarray], n: int) -> None:
-    """Check that ``parts`` is a partition of ``range(n)``; raise otherwise."""
-    n = check_positive_int(n, name="n")
-    combined = np.concatenate([np.asarray(p, dtype=np.intp) for p in parts]) if parts else np.empty(0, dtype=np.intp)
-    if combined.size != n or np.unique(combined).size != n:
-        raise InvalidParameterError("parts do not form a partition of range(n)")
-    if combined.size and (combined.min() < 0 or combined.max() >= n):
-        raise InvalidParameterError("partition contains out-of-range indices")

@@ -28,10 +28,9 @@ then is the reduce phase handed to an
 * ``backend="processes"`` — reducers run on a process pool. Each task
   pickles the reducer callable and its group values, so reducers must be
   module-level functions (or partials of them); in exchange the GIL no
-  longer serialises pure-Python reducer work. Large point matrices should
-  be published once via :meth:`MapReduceRuntime.share_array`, which under
-  this backend places them in POSIX shared memory so tasks reference them
-  by name instead of copying them.
+  longer serialises pure-Python reducer work. Shuffle partitions travel
+  as :class:`~repro.mapreduce.backends.SharedArray` handles (a
+  shared-memory segment name or a spill-file path), not as copies.
 * ``backend="distributed"`` — reducers run on remote worker daemons over
   TCP (see the "Distributed backend" section below).
 
@@ -73,39 +72,35 @@ vectorised NumPy calls and payloads are large (zero serialisation);
 ``processes`` wins when reducers spend significant time in Python
 bytecode (GMM's incremental loop, radius search probes) or when true CPU
 isolation is wanted — provided the per-task payload is kept small, e.g.
-index arrays over a shared point matrix.
+partition handles instead of partition rows.
 
 Out-of-core shuffle
 -------------------
 The paper's analysis bounds the *reducers'* memory at ``O(n / ell)``
-per partition — but a map/shuffle that first materialises the full
-``(n, d)`` matrix in the coordinator silently re-introduces an ``O(n)``
-coordinator bound, making the coordinator (not the reducers) the limit
-on dataset size. :meth:`MapReduceRuntime.shuffle_stream` removes that
-bound: it consumes the input as a sequence of ``(m, d)`` chunks (from a
+per partition; a map/shuffle that first materialised the full ``(n, d)``
+matrix in the coordinator would add an ``O(n)`` coordinator bound and
+make the coordinator, not the reducers, the limit on dataset size.
+:meth:`MapReduceRuntime.shuffle_stream` avoids it: it consumes the input
+as a sequence of ``(m, d)`` chunks (from a
 :class:`~repro.streaming.stream.PointStream`, a generator over a file,
 or a memory-mapped array), routes each chunk's rows directly into
 per-partition :class:`~repro.mapreduce.backends.PartitionBuffer`
 storage via a :class:`~repro.mapreduce.partitioner.ChunkRouter`, and
 returns the sealed partitions as
-:class:`~repro.mapreduce.backends.SharedArray` handles. Under the
-``processes`` backend the buffers are POSIX shared-memory segments that
-reducers attach to by name; under ``serial``/``threads`` they are plain
-per-partition arrays in the shared address space. Either way the
+:class:`~repro.mapreduce.backends.SharedArray` handles. The
 coordinator's own working set during the shuffle is ``O(chunk)``:
 routing metadata plus one chunk in flight.
 
-Because the routers are pure functions of the global point index (the
-random split uses a seeded counter-based hash, see
-:func:`~repro.mapreduce.partitioner.hashed_assignment`), a streamed
-shuffle lands every point in exactly the partition the in-memory
-``split_*`` functions produce — so the drivers' ``fit_stream`` is
-bit-identical to ``fit`` on every backend while restoring the paper's
-memory model: reducers hold ``O(n/ell)``, the coordinator holds
-``O(chunk + union coreset)``. The job-level
-:attr:`JobStats.coordinator_peak_items` records that coordinator
-working set (in points) so the space metric of the Figure 7 experiments
-is reported for both drive paths.
+The MapReduce drivers run every input through this shuffle
+(:func:`shuffle_point_stream`; ``fit(points)`` is
+``fit_stream(ArrayStream(points))``). Because the routers are pure
+functions of the global point index (the random split uses a seeded
+counter-based hash, see
+:func:`~repro.mapreduce.partitioner.hashed_assignment`), the result does
+not depend on the chunk size, backend or storage tier. Reducers hold
+``O(n/ell)``, the coordinator ``O(chunk + union coreset)``; the
+job-level :attr:`JobStats.coordinator_peak_items` records that
+coordinator working set (in points).
 
 Storage tiers
 -------------
@@ -146,9 +141,9 @@ timing values themselves. The cross-backend equivalence suite in
 ``tests/mapreduce/test_backends.py`` enforces this.
 
 The engine is intentionally general (key-value pairs, one mapper and one
-reducer per round) so that other algorithms can be expressed on it, but
-the k-center drivers in :mod:`repro.core.mr_kcenter` and
-:mod:`repro.core.mr_outliers` only need the two-round pattern.
+reducer per round) so that other algorithms can be expressed on it; the
+k-center drivers (:mod:`repro.core.mr_driver`) run a shuffle plus three
+rounds: coresets, solve, evaluation.
 """
 
 from __future__ import annotations
@@ -176,7 +171,7 @@ from .backends import (
     resolve_backend,
     resolve_storage,
 )
-from .partitioner import ChunkRouter
+from .partitioner import ChunkRouter, split_adversarial
 
 __all__ = [
     "KeyValue",
@@ -264,9 +259,8 @@ class JobStats:
 
     rounds: list[RoundStats] = field(default_factory=list)
     #: Largest working set (in points) the *coordinator* itself held at
-    #: any moment: the full input for the in-memory path, one routing
-    #: chunk plus the inter-round coreset union for the streamed path.
-    #: This is the quantity the out-of-core shuffle bounds at
+    #: any moment: one routing chunk, or the inter-round coreset union
+    #: of the MapReduce drivers. The out-of-core shuffle bounds it at
     #: ``O(chunk + coreset)``.
     coordinator_peak_items: int = 0
     #: Partition-storage tier the streamed shuffle used
@@ -326,9 +320,9 @@ class StreamedPartition:
     """One shuffled partition: its point matrix plus the global-index column.
 
     ``__len__`` reports the number of *points*, so the runtime's memory
-    accounting charges a streamed round-1 reducer exactly what the
-    in-memory path charges it (the index column is metadata). Picklable
-    on every backend (the members are :class:`SharedArray` handles).
+    accounting charges a reducer its partition size, the paper's unit
+    (the index column is metadata). Picklable on every backend (the
+    members are :class:`SharedArray` handles).
     """
 
     points: SharedArray
@@ -339,7 +333,7 @@ class StreamedPartition:
 
 
 def identity_mapper(key, value):
-    """Pass pre-keyed pairs straight into the shuffle (streamed rounds)."""
+    """Pass pre-keyed pairs straight into the reduce groups."""
     yield (key, value)
 
 
@@ -485,20 +479,6 @@ class MapReduceRuntime:
         """The executor backend running this runtime's reduce phases."""
         return self._backend
 
-    def share_array(self, array) -> SharedArray:
-        """Publish a large array for cheap access from reducers on any backend.
-
-        Arrays shared through the runtime are released by :meth:`close`
-        even when the backend itself is caller-owned. The array is
-        charged to the coordinator's working set (it was materialised
-        here to be published); the streamed shuffle avoids exactly this
-        charge.
-        """
-        shared = self._backend.share_array(array)
-        self._shared_arrays.append(shared)
-        self.note_coordinator_items(len(shared))
-        return shared
-
     def note_coordinator_items(self, items: int) -> None:
         """Record that the coordinator held ``items`` points at one moment."""
         self._stats.coordinator_peak_items = max(
@@ -639,8 +619,8 @@ class MapReduceRuntime:
                 chunk_peak = max(chunk_peak, m)
                 global_indices = router.points_routed + np.arange(m, dtype=np.intp)
                 assignment = router.route(m)
-                # Stable sort keeps stream order inside each partition, matching
-                # the increasing-index order of the in-memory split_* functions.
+                # Stable sort keeps stream order (increasing global index)
+                # inside each partition.
                 order = np.argsort(assignment, kind="stable")
                 counts = np.bincount(assignment, minlength=router.ell)
                 sorted_rows = chunk[order]
@@ -702,10 +682,10 @@ class MapReduceRuntime:
     def close(self) -> None:
         """Release resources this runtime owns. Idempotent.
 
-        Arrays published via :meth:`share_array` are always released; the
-        backend's pools are shut down only when the runtime created the
-        backend itself (from a name or the default). A backend instance
-        passed in by the caller is left running so it can be reused across
+        Sealed shuffle partitions are always released; the backend's
+        pools are shut down only when the runtime created the backend
+        itself (from a name or the default). A backend instance passed in
+        by the caller is left running so it can be reused across
         runtimes — the caller closes it.
         """
         while self._shared_arrays:
@@ -797,17 +777,6 @@ class MapReduceRuntime:
         self._stats.rounds.append(stats)
         return outputs
 
-    def execute_job(
-        self,
-        pairs: Sequence[KeyValue],
-        rounds: Sequence[tuple[Mapper, Reducer]],
-    ) -> list[KeyValue]:
-        """Execute several rounds in sequence, feeding each round's output to the next."""
-        current = list(pairs)
-        for mapper, reducer in rounds:
-            current = self.execute_round(current, mapper, reducer)
-        return current
-
 
 def shuffle_point_stream(
     runtime: MapReduceRuntime,
@@ -817,30 +786,30 @@ def shuffle_point_stream(
     partitioning: str,
     rng: np.random.Generator,
     chunk_size: int,
+    adversarial_indices=None,
     storage: str | None = None,
     spill_dir: str | None = None,
 ) -> tuple[list[StreamedPartition], int, int]:
-    """The drivers' shared out-of-core shuffle prologue.
+    """The MapReduce drivers' shuffle: route a point stream into ``ell`` partitions.
 
     Wraps ``stream`` (a :class:`~repro.streaming.stream.PointStream` or
     any iterable of points/batches), probes its length, caps ``ell`` at
     the length when it is known, builds the matching
-    :class:`~repro.mapreduce.partitioner.ChunkRouter` — consuming ``rng``
-    exactly like the in-memory ``split_*`` path (one variate for the
-    random hash seed, nothing for the deterministic strategies) — and
-    runs :meth:`MapReduceRuntime.shuffle_stream` with oversized native
-    batches re-split to ``chunk_size``, on the partition-storage tier
-    ``storage`` selects (``None`` defers to the runtime's default).
+    :class:`~repro.mapreduce.partitioner.ChunkRouter` and runs
+    :meth:`MapReduceRuntime.shuffle_stream` with oversized native batches
+    re-split to ``chunk_size``, on the partition-storage tier ``storage``
+    selects (``None`` defers to the runtime's default).
+
+    ``partitioning`` is ``"contiguous"``, ``"round_robin"``, ``"random"``
+    or ``"adversarial"``. The random split draws one variate from ``rng``
+    for its hash seed; the adversarial split (which needs a sized stream)
+    builds its explicit assignment with
+    :func:`~repro.mapreduce.partitioner.split_adversarial`, shuffling
+    with ``rng``; the others draw nothing.
 
     Returns ``(partitions, n_points, ell_used)``. A stream that declares
     length 0 raises :class:`~repro.exceptions.EmptyStreamError`
-    deterministically, before any buffer is allocated. Both MapReduce
-    drivers route through this single helper so the
-    bit-identical-to-``fit`` guarantee cannot drift between them. Note
-    the one caveat it cannot remove: for unknown-length streams ``ell``
-    is used as given (the in-memory path caps it at ``n``), so exact
-    ``fit`` equivalence on tiny inputs additionally needs ``ell <= n``
-    or a sized stream.
+    deterministically, before any buffer is allocated.
     """
     if chunk_size < 1:
         raise InvalidParameterError("chunk_size must be >= 1")
@@ -853,7 +822,17 @@ def shuffle_point_stream(
     if n_hint == 0:
         raise EmptyStreamError("the stream declares length 0; nothing to shuffle")
     ell_used = ell if n_hint is None else min(ell, n_hint)
-    if partitioning == "random":
+    if partitioning == "adversarial":
+        if n_hint is None:
+            raise InvalidParameterError(
+                "adversarial partitioning needs the stream length up front; "
+                "use a sized stream (e.g. an ArrayStream)"
+            )
+        assignment = split_adversarial(
+            n_hint, ell_used, adversarial_indices, random_state=rng
+        )
+        router = ChunkRouter(ell_used, "explicit", assignment=assignment)
+    elif partitioning == "random":
         router = ChunkRouter(
             ell_used, "random", n_total=n_hint, seed=int(rng.integers(2**63 - 1))
         )

@@ -36,9 +36,9 @@ class TestMapReduceKCenterExecution:
         assert result.centers.shape == (6, medium_blobs.shape[1])
         np.testing.assert_allclose(result.centers, medium_blobs[result.center_indices])
 
-    def test_two_rounds_executed(self, medium_blobs):
+    def test_two_rounds_plus_evaluation_executed(self, medium_blobs):
         result = MapReduceKCenter(6, ell=4, coreset_multiplier=2, random_state=0).fit(medium_blobs)
-        assert result.stats.n_rounds == 2
+        assert result.stats.n_rounds == 3
 
     def test_coreset_size_equals_ell_times_tau(self, medium_blobs):
         k, ell, mu = 6, 4, 2

@@ -39,7 +39,7 @@ class TestDeterministicVariant:
             5, z, ell=4, coreset_multiplier=4, random_state=0
         ).fit(data)
         assert result.k <= 5
-        assert result.stats.n_rounds == 2
+        assert result.stats.n_rounds == 3
         assert not result.randomized
         assert result.radius <= result.radius_all_points
 

@@ -30,22 +30,24 @@ class TestPlanMapReduce:
         assert randomized.variant == "outliers-randomized"
         assert randomized.coreset_size_practical < deterministic.coreset_size_practical
 
-    def test_streamed_plan_bounds_coordinator(self):
-        in_memory = plan_mapreduce(1_000_000, 20, z=200, doubling_dimension=2)
-        streamed = plan_mapreduce(
-            1_000_000, 20, z=200, doubling_dimension=2, streamed=True, chunk_size=8192
+    def test_plan_bounds_coordinator_by_chunk_plus_union(self):
+        default = plan_mapreduce(1_000_000, 20, z=200, doubling_dimension=2)
+        larger = plan_mapreduce(
+            1_000_000, 20, z=200, doubling_dimension=2, chunk_size=8192
         )
-        assert not in_memory.streamed
-        assert in_memory.coordinator_memory == 1_000_000
-        assert streamed.streamed
-        assert streamed.coordinator_memory == 8192 + streamed.union_coreset_size
-        assert streamed.coordinator_memory < in_memory.coordinator_memory
-        # Reducer-side predictions are drive-path independent.
-        assert streamed.local_memory == in_memory.local_memory
+        assert default.coordinator_memory == 4096 + default.union_coreset_size
+        assert larger.coordinator_memory == 8192 + larger.union_coreset_size
+        assert larger.coordinator_memory < 1_000_000
+        # Reducer-side predictions do not depend on the chunk size.
+        assert larger.local_memory == default.local_memory
 
-    def test_streamed_plan_rejects_bad_chunk_size(self):
+    def test_chunk_larger_than_input_is_capped(self):
+        plan = plan_mapreduce(1000, 10, doubling_dimension=2)
+        assert plan.coordinator_memory == 1000 + plan.union_coreset_size
+
+    def test_plan_rejects_bad_chunk_size(self):
         with pytest.raises(Exception):
-            plan_mapreduce(1000, 10, streamed=True, chunk_size=0)
+            plan_mapreduce(1000, 10, chunk_size=0)
 
     def test_theoretical_size_grows_with_dimension(self):
         low = plan_mapreduce(100_000, 10, doubling_dimension=1)
@@ -105,7 +107,7 @@ class TestPlanMapReduce:
 class TestPlanStorageTier:
     def test_explicit_storage_passes_through(self):
         plan = plan_mapreduce(
-            100_000, 10, doubling_dimension=2, streamed=True, storage="disk",
+            100_000, 10, doubling_dimension=2, storage="disk",
             point_dimension=3,
         )
         assert plan.storage == "disk"
@@ -113,11 +115,11 @@ class TestPlanStorageTier:
 
     def test_auto_selects_backend_natural_tier(self):
         shared = plan_mapreduce(
-            100_000, 10, doubling_dimension=2, backend="processes", streamed=True
+            100_000, 10, doubling_dimension=2, backend="processes"
         )
         assert shared.storage == "shared"
         memory = plan_mapreduce(
-            100_000, 10, doubling_dimension=2, backend="serial", streamed=True
+            100_000, 10, doubling_dimension=2, backend="serial"
         )
         assert memory.storage == "memory"
 
@@ -125,7 +127,7 @@ class TestPlanStorageTier:
         n, d = 100_000, 3
         footprint = n * (d * 8 + 8)
         plan = plan_mapreduce(
-            n, 10, doubling_dimension=2, streamed=True, point_dimension=d,
+            n, 10, doubling_dimension=2, point_dimension=d,
             memory_budget_bytes=footprint // 2,
         )
         assert plan.partition_tier_bytes == footprint
@@ -135,29 +137,21 @@ class TestPlanStorageTier:
     def test_auto_stays_in_memory_under_budget(self):
         n, d = 100_000, 3
         plan = plan_mapreduce(
-            n, 10, doubling_dimension=2, backend="serial", streamed=True,
-            point_dimension=d, memory_budget_bytes=10 * n * (d * 8 + 8),
+            n, 10, doubling_dimension=2, backend="serial", point_dimension=d, memory_budget_bytes=10 * n * (d * 8 + 8),
         )
         assert plan.storage == "memory"
         assert plan.predicted_spill_bytes == 0
 
     def test_unknown_dimension_under_budget_spills_conservatively(self):
         plan = plan_mapreduce(
-            100_000, 10, doubling_dimension=2, streamed=True,
-            memory_budget_bytes=1_000_000,
+            100_000, 10, doubling_dimension=2, memory_budget_bytes=1_000_000,
         )
         assert plan.partition_tier_bytes == 0
         assert plan.storage == "disk"
 
-    def test_in_memory_path_has_no_index_column(self):
-        streamed = plan_mapreduce(
-            1000, 10, doubling_dimension=2, streamed=True, point_dimension=2
-        )
-        in_memory = plan_mapreduce(
-            1000, 10, doubling_dimension=2, streamed=False, point_dimension=2
-        )
-        assert streamed.partition_tier_bytes == 1000 * (2 * 8 + 8)
-        assert in_memory.partition_tier_bytes == 1000 * 2 * 8
+    def test_partition_bytes_include_index_column(self):
+        plan = plan_mapreduce(1000, 10, doubling_dimension=2, point_dimension=2)
+        assert plan.partition_tier_bytes == 1000 * (2 * 8 + 8)
 
     def test_unknown_storage_rejected(self):
         from repro.exceptions import InvalidParameterError
@@ -185,8 +179,7 @@ class TestPlanDistributed:
         # Distributed workers cannot attach the coordinator's /dev/shm:
         # the auto tier must be by-value memory, not shared.
         plan = plan_mapreduce(
-            100_000, 10, doubling_dimension=2, workers=2, streamed=True,
-            point_dimension=4,
+            100_000, 10, doubling_dimension=2, workers=2, point_dimension=4,
         )
         assert plan.storage == "memory"
 

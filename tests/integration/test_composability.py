@@ -23,8 +23,15 @@ from repro.core import (
 )
 from repro.core.assignment import assign_to_centers, radius_from_distances
 from repro.evaluation import optimal_kcenter_radius
-from repro.mapreduce import split_contiguous, split_random
 from repro.metricspace import WeightedPoints
+
+
+def _contiguous(n: int, ell: int) -> list[np.ndarray]:
+    return np.array_split(np.arange(n), ell)
+
+
+def _random(n: int, ell: int) -> list[np.ndarray]:
+    return [np.sort(part) for part in np.array_split(np.random.default_rng(0).permutation(n), ell)]
 
 
 def _union_coreset(points: np.ndarray, parts, spec: CoresetSpec) -> WeightedPoints:
@@ -50,8 +57,8 @@ class TestComposability:
         k, epsilon = 3, 1.0
         optimum = optimal_kcenter_radius(points, k)
         spec = CoresetSpec.from_epsilon(k, epsilon)
-        for splitter in (split_contiguous, split_random):
-            parts = splitter(points.shape[0], 3, random_state=0) if splitter is split_random else splitter(points.shape[0], 3)
+        for splitter in (_contiguous, _random):
+            parts = splitter(points.shape[0], 3)
             union = _union_coreset(points, parts, spec)
             solution = gmm_select(union.points, k)
             centers = union.points[solution.centers]
@@ -60,7 +67,7 @@ class TestComposability:
 
     def test_union_weights_account_for_every_point(self, medium_blobs):
         spec = CoresetSpec.from_multiplier(10, 2)
-        parts = split_contiguous(medium_blobs.shape[0], 6)
+        parts = _contiguous(medium_blobs.shape[0], 6)
         union = _union_coreset(medium_blobs, parts, spec)
         assert union.total_weight == pytest.approx(medium_blobs.shape[0])
         assert len(union) == 6 * 20
@@ -69,7 +76,7 @@ class TestComposability:
         # The proxy distance of the union is the max over partitions, so it
         # cannot exceed the largest per-partition coreset radius.
         spec = CoresetSpec.from_multiplier(8, 4)
-        parts = split_contiguous(medium_blobs.shape[0], 4)
+        parts = _contiguous(medium_blobs.shape[0], 4)
         per_partition_max = []
         for indices in parts:
             result = build_coreset(medium_blobs[indices], spec, weighted=True)
@@ -84,7 +91,7 @@ class TestComposability:
         # composability costs little (this is what makes the MapReduce
         # algorithms competitive with the sequential ones).
         k, ell, mu = 8, 4, 4
-        parts = split_contiguous(medium_blobs.shape[0], ell)
+        parts = _contiguous(medium_blobs.shape[0], ell)
         union = _union_coreset(medium_blobs, parts, CoresetSpec.from_multiplier(k, mu))
         global_coreset = build_coreset(
             medium_blobs, CoresetSpec.from_multiplier(k, mu * ell), weighted=True
@@ -107,7 +114,7 @@ class TestComposability:
         z = blobs_with_outliers.n_outliers
         k = 5
         spec = CoresetSpec.from_multiplier(k + z, 2)
-        parts = split_contiguous(data.shape[0], 4)
+        parts = _contiguous(data.shape[0], 4)
         union = _union_coreset(data, parts, spec)
         solver = OutliersClusterSolver(union, k, eps_hat=1 / 6)
         search = search_radius(solver, z)

@@ -17,9 +17,9 @@ from repro.core import MapReduceKCenter, MapReduceKCenterOutliers
 from repro.exceptions import InvalidParameterError, MemoryBudgetExceededError
 from repro.mapreduce import (
     MapReduceRuntime,
+    PartitionBuffer,
     ProcessBackend,
     SerialBackend,
-    SharedArray,
     ThreadBackend,
     available_backends,
     default_sizeof,
@@ -42,11 +42,6 @@ def summing_reducer(key, values):
 
 def regroup_mapper(_key, value):
     yield (0, value)
-
-
-def shared_lookup_reducer(key, values, points=None):
-    # Exercises SharedArray access from inside a reducer.
-    yield (key, float(points.array[np.asarray(values)].sum()))
 
 
 class TestResolveBackend:
@@ -121,53 +116,12 @@ class TestRoundEquivalence:
                 with pytest.raises(MemoryBudgetExceededError):
                     runtime.execute_round(pairs, modulo_mapper, summing_reducer)
 
-    def test_shared_array_reducer(self):
-        from functools import partial
-
-        data = np.arange(20.0).reshape(10, 2)
-        pairs = [(None, list(range(10)))]
-        reference = None
-        for name in BACKENDS:
-            with MapReduceRuntime(backend=name, max_workers=2) as runtime:
-                shared = runtime.share_array(data)
-                reducer = partial(shared_lookup_reducer, points=shared)
-                output = runtime.execute_round(pairs, modulo_mapper, reducer)
-            if reference is None:
-                reference = output
-            else:
-                assert output == reference
-
 
 class TestSharedArray:
-    def test_wrap_is_zero_copy(self):
-        data = np.arange(6.0).reshape(3, 2)
-        shared = SharedArray.wrap(data)
-        assert shared.array is data
-        assert shared.shape == (3, 2)
-        assert len(shared) == 3
-        np.testing.assert_array_equal(shared[1], data[1])
-
-    def test_wrap_refuses_pickling(self):
-        import pickle
-
-        with pytest.raises(TypeError, match="cannot be sent"):
-            pickle.dumps(SharedArray.wrap(np.zeros(3)))
-
-    def test_shared_memory_roundtrip(self):
-        import pickle
-
-        data = np.arange(12.0).reshape(4, 3)
-        shared = SharedArray.copy_to_shared_memory(data)
-        try:
-            np.testing.assert_array_equal(shared.array, data)
-            assert not shared.array.flags.writeable
-            attached = pickle.loads(pickle.dumps(shared))
-            np.testing.assert_array_equal(attached.array, data)
-        finally:
-            shared.close()
-
     def test_close_is_idempotent(self):
-        shared = SharedArray.copy_to_shared_memory(np.zeros((2, 2)))
+        buffer = PartitionBuffer(2, shared=True, initial_capacity=2)
+        buffer.append(np.zeros((2, 2)))
+        shared = buffer.finalize()
         shared.close()
         shared.close()
 
@@ -178,14 +132,6 @@ class TestBackendLifecycle:
         runtime.execute_round([(None, [1, 2, 3])], modulo_mapper, summing_reducer)
         runtime.close()
         runtime.close()
-
-    def test_process_backend_releases_shared_segments(self):
-        backend = ProcessBackend(max_workers=2)
-        shared = backend.share_array(np.ones((4, 2)))
-        backend.close()
-        assert backend._shared == []
-        # The segment is gone; closing the handle again must not raise.
-        shared.close()
 
     def test_thread_backend_pool_reuse(self):
         backend = ThreadBackend(max_workers=2)
@@ -208,17 +154,6 @@ class TestBackendLifecycle:
         finally:
             backend.close()
         assert backend._pool is None
-
-    def test_runtime_releases_arrays_shared_on_caller_owned_backend(self):
-        backend = ProcessBackend(max_workers=2)
-        try:
-            mine = backend.share_array(np.ones((3, 2)))
-            with MapReduceRuntime(backend=backend) as runtime:
-                runtime.share_array(np.zeros((5, 2)))
-            # The runtime released its own array but not the caller's.
-            np.testing.assert_array_equal(mine.array, np.ones((3, 2)))
-        finally:
-            backend.close()
 
 
 class TestSolverEquivalence:

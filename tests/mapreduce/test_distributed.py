@@ -19,7 +19,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from repro.exceptions import (
@@ -52,10 +51,6 @@ def summing_reducer(key, values):
 
 def failing_reducer(key, values):
     raise RuntimeError(f"deterministic failure for key {key}")
-
-
-def shared_lookup_reducer(key, values, points=None):
-    yield (key, float(points.array[np.asarray(values)].sum()))
 
 
 def modulo_mapper(_key, values):
@@ -304,21 +299,6 @@ class TestRunReducers:
         addresses = cluster.addresses
         for index in range(6):
             assert assignments[index] == [addresses[index % 3]]
-
-    def test_share_array_travels_by_value(self):
-        points = np.arange(12, dtype=float).reshape(4, 3)
-        with LocalCluster(2) as cluster:
-            with MapReduceRuntime(workers=cluster.addresses) as runtime:
-                shared = runtime.share_array(points)
-                from functools import partial
-
-                outputs = runtime.execute_round(
-                    [(None, [0, 1, 2, 3])],
-                    modulo_mapper,
-                    partial(shared_lookup_reducer, points=shared),
-                )
-        totals = dict(outputs)
-        assert totals[0] == float(points[[0, 3]].sum())
 
     def test_jobstats_records_assignments_and_bytes(self):
         with LocalCluster(2) as cluster:

@@ -1,17 +1,15 @@
 """Unified empty-partition behavior of the two MapReduce drivers.
 
-Decision under test (see the ``_partition`` docstrings): when a split
-leaves a partition empty — possible under random partitioning on tiny
-inputs, or in principle under any custom split — both drivers *drop* the
-empty part (the round-1 mappers skip it). Dropping only lowers the
-effective parallelism; re-drawing would silently change the random
-partitioning the randomized algorithm's analysis (Lemma 7) relies on,
-and raising would make small seeded runs flaky.
+Decision under test: when the routing leaves a partition empty —
+possible under random partitioning on tiny inputs — both drivers *drop*
+the empty part (no round-1 or round-3 reducer runs for it). Dropping
+only lowers the effective parallelism; re-drawing would silently change
+the random partitioning the randomized algorithm's analysis (Lemma 7)
+relies on, and raising would make small seeded runs flaky.
 
-Before this suite existed the two solvers demonstrably diverged:
-``MapReduceKCenter``'s mapper forwarded empty index arrays (crashing in
-``build_coreset``) while ``MapReduceKCenterOutliers`` silently skipped
-them.
+The empty parts come from the real hash routing: on the 12-point input
+below, ``random_state=4`` leaves one of 4 partitions and one of 6
+partitions empty (seed found once by search and pinned here).
 """
 
 from __future__ import annotations
@@ -19,53 +17,52 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.mr_kcenter as mr_kcenter_module
-import repro.core.mr_outliers as mr_outliers_module
 from repro.core import MapReduceKCenter, MapReduceKCenterOutliers
 from repro.exceptions import InvalidParameterError
+from repro.mapreduce import ChunkRouter, hashed_assignment
+
+SEED = 4
 
 
-def _split_with_empty_part(n, ell, *, random_state=None):
-    """A partition of range(n) whose last part is empty (stress stand-in)."""
-    parts = [np.array(p, dtype=np.intp) for p in np.array_split(np.arange(n), ell - 1)]
-    parts.append(np.empty(0, dtype=np.intp))
-    return parts
+@pytest.fixture
+def tiny_random():
+    return np.random.default_rng(0).normal(size=(12, 2))
+
+
+def test_pinned_seed_leaves_one_partition_empty():
+    seed = int(np.random.default_rng(SEED).integers(2**63 - 1))
+    for ell in (4, 6):
+        counts = np.bincount(hashed_assignment(np.arange(12), ell, seed), minlength=ell)
+        assert np.count_nonzero(counts == 0) == 1
 
 
 class TestEmptyPartitionsDropped:
-    def test_kcenter_drops_empty_partition(self, medium_blobs, monkeypatch):
-        monkeypatch.setattr(mr_kcenter_module, "split_random", _split_with_empty_part)
+    def test_kcenter_drops_empty_partition(self, tiny_random):
         result = MapReduceKCenter(
-            5, ell=4, coreset_multiplier=2, partitioning="random", random_state=0
-        ).fit(medium_blobs)
-        assert result.k == 5
+            2, ell=4, coreset_multiplier=1, partitioning="random", random_state=SEED
+        ).fit(tiny_random)
+        assert result.k == 2
         assert result.radius > 0
         # Only the three non-empty parts became reducers.
         assert result.ell == 3
         assert result.stats.rounds[0].n_reducers == 3
+        assert result.stats.rounds[2].n_reducers == 3
 
-    def test_outliers_drops_empty_partition(self, blobs_with_outliers, monkeypatch):
-        monkeypatch.setattr(mr_outliers_module, "split_random", _split_with_empty_part)
-        data = blobs_with_outliers.points
-        z = blobs_with_outliers.n_outliers
+    def test_outliers_drops_empty_partition(self, tiny_random):
         result = MapReduceKCenterOutliers(
-            5, z, ell=4, coreset_multiplier=2, partitioning="random", random_state=0
-        ).fit(data)
-        assert result.k <= 5
+            2, 1, ell=4, coreset_multiplier=1, partitioning="random", random_state=SEED
+        ).fit(tiny_random)
+        assert result.k <= 2
         assert result.ell == 3
         assert result.stats.rounds[0].n_reducers == 3
 
-    def test_both_solvers_report_same_reducer_count(self, blobs_with_outliers, monkeypatch):
-        monkeypatch.setattr(mr_kcenter_module, "split_random", _split_with_empty_part)
-        monkeypatch.setattr(mr_outliers_module, "split_random", _split_with_empty_part)
-        data = blobs_with_outliers.points
+    def test_both_solvers_report_same_reducer_count(self, tiny_random):
         kcenter = MapReduceKCenter(
-            5, ell=6, coreset_multiplier=2, partitioning="random", random_state=1
-        ).fit(data)
+            2, ell=6, coreset_multiplier=1, partitioning="random", random_state=SEED
+        ).fit(tiny_random)
         outliers = MapReduceKCenterOutliers(
-            5, blobs_with_outliers.n_outliers, ell=6, coreset_multiplier=2,
-            partitioning="random", random_state=1,
-        ).fit(data)
+            2, 1, ell=6, coreset_multiplier=1, partitioning="random", random_state=SEED
+        ).fit(tiny_random)
         assert kcenter.ell == outliers.ell == 5
         assert (
             kcenter.stats.rounds[0].n_reducers
@@ -87,8 +84,12 @@ class TestEllLargerThanN:
         ).fit(points)
         assert result.ell <= 8
 
-    def test_contiguous_split_still_rejects_ell_above_n(self):
-        from repro.mapreduce import split_contiguous
+    def test_contiguous_router_still_rejects_ell_above_n(self):
+        with pytest.raises(InvalidParameterError, match="non-empty parts"):
+            ChunkRouter(5, "contiguous", n_total=3)
 
-        with pytest.raises(InvalidParameterError):
-            split_contiguous(3, 5)
+    def test_unknown_partitioning_rejected(self):
+        with pytest.raises(InvalidParameterError, match="partitioning"):
+            MapReduceKCenter(5, partitioning="zigzag")
+        with pytest.raises(InvalidParameterError, match="partitioning"):
+            MapReduceKCenterOutliers(5, 1, partitioning="zigzag")

@@ -1,9 +1,21 @@
-"""Tests for repro.mapreduce.partitioner."""
+"""Tests for repro.mapreduce.partitioner.
+
+The ``split_*`` references in ``_splits.py`` compute each strategy from
+the whole index range; :class:`ChunkRouter` must reproduce them chunk by
+chunk.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from _splits import (
+    parts_of,
+    split_contiguous,
+    split_random,
+    split_round_robin,
+    validate_partition,
+)
 
 from repro.exceptions import InvalidParameterError
 from repro.mapreduce import (
@@ -11,10 +23,6 @@ from repro.mapreduce import (
     draw_partition_seeds,
     hashed_assignment,
     split_adversarial,
-    split_contiguous,
-    split_random,
-    split_round_robin,
-    validate_partition,
 )
 
 
@@ -69,14 +77,23 @@ class TestSplitRandom:
 class TestSplitAdversarial:
     def test_adversarial_indices_in_target_partition(self):
         adversarial = [3, 8, 15]
-        parts = split_adversarial(30, 4, adversarial, target_partition=2)
+        assignment = split_adversarial(30, 4, adversarial, target_partition=2)
+        assert assignment.shape == (30,)
+        parts = parts_of(assignment, 4)
         validate_partition(parts, 30)
         assert set(adversarial).issubset(set(parts[2].tolist()))
 
     def test_sizes_stay_balanced(self):
-        parts = split_adversarial(100, 4, list(range(10)), target_partition=0)
-        sizes = [p.size for p in parts]
+        assignment = split_adversarial(100, 4, list(range(10)), target_partition=0)
+        sizes = np.bincount(assignment, minlength=4)
         assert max(sizes) - min(sizes) <= 2
+
+    def test_overfull_target_partition(self):
+        # 12 adversarial points overflow the target size 5; the other
+        # partitions still take every remaining point.
+        assignment = split_adversarial(20, 4, list(range(12)), target_partition=1)
+        np.testing.assert_array_equal(np.bincount(assignment, minlength=4), [5, 12, 3, 0])
+        assert set(np.flatnonzero(assignment == 1)) == set(range(12))
 
     def test_invalid_target_partition(self):
         with pytest.raises(InvalidParameterError):
@@ -87,8 +104,9 @@ class TestSplitAdversarial:
             split_adversarial(10, 2, [100])
 
     def test_with_shuffle(self):
-        parts = split_adversarial(40, 4, [0, 1], random_state=3)
-        validate_partition(parts, 40)
+        assignment = split_adversarial(40, 4, [0, 1], random_state=3)
+        validate_partition(parts_of(assignment, 4), 40)
+        assert np.array_equal(np.bincount(assignment, minlength=4), [10, 10, 10, 10])
 
 
 class TestHashedAssignment:
@@ -164,9 +182,35 @@ class TestChunkRouter:
         with pytest.raises(InvalidParameterError, match="seed"):
             ChunkRouter(4, "random")
 
-    def test_adversarial_rejected(self):
+    def test_unknown_partitioning_rejected(self):
         with pytest.raises(InvalidParameterError):
             ChunkRouter(4, "adversarial")
+
+    def test_contiguous_rejects_ell_above_n(self):
+        with pytest.raises(InvalidParameterError, match="non-empty parts"):
+            ChunkRouter(5, "contiguous", n_total=3)
+
+    def test_explicit_routes_the_assignment_chunk_by_chunk(self):
+        assignment = split_adversarial(50, 3, [7, 20, 33], random_state=1)
+        router = ChunkRouter(3, "explicit", assignment=assignment)
+        assert router.n_total == 50
+        routed = np.concatenate([router.route(m) for m in (1, 16, 33)])
+        np.testing.assert_array_equal(routed, assignment)
+        with pytest.raises(InvalidParameterError, match="more than"):
+            router.route(1)
+
+    @pytest.mark.parametrize(
+        "assignment, kwargs",
+        [
+            (None, {}),
+            (np.array([0, 1, 3]), {}),
+            (np.array([[0, 1]]), {}),
+            (np.array([0, 1, 1]), {"n_total": 4}),
+        ],
+    )
+    def test_explicit_rejects_bad_assignments(self, assignment, kwargs):
+        with pytest.raises(InvalidParameterError):
+            ChunkRouter(3, "explicit", assignment=assignment, **kwargs)
 
     def test_overdelivery_rejected(self):
         router = ChunkRouter(2, "contiguous", n_total=10)

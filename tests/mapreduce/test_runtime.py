@@ -80,7 +80,7 @@ class TestExecuteRound:
         assert runtime.stats.rounds[0].n_reducers == 0
 
 
-class TestExecuteJob:
+class TestMultiRoundJob:
     def test_two_round_pipeline(self):
         runtime = MapReduceRuntime()
 
@@ -96,10 +96,10 @@ class TestExecuteJob:
         def round2_reducer(_key, values):
             yield ("total", sum(values))
 
-        output = runtime.execute_job(
-            [(None, v) for v in range(10)],
-            [(round1_mapper, round1_reducer), (round2_mapper, round2_reducer)],
+        first = runtime.execute_round(
+            [(None, v) for v in range(10)], round1_mapper, round1_reducer
         )
+        output = runtime.execute_round(first, round2_mapper, round2_reducer)
         assert output == [("total", 45)]
         assert runtime.stats.n_rounds == 2
 
@@ -113,10 +113,10 @@ class TestExecuteJob:
             for value in values:
                 yield (key, value)
 
-        runtime.execute_job(
-            [(None, np.zeros((10, 2)))],
-            [(identity_mapper, identity_reducer), (identity_mapper, identity_reducer)],
+        first = runtime.execute_round(
+            [(None, np.zeros((10, 2)))], identity_mapper, identity_reducer
         )
+        runtime.execute_round(first, identity_mapper, identity_reducer)
         assert runtime.stats.peak_local_memory == 10
         assert runtime.stats.aggregate_memory == 10
         assert runtime.stats.parallel_time >= 0

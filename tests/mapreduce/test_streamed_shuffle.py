@@ -16,6 +16,7 @@ import pickle
 
 import numpy as np
 import pytest
+from _splits import split_contiguous
 
 from repro.exceptions import EmptyStreamError, InvalidParameterError
 from repro.mapreduce import (
@@ -132,9 +133,7 @@ class TestShuffleStream:
             np.testing.assert_array_equal(reconstructed, medium_blobs)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_in_memory_split(self, backend, medium_blobs):
-        from repro.mapreduce import split_contiguous
-
+    def test_matches_whole_input_split(self, backend, medium_blobs):
         parts = split_contiguous(medium_blobs.shape[0], 4)
         with MapReduceRuntime(backend=backend, max_workers=2) as runtime:
             router = ChunkRouter(4, "contiguous", n_total=medium_blobs.shape[0])
@@ -181,13 +180,8 @@ class TestShuffleStream:
             result = runtime.shuffle_stream(_chunks(medium_blobs, 50), router)
             assert result.chunk_peak == 50
             assert runtime.stats.coordinator_peak_items == 50
-            # Far below the full materialisation the in-memory path pays.
+            # Far below a full materialisation of the input.
             assert runtime.stats.coordinator_peak_items < medium_blobs.shape[0]
-
-    def test_share_array_charges_full_matrix(self, medium_blobs):
-        with MapReduceRuntime() as runtime:
-            runtime.share_array(medium_blobs)
-            assert runtime.stats.coordinator_peak_items == medium_blobs.shape[0]
 
     def test_empty_stream_rejected(self):
         with MapReduceRuntime() as runtime:

@@ -6,8 +6,7 @@ must produce **bit-identical** centers, center indices, radii and
 outlier sets compared with ``backend="serial"`` across
 
 * both MapReduce drivers (k-center and k-center-with-outliers),
-* both drive paths (the in-memory ``fit`` and the out-of-core
-  ``fit_stream``),
+* ``fit`` and ``fit_stream`` at several chunk sizes,
 * the memory and disk partition-storage tiers (the two tiers whose
   handles are valid across address spaces: by-value rows, and spill
   files pushed as raw bytes),
