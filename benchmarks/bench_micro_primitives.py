@@ -34,6 +34,15 @@ def test_gmm_select(benchmark):
     assert result.n_centers == 50
 
 
+def test_gmm_partition_traversal(benchmark):
+    # One round-1 partition of the mr-outliers-solve perfbench workload:
+    # 200k points over ell = 8 reducers, a coreset of mu * (k + z') = 680
+    # centers, d = 7. Each step is one pass over the 25k partition points.
+    points = _points(25_000)
+    result = benchmark(lambda: gmm_select(points, 680))
+    assert result.n_centers == 680
+
+
 def test_weighted_coreset_construction(benchmark):
     points = _points(4000)
     spec = CoresetSpec.from_multiplier(60, 4)

@@ -172,10 +172,7 @@ def _run_gmm_for_spec(
     # The traversal may saturate before reaching `base` centers (duplicate
     # points); reference the radius at however many centers it actually has.
     threshold = (spec.epsilon / 2.0) * traversal.radius_at(min(base, traversal.n_centers))
-    limit = n if spec.max_size is None else min(spec.max_size, n)
-    while traversal.radius > threshold and traversal.n_centers < limit:
-        if not traversal.extend_by_one():
-            break
+    traversal.extend_until_radius(threshold, max_centers=spec.max_size)
     return traversal
 
 
@@ -227,11 +224,11 @@ def build_coreset(
     proxy_distances = traversal.distances_to_centers
 
     if weighted:
+        # Every center is its own proxy, so each weight is at least 1 and the
+        # weights sum to the partition size.
         weights = np.bincount(proxy_assignment, minlength=center_indices.shape[0]).astype(
             np.float64
         )
-        # Every center is its own proxy, so no weight can be zero; guard anyway.
-        weights = np.maximum(weights, 1.0)
     else:
         weights = np.ones(center_indices.shape[0])
 

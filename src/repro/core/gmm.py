@@ -83,10 +83,19 @@ class GMM:
 
     Notes
     -----
-    Each extension step costs one pass over the ``n`` points (a vectorised
-    distance computation against the newly added center), so selecting
-    ``tau`` centers costs ``O(tau * n)`` distance evaluations — the
-    complexity quoted in the paper for the coreset construction.
+    Each extension step costs one pass over the ``n`` points (the
+    distances from the newly added center), so selecting ``tau`` centers
+    costs ``O(tau * n)`` distance evaluations — the complexity quoted in
+    the paper for the coreset construction. The passes go through one
+    :meth:`~repro.metricspace.distance.Metric.distances_from` evaluator
+    built per traversal: under the Euclidean metric the squared norms of
+    the points are computed once, and each step is one matrix-vector
+    product plus in-place ``O(n)`` passes over reused buffers (distances,
+    a comparison mask, the conditional updates of distances and
+    assignment, and one ``argmax`` that yields both the new radius and
+    the next center). Other metrics evaluate
+    :meth:`~repro.metricspace.distance.Metric.point_to_points_blocked`
+    per step. Either way the values are bit-identical to that method's.
     """
 
     #: Initial capacity of the growable center/radius-history buffers.
@@ -101,7 +110,7 @@ class GMM:
         random_state=None,
     ) -> None:
         self._points = check_points(points)
-        self._metric = get_metric(metric)
+        metric = get_metric(metric)
         n = self._points.shape[0]
         if first_center is None:
             if random_state is None:
@@ -121,20 +130,26 @@ class GMM:
         self._radius_buf = np.empty(capacity, dtype=np.float64)
         self._n_centers = 0
 
-        # The one-vs-many distance pass is blocked so its broadcast
-        # temporaries stay bounded for the L1/L-inf metrics even on
-        # partition-sized inputs.
-        self._distances = self._metric.point_to_points_blocked(
-            self._points[first_center], self._points
-        )
+        # The evaluator may return its own scratch buffer, overwritten by the
+        # next call: the traversal keeps a copy, which the read-only views of
+        # `distances_to_centers` alias.
+        self._distances_from = metric.distances_from(self._points)
+        self._distances = np.array(self._distances_from(first_center))
         # Vectorised distance kernels can leave ~1e-8 noise on the distance of
         # a point to itself; force exact zeros at selected centers so that a
         # center is never re-selected as the "farthest" point.
         self._distances[first_center] = 0.0
         self._assignment = np.zeros(n, dtype=np.intp)
-        self._append_center(int(first_center), float(self._distances.max()))
+        self._closer = np.empty(n, dtype=bool)
+        self._append_center(int(first_center))
 
-    def _append_center(self, center: int, radius: float) -> None:
+    def _append_center(self, center: int) -> None:
+        """Record ``center`` and the radius after it; remember the farthest point.
+
+        The farthest point is both the radius witness and the next center
+        to select, so one ``argmax`` gives both.
+        """
+        self._farthest = int(np.argmax(self._distances))
         if self._n_centers == self._centers_buf.shape[0]:
             self._centers_buf = np.concatenate(
                 [self._centers_buf, np.empty_like(self._centers_buf)]
@@ -143,7 +158,7 @@ class GMM:
                 [self._radius_buf, np.empty_like(self._radius_buf)]
             )
         self._centers_buf[self._n_centers] = center
-        self._radius_buf[self._n_centers] = radius
+        self._radius_buf[self._n_centers] = self._distances[self._farthest]
         self._n_centers += 1
 
     @staticmethod
@@ -226,16 +241,14 @@ class GMM:
         """
         if self.n_centers >= self.n_points or self.radius == 0.0:
             return False
-        next_center = int(np.argmax(self._distances))
-        new_distances = self._metric.point_to_points_blocked(
-            self._points[next_center], self._points
-        )
+        next_center = self._farthest
+        new_distances = self._distances_from(next_center)
         new_distances[next_center] = 0.0
-        closer = new_distances < self._distances
+        np.less(new_distances, self._distances, out=self._closer)
         # In-place updates keep previously handed-out views aliased.
-        self._distances[closer] = new_distances[closer]
-        self._assignment[closer] = self._n_centers
-        self._append_center(next_center, float(self._distances.max()))
+        np.copyto(self._distances, new_distances, where=self._closer)
+        np.copyto(self._assignment, self._n_centers, where=self._closer)
+        self._append_center(next_center)
         return True
 
     def extend_to(self, n_centers: int) -> None:
@@ -245,11 +258,19 @@ class GMM:
             if not self.extend_by_one():
                 break
 
-    def extend_until_radius(self, target_radius: float) -> None:
-        """Extend until the radius drops to ``target_radius`` or below (or saturates)."""
+    def extend_until_radius(
+        self, target_radius: float, *, max_centers: int | None = None
+    ) -> None:
+        """Extend until the radius drops to ``target_radius`` or below.
+
+        Stops early when the traversal saturates or, if ``max_centers`` is
+        given, once it holds ``max_centers`` centers.
+        """
         if target_radius < 0:
             raise InvalidParameterError("target_radius must be non-negative")
-        while self.radius > target_radius:
+        while self.radius > target_radius and (
+            max_centers is None or self.n_centers < max_centers
+        ):
             if not self.extend_by_one():
                 break
 
@@ -308,10 +329,7 @@ def gmm_until_radius(
     a cap the traversal can grow to the full dataset (radius zero).
     """
     traversal = GMM(points, metric, first_center=first_center, random_state=random_state)
-    limit = traversal.n_points if max_centers is None else min(max_centers, traversal.n_points)
-    while traversal.radius > target_radius and traversal.n_centers < limit:
-        if not traversal.extend_by_one():
-            break
+    traversal.extend_until_radius(target_radius, max_centers=max_centers)
     return traversal.result()
 
 
@@ -351,8 +369,5 @@ def gmm_adaptive(
     traversal = GMM(points, metric, first_center=first_center, random_state=random_state)
     traversal.extend_to(min(k, traversal.n_points))
     threshold = (epsilon / 2.0) * traversal.radius_at(min(k, traversal.n_centers))
-    limit = traversal.n_points if max_centers is None else min(max_centers, traversal.n_points)
-    while traversal.radius > threshold and traversal.n_centers < limit:
-        if not traversal.extend_by_one():
-            break
+    traversal.extend_until_radius(threshold, max_centers=max_centers)
     return traversal.result()

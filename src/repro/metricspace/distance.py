@@ -15,6 +15,15 @@ per-row ``(min distance, argmin index)`` without ever materialising the
 full ``batch x centers`` product — the primitive the batched doubling
 coreset is built on.
 
+For the incremental GMM traversal, :meth:`Metric.distances_from` binds a
+one-to-many evaluator to a fixed point matrix: ``f(i)`` returns the
+distances from row ``i`` to every row, bit for bit the values of
+:meth:`Metric.point_to_points_blocked`. The Euclidean evaluator computes
+the squared row norms once and reuses its buffers, so each call is one
+matrix-vector product plus in-place ``O(n)`` passes; every other metric
+(including a :class:`DistanceCounter`) calls
+:meth:`Metric.point_to_points_blocked` per row.
+
 A :class:`Metric` bundles these primitives for a named metric so that the
 algorithms can stay metric-agnostic. Euclidean, squared-free Manhattan
 and Chebyshev metrics are provided; all three are true metrics (they
@@ -120,6 +129,40 @@ def _rows_per_block(n_cols: int, dim: int, max_block_elements: int) -> int:
     return max(1, max_block_elements // per_row)
 
 
+def _euclidean_distances_from(
+    points: np.ndarray, max_block_elements: int
+) -> Callable[[int], np.ndarray]:
+    """The Euclidean :meth:`Metric.distances_from` evaluator.
+
+    Bit-identical to :meth:`Metric.point_to_points_blocked` over
+    :func:`euclidean`: the same block boundaries, the same reductions on
+    the same operands (``einsum`` row norms, one ``(1, d) @ (d, m)``
+    product per block) and the same element-wise steps in the same order
+    (``(aa + bb) - 2 * g``, clip at zero, ``sqrt``). Only the squared
+    norms of ``points`` are computed once instead of on every call.
+    """
+    n = points.shape[0]
+    block = _rows_per_block(1, points.shape[1], max_block_elements)
+    blocks = [slice(start, min(start + block, n)) for start in range(0, n, block)]
+    sq_norms = np.empty(n, dtype=np.float64)
+    for rows in blocks:
+        sq_norms[rows] = np.einsum("ij,ij->i", points[rows], points[rows])
+    gram = np.empty((1, n), dtype=np.float64)
+    out = np.empty(n, dtype=np.float64)
+
+    def distances(index: int) -> np.ndarray:
+        row = points[index : index + 1]
+        for rows in blocks:
+            np.matmul(row, points[rows].T, out=gram[:, rows])
+        np.multiply(gram, 2.0, out=gram)
+        np.add(np.einsum("ij,ij->i", row, row)[0], sq_norms, out=out)
+        np.subtract(out, gram[0], out=out)
+        np.maximum(out, 0.0, out=out)
+        return np.sqrt(out, out=out)
+
+    return distances
+
+
 @dataclass(frozen=True)
 class Metric:
     """A named metric with vectorised distance primitives.
@@ -157,9 +200,9 @@ class Metric:
         Same values as :meth:`point_to_points`, but ``points`` is
         consumed in row blocks so the ``(1, m, d)`` broadcast temporaries
         of the L1/L-inf metrics never exceed ``max_block_elements``
-        float64 values. This is the bounded-memory one-vs-many kernel the
-        incremental GMM traversal runs per extension step; below the cap
-        it degenerates to a single :meth:`point_to_points` call.
+        float64 values. Below the cap it degenerates to a single
+        :meth:`point_to_points` call. :meth:`distances_from` defines its
+        values by this method.
         """
         point = np.asarray(point, dtype=np.float64).reshape(1, -1)
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -172,6 +215,31 @@ class Metric:
             stop = min(start + block, m)
             out[start:stop] = self.cross(point, points[start:stop])[0]
         return out
+
+    def distances_from(
+        self,
+        points: np.ndarray,
+        *,
+        max_block_elements: int = DEFAULT_BLOCK_ELEMENTS,
+    ) -> Callable[[int], np.ndarray]:
+        """One-to-many evaluator bound to the fixed matrix ``points``.
+
+        Returns ``f`` where ``f(i)`` holds the distances from
+        ``points[i]`` to every row of ``points``, bit for bit
+        ``point_to_points_blocked(points[i], points, max_block_elements=...)``.
+        For the Euclidean metric ``f`` caches the squared row norms and
+        writes into one reused ``(n,)`` buffer, so the array it returns is
+        overwritten by the next call; copy it to keep it. Every other
+        metric, including a :class:`DistanceCounter`-wrapped one (whose
+        evaluation count must stay exact), calls
+        :meth:`point_to_points_blocked` on every call.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if self.cross is euclidean:
+            return _euclidean_distances_from(points, max_block_elements)
+        return lambda index: self.point_to_points_blocked(
+            points[index], points, max_block_elements=max_block_elements
+        )
 
     def pairwise(self, points: np.ndarray) -> np.ndarray:
         """Full symmetric pairwise distance matrix of ``points``."""

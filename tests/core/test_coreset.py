@@ -55,6 +55,20 @@ class TestBuildCoresetSizeRule:
         result = build_coreset(small_blobs, spec, weighted=True)
         assert result.coreset.total_weight == pytest.approx(small_blobs.shape[0])
 
+    def test_weights_exact_on_duplicate_heavy_input(self):
+        # 300 points on 6 distinct locations. Gram-expansion noise keeps
+        # duplicates ~1e-8 apart, so the traversal goes on to pick
+        # centers among duplicates. Every center is still its own proxy,
+        # so no weight is below 1, and the weights add up to the
+        # partition size exactly.
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(6, 3))[rng.integers(6, size=300)]
+        result = build_coreset(points, CoresetSpec.from_multiplier(4, 3), weighted=True)
+        weights = result.coreset.weights
+        assert result.size == 12
+        assert weights.min() >= 1.0
+        assert weights.sum() == points.shape[0]
+
     def test_unweighted_has_unit_weights(self, small_blobs):
         spec = CoresetSpec.from_multiplier(5, 2)
         result = build_coreset(small_blobs, spec, weighted=False)

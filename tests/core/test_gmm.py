@@ -8,6 +8,7 @@ import pytest
 from repro.core import GMM, gmm_adaptive, gmm_select, gmm_until_radius
 from repro.evaluation import optimal_kcenter_radius
 from repro.exceptions import InvalidParameterError
+from repro.metricspace import DistanceCounter
 
 
 class TestGMMClass:
@@ -161,6 +162,19 @@ class TestGMMSelect:
         assert result.radius < 1.0
 
 
+class TestDistanceCounts:
+    @pytest.mark.parametrize("name", ["euclidean", "manhattan"])
+    def test_gmm_select_counts_n_per_center(self, medium_blobs, name):
+        # One first pass plus one pass per added center: the work counts
+        # the paper's figures report. The Euclidean fast path must not
+        # bypass a counted metric.
+        counter = DistanceCounter(name)
+        k = 12
+        result = gmm_select(medium_blobs, k, counter.metric)
+        assert result.n_centers == k
+        assert counter.count == medium_blobs.shape[0] * k
+
+
 class TestGMMUntilRadius:
     def test_reaches_target(self, small_blobs):
         start = gmm_select(small_blobs, 1).radius
@@ -171,10 +185,18 @@ class TestGMMUntilRadius:
         result = gmm_until_radius(small_blobs, 0.0, max_centers=5)
         assert result.n_centers == 5
 
+    def test_extend_until_radius_cap(self, small_blobs):
+        traversal = GMM(small_blobs)
+        traversal.extend_until_radius(0.0, max_centers=7)
+        assert traversal.n_centers == 7
+        assert traversal.radius > 0.0
+
     def test_negative_target_raises(self, small_blobs):
         traversal = GMM(small_blobs)
         with pytest.raises(InvalidParameterError):
             traversal.extend_until_radius(-1.0)
+        with pytest.raises(InvalidParameterError):
+            gmm_until_radius(small_blobs, -1.0)
 
 
 class TestGMMAdaptive:

@@ -142,6 +142,22 @@ class TestBlockedPrimitives:
         np.testing.assert_allclose(distances, full.min(axis=1), rtol=1e-12, atol=1e-12)
         assert np.array_equal(indices, full.argmin(axis=1))
 
+    @pytest.mark.parametrize("name", metric_names)
+    @pytest.mark.parametrize("max_block_elements", (9, 200, 10**7))
+    def test_distances_from_matches_point_to_points_blocked(self, name, max_block_elements):
+        # 9 elements is two rows of d = 4 per block, so most blocks end
+        # mid-matrix; the evaluator must reproduce the blocked kernel's
+        # values bit for bit, duplicate rows included.
+        points, _ = self._sets()
+        points[::5] = points[3]
+        metric = get_metric(name)
+        distances_from = metric.distances_from(points, max_block_elements=max_block_elements)
+        for index in range(points.shape[0]):
+            expected = metric.point_to_points_blocked(
+                points[index], points, max_block_elements=max_block_elements
+            )
+            assert distances_from(index).tobytes() == expected.tobytes()
+
     def test_cdist_blocked_out_parameter(self):
         a, b = self._sets()
         metric = get_metric("euclidean")
@@ -190,6 +206,15 @@ class TestDistanceCounter:
         counter.metric.cdist(np.zeros((2, 2)), np.zeros((2, 2)))
         counter.reset()
         assert counter.count == 0
+
+    def test_distances_from_counts_every_row(self):
+        # A counted metric takes the per-call path, so each call is n evaluations.
+        counter = DistanceCounter("euclidean")
+        points = np.random.default_rng(2).normal(size=(17, 3))
+        distances_from = counter.metric.distances_from(points)
+        distances_from(0)
+        distances_from(5)
+        assert counter.count == 34
 
     def test_counted_metric_is_a_metric(self):
         counter = DistanceCounter()
