@@ -66,6 +66,7 @@ from ..exceptions import (
 from .backends import SharedArray
 from .worker import (
     OP_ERROR,
+    OP_HELLO,
     OP_OK,
     OP_PUT,
     OP_QUIT,
@@ -138,7 +139,7 @@ class _WorkerLink:
 
     __slots__ = (
         "host", "port", "label", "sock", "alive", "failure",
-        "pushed_spills", "round_marker",
+        "pushed_spills", "round_marker", "hello",
     )
 
     def __init__(self, spec) -> None:
@@ -149,6 +150,9 @@ class _WorkerLink:
         self.failure: str | None = None
         self.pushed_spills: set[str] = set()
         self.round_marker: object | None = None
+        #: The worker's HELLO reply from the latest connection (``None``
+        #: before the first one).
+        self.hello: dict | None = None
 
     def close(self, *, polite: bool) -> None:
         sock, self.sock = self.sock, None
@@ -239,6 +243,19 @@ class DistributedBackend:
         """Total payload bytes sent to workers over this backend's lifetime."""
         return self._bytes_shipped
 
+    @property
+    def worker_blas_threads(self) -> int | None:
+        """BLAS threads per worker, as the workers' HELLO replies report them.
+
+        The largest count reported; ``None`` before any connection, or
+        when a connected worker could not read its count.
+        """
+        reported = [link.hello.get("blas_threads") for link in self._links
+                    if link.hello is not None]
+        if not reported or None in reported:
+            return None
+        return max(reported)
+
     def take_round_accounting(self) -> tuple[dict[Hashable, list[str]], int]:
         """Per-round accounting for :class:`~repro.mapreduce.runtime.JobStats`.
 
@@ -254,13 +271,19 @@ class DistributedBackend:
 
     # -- connection plumbing -----------------------------------------------------------
 
-    def _connect(self, link: _WorkerLink) -> socket.socket:
+    def _connect(self, link: _WorkerLink) -> None:
+        """Open ``link``'s connection and record the worker's HELLO reply."""
         sock = socket.create_connection(
             (link.host, link.port), timeout=self._connect_timeout
         )
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
+        link.sock = sock
+        link.round_marker = None
+        opcode, response = self._request(link, OP_HELLO, b"")
+        if opcode != OP_OK:
+            raise ProtocolViolation(opcode)
+        link.hello = pickle.loads(response)
 
     def _mark_dead(self, link: _WorkerLink, exc: BaseException) -> None:
         link.alive = False
@@ -320,8 +343,7 @@ class DistributedBackend:
                         return
                     assignments[key].append(link.label)
                     if link.sock is None:
-                        link.sock = self._connect(link)
-                        link.round_marker = None
+                        self._connect(link)
                     if link.round_marker is not round_marker:
                         opcode, response = self._request(link, OP_REDUCER, reducer_payload)
                         if not expect_ok(opcode, response, "unpickling the reducer"):

@@ -30,7 +30,9 @@ then is the reduce phase handed to an
   module-level functions (or partials of them); in exchange the GIL no
   longer serialises pure-Python reducer work. Shuffle partitions travel
   as :class:`~repro.mapreduce.backends.SharedArray` handles (a
-  shared-memory segment name or a spill-file path), not as copies.
+  shared-memory segment name or a spill-file path), not as copies. Each
+  pool worker runs one BLAS thread (the pool already has one process per
+  core); the coordinator's BLAS keeps its default.
 * ``backend="distributed"`` — reducers run on remote worker daemons over
   TCP (see the "Distributed backend" section below).
 
@@ -38,7 +40,7 @@ Distributed backend
 -------------------
 ``backend="distributed"`` plus ``workers=["host:port", ...]`` hands the
 reduce phase to a set of worker daemons, each started with ``repro
-worker --listen HOST:PORT`` (or ``python -m repro.mapreduce.worker``) —
+worker --listen HOST:PORT`` (or ``python -m repro worker``) —
 the first backend that scales past a single machine. The coordinator
 speaks a length-prefixed TCP protocol (a 1-byte opcode plus an 8-byte
 big-endian payload length per frame; the opcodes are documented in
@@ -278,6 +280,14 @@ class JobStats:
     #: Total payload bytes shipped to distributed workers (reducers,
     #: pushed spill files and task payloads); 0 for single-host backends.
     bytes_shipped: int = 0
+    #: BLAS threads each reducer process ran with. 1 on the
+    #: ``"processes"`` pool, whose workers cap their BLAS; on
+    #: ``"distributed"``, the count the workers report in HELLO (1 for
+    #: ``repro worker`` daemons; a :class:`~repro.mapreduce.cluster.LocalCluster`
+    #: runs inside the coordinator and reports its count). ``None`` on
+    #: the serial and thread backends, which use the coordinator's BLAS,
+    #: and whenever the cap could not be applied.
+    worker_blas_threads: int | None = None
 
     @property
     def n_rounds(self) -> int:
@@ -766,6 +776,7 @@ class MapReduceRuntime:
             outputs.extend(produced)
             stats.reducer_times[key] = elapsed
 
+        self._stats.worker_blas_threads = getattr(self._backend, "worker_blas_threads", None)
         # Distributed rounds additionally report where each group ran and
         # how many payload bytes crossed the wire; see JobStats.
         take_accounting = getattr(self._backend, "take_round_accounting", None)

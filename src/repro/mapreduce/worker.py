@@ -1,13 +1,16 @@
 """Distributed MapReduce worker daemon and the TCP wire protocol.
 
-``python -m repro.mapreduce.worker --listen HOST:PORT`` (or ``repro
-worker --listen HOST:PORT``) starts a worker daemon: a small TCP server
-that accepts reduce tasks from a coordinator-side
+``repro worker --listen HOST:PORT`` (or ``python -m repro worker``)
+starts a worker daemon through :func:`serve`: a small TCP server that
+accepts reduce tasks from a coordinator-side
 :class:`~repro.mapreduce.cluster.DistributedBackend`, executes them in
 the worker's own address space, and streams the pickled results back.
-One daemon serves any number of jobs, one connection per job; the
-in-process :class:`~repro.mapreduce.cluster.LocalCluster` harness spawns
-the same server on loopback sockets for deterministic tests.
+One daemon serves any number of jobs, one connection per job. A daemon
+caps its BLAS at one thread (:func:`~repro.mapreduce.backends.limit_blas_threads`),
+like a process-pool worker. The in-process
+:class:`~repro.mapreduce.cluster.LocalCluster` harness spawns the same
+server on loopback sockets for deterministic tests; those servers run
+inside the coordinator and leave its BLAS alone.
 
 Wire protocol
 -------------
@@ -16,7 +19,9 @@ Every frame is a 9-byte header — a 1-byte opcode followed by an unsigned
 opcodes (coordinator to worker):
 
 * ``h`` **HELLO** — empty payload; the worker replies OK with pickled
-  metadata (pid, address, spill directory).
+  metadata (pid, address, spill directory, and ``blas_threads``: the
+  process's BLAS thread count, ``None`` when it cannot be read). The
+  coordinator sends it once per connection.
 * ``r`` **REDUCER** — pickled reducer callable; becomes the connection's
   current reducer (sent once per round, not once per task). Replies OK.
 * ``p`` **PUT** — pickled ``(origin_path, file_bytes)``: a disk-tier
@@ -44,7 +49,6 @@ inside the TASK frame.
 
 from __future__ import annotations
 
-import argparse
 import os
 import pickle
 import shutil
@@ -55,7 +59,6 @@ import tempfile
 import threading
 import traceback
 import uuid
-from typing import Sequence
 
 from ..exceptions import InvalidParameterError
 from . import backends as _backends
@@ -75,7 +78,6 @@ __all__ = [
     "recv_frame",
     "WorkerServer",
     "serve",
-    "main",
 ]
 
 
@@ -367,6 +369,7 @@ class WorkerServer:
                         "pid": os.getpid(),
                         "address": self.address,
                         "spill_dir": self._spill_dir,
+                        "blas_threads": _backends.blas_threads(),
                     }
                     send_frame(conn, OP_OK, pickle.dumps(info))
                 elif opcode == OP_REDUCER:
@@ -445,8 +448,10 @@ def serve(listen: str, *, spill_dir: str | None = None) -> int:
     Handles SIGTERM like Ctrl-C: the daemon drops its connections and
     removes its owned spill directory before exiting, so supervisors
     that stop workers with a plain ``kill`` leave no orphans behind.
+    The daemon's BLAS runs one thread, as in a process-pool worker.
     """
     host, port = parse_listen_address(listen)
+    _backends.limit_blas_threads()
     server = WorkerServer(host, port, spill_dir=spill_dir)
     print(f"repro worker listening on {server.address}", flush=True)
     previous_handler = None
@@ -469,27 +474,3 @@ def serve(listen: str, *, spill_dir: str | None = None) -> int:
 
             signal.signal(signal.SIGTERM, previous_handler)
     return 0
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point for ``python -m repro.mapreduce.worker``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-worker",
-        description="Distributed MapReduce worker daemon (see repro.mapreduce.cluster)",
-    )
-    parser.add_argument(
-        "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="address to listen on (port 0 picks a free port; the bound "
-             "address is printed on startup)",
-    )
-    parser.add_argument(
-        "--spill-dir", default=None,
-        help="directory for spill files received from coordinators "
-             "(default: a worker-owned temporary directory)",
-    )
-    args = parser.parse_args(argv)
-    return serve(args.listen, spill_dir=args.spill_dir)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

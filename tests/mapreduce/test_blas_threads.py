@@ -1,0 +1,172 @@
+"""Reducer processes run one BLAS thread; the coordinator keeps its own count.
+
+The ``"processes"`` pool and ``repro worker`` daemons cap numpy's
+scipy-openblas at one thread (:func:`repro.mapreduce.backends.limit_blas_threads`);
+the serial and thread backends, and the in-process servers of a
+:class:`~repro.mapreduce.LocalCluster`, share the coordinator's BLAS and
+leave it alone. The test process reads the thread count through its own
+``ctypes`` handle on the library it has mapped, so the checks do not go
+through the helper under test.
+"""
+
+from __future__ import annotations
+
+import _ctypes
+import ctypes
+import os
+import pickle
+import socket
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from repro.mapreduce import LocalCluster, MapReduceRuntime
+from repro.mapreduce import backends as backends_module
+from repro.mapreduce.backends import blas_threads, limit_blas_threads
+from repro.mapreduce.runtime import identity_mapper
+from repro.mapreduce.worker import OP_HELLO, OP_OK, recv_frame, send_frame
+
+
+def _loaded_openblas() -> ctypes.CDLL | None:
+    """The scipy-openblas library this process has mapped, or ``None``."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        return None
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "libscipy_openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        if hasattr(library, "scipy_openblas_get_num_threads64_"):
+            library.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            library.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            return library
+    return None
+
+
+_OPENBLAS = _loaded_openblas()
+
+needs_openblas = pytest.mark.skipif(
+    _OPENBLAS is None, reason="numpy's BLAS is not a loaded scipy-openblas library"
+)
+
+
+def _threads() -> int:
+    return _OPENBLAS.scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def coordinator_threads():
+    """Run the test with two BLAS threads in this process, then restore the count.
+
+    Two threads make an uncapped worker (which inherits or defaults to
+    more than one) distinguishable from a capped one on any host.
+    """
+    original = _threads()
+    _OPENBLAS.scipy_openblas_set_num_threads64_(2)
+    try:
+        yield 2
+    finally:
+        _OPENBLAS.scipy_openblas_set_num_threads64_(original)
+
+
+# Module-level so the process pool can unpickle it.
+def blas_threads_reducer(key, values):
+    yield (key, _loaded_openblas().scipy_openblas_get_num_threads64_())
+
+
+def _run_round(runtime: MapReduceRuntime, n_groups: int = 4) -> list:
+    pairs = [(key, None) for key in range(n_groups)]
+    return runtime.execute_round(pairs, identity_mapper, blas_threads_reducer)
+
+
+@needs_openblas
+class TestProcessPoolCap:
+    def test_pool_reducers_see_one_thread(self, coordinator_threads):
+        with MapReduceRuntime(backend="processes", max_workers=2) as runtime:
+            outputs = _run_round(runtime)
+            assert [count for _key, count in outputs] == [1, 1, 1, 1]
+            assert runtime.stats.worker_blas_threads == 1
+            assert "worker_blas_threads=1" in repr(runtime.stats)
+
+    def test_coordinator_count_unchanged_after_pool_job(self, coordinator_threads):
+        with MapReduceRuntime(backend="processes", max_workers=2) as runtime:
+            _run_round(runtime)
+        assert _threads() == coordinator_threads
+
+    def test_serial_and_threads_leave_blas_alone(self, coordinator_threads):
+        for backend in ("serial", "threads"):
+            with MapReduceRuntime(backend=backend, max_workers=2) as runtime:
+                outputs = _run_round(runtime)
+                assert {count for _key, count in outputs} == {coordinator_threads}
+                assert runtime.stats.worker_blas_threads is None
+        assert _threads() == coordinator_threads
+
+
+@needs_openblas
+class TestLocalClusterLeavesCoordinatorAlone:
+    def test_coordinator_count_unchanged_after_cluster_job(self, coordinator_threads):
+        with LocalCluster(2) as cluster:
+            with MapReduceRuntime(workers=cluster.addresses) as runtime:
+                outputs = _run_round(runtime)
+                # The in-process servers share the coordinator's BLAS and
+                # report its count; only daemons cap theirs.
+                assert {count for _key, count in outputs} == {coordinator_threads}
+                assert runtime.stats.worker_blas_threads == coordinator_threads
+        assert _threads() == coordinator_threads
+
+
+class TestHelperWithoutOpenblas:
+    def test_missing_library(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            backends_module, "_OPENBLAS_PATTERN", str(tmp_path / "libscipy_openblas*")
+        )
+        assert limit_blas_threads() is None
+        assert blas_threads() is None
+
+    def test_library_without_the_symbol(self, monkeypatch):
+        monkeypatch.setattr(backends_module, "_OPENBLAS_PATTERN", _ctypes.__file__)
+        assert limit_blas_threads() is None
+        assert blas_threads() is None
+
+    def test_pool_runs_uncapped_and_says_so(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            backends_module, "_OPENBLAS_PATTERN", str(tmp_path / "libscipy_openblas*")
+        )
+        with MapReduceRuntime(backend="processes", max_workers=1) as runtime:
+            runtime.execute_round([(0, 1)], identity_mapper, identity_mapper)
+            assert runtime.stats.worker_blas_threads is None
+
+
+@needs_openblas
+def test_worker_daemon_reports_one_thread_in_hello(tmp_path):
+    import repro
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+    # The daemon would start with two threads; its start-up must cap them.
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0",
+         "--spill-dir", str(tmp_path)],
+        stdout=subprocess.PIPE, text=True, env=env,
+    ) as process:
+        try:
+            address = process.stdout.readline().strip().rsplit(" ", 1)[-1]
+            host, port = address.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=10) as sock:
+                send_frame(sock, OP_HELLO)
+                opcode, payload = recv_frame(sock)
+            assert opcode == OP_OK
+            assert pickle.loads(payload)["blas_threads"] == 1
+            with MapReduceRuntime(workers=[address]) as runtime:
+                runtime.execute_round([(0, 1)], identity_mapper, identity_mapper)
+                assert runtime.stats.worker_blas_threads == 1
+        finally:
+            process.terminate()
+            assert process.wait(timeout=10) == 0

@@ -1,7 +1,7 @@
 """Unit and failure-injection tests for the distributed executor backend.
 
 Covers the wire protocol (framing, truncation), the worker daemon
-(in-process and as a real ``python -m repro.mapreduce.worker``
+(in-process and as a real ``python -m repro worker``
 subprocess), backend resolution, the coordinator's retry-onto-survivors
 logic for every failure mode the ISSUE names — worker death mid-job,
 unreachable address at connect, truncated frame mid-result — and the
@@ -161,7 +161,7 @@ class TestWorkerDaemonSubprocess:
         env = dict(os.environ)
         env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro.mapreduce.worker",
+            [sys.executable, "-m", "repro", "worker",
              "--listen", "127.0.0.1:0", "--spill-dir", str(tmp_path)],
             stdout=subprocess.PIPE, text=True, env=env,
         )
@@ -200,7 +200,7 @@ class TestWorkerDaemonSubprocess:
         try:
             for _ in range(2):
                 process = subprocess.Popen(
-                    [sys.executable, "-m", "repro.mapreduce.worker",
+                    [sys.executable, "-m", "repro", "worker",
                      "--listen", "127.0.0.1:0", "--spill-dir", str(tmp_path)],
                     stdout=subprocess.PIPE, text=True, env=env,
                 )
@@ -224,7 +224,7 @@ class TestWorkerDaemonSubprocess:
         env = dict(os.environ)
         env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro.mapreduce.worker", "--listen", "127.0.0.1:0"],
+            [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0"],
             stdout=subprocess.PIPE, text=True, env=env,
         )
         try:
