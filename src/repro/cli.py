@@ -127,8 +127,9 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--storage", choices=available_storage_tiers(), default="auto",
-        help="partition-storage tier for the streamed shuffle: memory/shared/disk, "
-             "or auto (spills to disk when --memory-budget-mb is exceeded)",
+        help="partition-storage tier for the streamed shuffle: memory/disk, or auto "
+             "(disk on the processes backend or when --memory-budget-mb is "
+             "exceeded, memory otherwise)",
     )
     parser.add_argument(
         "--spill-dir", default=None,

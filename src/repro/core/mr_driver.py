@@ -306,7 +306,7 @@ class MapReduceDriver:
             working set during the shuffle.
         storage:
             Partition-storage tier for the shuffle: ``"auto"``
-            (default), ``"memory"``, ``"shared"`` or ``"disk"``. Under
+            (default), ``"memory"`` or ``"disk"``. Under
             ``"auto"`` with a ``memory_budget_bytes``, streams whose
             estimated partition footprint exceeds the budget spill to
             disk; ``stats.storage_tier`` / ``stats.spilled_bytes``

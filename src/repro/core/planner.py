@@ -37,7 +37,7 @@ from .._validation import (
     check_positive_int,
 )
 from ..exceptions import InvalidParameterError
-from ..mapreduce.backends import available_backends, available_storage_tiers
+from ..mapreduce.backends import available_backends, resolve_storage
 from ..metricspace.doubling import doubling_dimension_estimate
 
 __all__ = ["MapReducePlan", "StreamingPlan", "plan_mapreduce", "plan_streaming"]
@@ -90,10 +90,10 @@ class MapReducePlan:
         whether a dataset fits the machine driving the job.
     storage:
         Partition-storage tier the plan selects for the shuffle
-        (``"memory"``, ``"shared"`` or ``"disk"``): an explicit request
-        is passed through; ``"auto"`` keeps the backend's natural tier
-        unless the predicted partition footprint exceeds
-        ``memory_budget_bytes``, in which case the plan spills to disk.
+        (``"memory"`` or ``"disk"``): an explicit request is passed
+        through; ``"auto"`` resolves as in the runtime — ``"disk"`` for
+        the process pool or when the predicted partition footprint
+        exceeds ``memory_budget_bytes``, ``"memory"`` otherwise.
     partition_tier_bytes:
         Predicted bytes held by the partition tier: the ``(n, d)``
         float64 rows plus the ``intp`` global-index column. ``0`` when
@@ -218,11 +218,10 @@ def plan_mapreduce(
     storage:
         Partition-storage tier to plan for (one of
         :func:`repro.mapreduce.available_storage_tiers`). ``None`` or
-        ``"auto"`` asks the planner to *select* one: the backend's
-        natural tier (shared memory for ``"processes"``, in-process
-        arrays otherwise) unless the partition footprint is
-        predicted to exceed ``memory_budget_bytes``, which selects
-        ``"disk"``.
+        ``"auto"`` asks the planner to *select* one with the runtime's
+        own rule (:func:`repro.mapreduce.resolve_storage`): ``"disk"``
+        for ``"processes"`` or when the partition footprint is predicted
+        to exceed ``memory_budget_bytes``, in-process arrays otherwise.
     memory_budget_bytes:
         Budget (bytes) for the in-memory partition tiers; only
         consulted when the tier is auto-selected.
@@ -299,19 +298,12 @@ def plan_mapreduce(
         partition_tier_bytes = n * (point_dimension * 8 + 8)
     else:
         partition_tier_bytes = 0
-    if storage in (None, "auto"):
-        over_budget = memory_budget_bytes is not None and (
-            partition_tier_bytes == 0 or partition_tier_bytes > memory_budget_bytes
-        )
-        if over_budget:
-            storage = "disk"
-        else:
-            storage = "shared" if backend == "processes" else "memory"
-    elif storage not in available_storage_tiers():
-        raise InvalidParameterError(
-            f"unknown storage tier {storage!r}; available: "
-            f"{', '.join(available_storage_tiers())}"
-        )
+    storage = resolve_storage(
+        storage,
+        backend=backend,
+        estimated_bytes=partition_tier_bytes or None,
+        memory_budget_bytes=memory_budget_bytes,
+    )
     predicted_spill = partition_tier_bytes if storage == "disk" else 0
 
     if backend == "serial":

@@ -9,7 +9,6 @@ from .backends import (
     ProcessBackend,
     SerialBackend,
     SharedArray,
-    SharedMemoryPartitionStore,
     ThreadBackend,
     available_backends,
     available_storage_tiers,
@@ -49,7 +48,6 @@ __all__ = [
     "RoundStats",
     "SerialBackend",
     "SharedArray",
-    "SharedMemoryPartitionStore",
     "StreamShuffleResult",
     "ThreadBackend",
     "WorkerServer",

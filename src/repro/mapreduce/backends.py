@@ -20,25 +20,19 @@ which three implementations are provided:
 
 Orthogonal to *where reducers run* is *where the shuffle's partition rows
 live* while they are being assembled. That is the :class:`PartitionStore`
-protocol, with three tiers (see :func:`resolve_storage`):
+protocol, with two tiers (see :func:`resolve_storage`):
 
 * :class:`MemoryPartitionStore` (``"memory"``) — plain NumPy arrays in
   the coordinator's address space; the natural tier for the serial and
-  thread backends (their reducers share that address space anyway).
-* :class:`SharedMemoryPartitionStore` (``"shared"``) — POSIX
-  shared-memory segments, bounded by ``/dev/shm`` (typically half of
-  RAM); the natural tier for the process backend, whose workers attach
-  to a sealed partition by segment name instead of receiving a pickled
-  copy.
+  thread backends (their reducers share that address space anyway), and
+  the by-value tier of the distributed one.
 * :class:`DiskPartitionStore` (``"disk"``) — per-partition ``.npy``
   spill files that chunks are appended to and that :meth:`finalize
   <DiskPartitionStore.finalize>` reopens as read-only
-  :class:`numpy.memmap` matrices. Worker processes open the file by
-  *path* when they unpickle a handle — the disk twin of the
-  shared-memory by-name handoff, again without pickling any row data —
-  which lifts the ``/dev/shm`` ceiling on single-host dataset size: a
-  reducer's working set stays ``O(n/ell)`` resident while the sealed
-  partitions live on disk.
+  :class:`numpy.memmap` matrices; the natural tier for the process
+  backend. Worker processes open the file by *path* when they unpickle
+  a handle, so no row data is pickled, and a reducer's working set
+  stays ``O(n/ell)`` resident while the sealed partitions live on disk.
 
 :class:`PartitionBuffer` validates and appends rows and delegates the
 actual storage to one of these tiers.
@@ -55,11 +49,9 @@ import ctypes
 import glob
 import os
 import struct
-import sys
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import shared_memory
 from typing import Hashable, Protocol, runtime_checkable
 
 import numpy as np
@@ -74,7 +66,6 @@ __all__ = [
     "SharedArray",
     "PartitionStore",
     "MemoryPartitionStore",
-    "SharedMemoryPartitionStore",
     "DiskPartitionStore",
     "PartitionBuffer",
     "available_backends",
@@ -158,74 +149,6 @@ def limit_blas_threads() -> int | None:
 # -- shared arrays ---------------------------------------------------------------------
 
 
-_ATTACHED_SEGMENTS: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-"""Per-process cache of shared-memory segments attached by :func:`_attach_shared_array`.
-
-Keeping the :class:`~multiprocessing.shared_memory.SharedMemory` object
-alive here is load-bearing: if it were garbage collected, the buffer
-backing the returned array views would be unmapped under them. The cache
-is bounded by :func:`_evict_released_segments`: once nothing outside the
-cache references a segment's view (all tasks using it are done), the
-attachment is closed on the next attach — so a long-lived, caller-owned
-process pool reused across many runs does not accumulate mappings of
-segments the coordinator has long unlinked.
-"""
-
-
-def _evict_released_segments() -> None:
-    """Close cached attachments that no task references anymore.
-
-    CPython reference counting makes this exact: the view's references
-    are the cache tuple, the local binding below, and ``getrefcount``'s
-    own argument — three in total when no :class:`SharedArray` (or any
-    array derived from the view without a copy) is alive outside the
-    cache. Entries still in use are left untouched.
-    """
-    for name in list(_ATTACHED_SEGMENTS):
-        segment, view = _ATTACHED_SEGMENTS[name]
-        if sys.getrefcount(view) <= 3:
-            del _ATTACHED_SEGMENTS[name]
-            del view
-            segment.close()
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker involvement.
-
-    On Python < 3.13 every attach registers the segment with a resource
-    tracker, which then tries to unlink it at process exit — wrong for
-    segments owned by the coordinator (and a source of tracker warnings).
-    Python 3.13+ exposes ``track=False``; for older versions registration
-    is suppressed for the duration of the attach.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13 has no track parameter
-        pass
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
-
-
-def _attach_shared_array(meta: tuple[str, tuple, str]) -> "SharedArray":
-    """Reconstruct a :class:`SharedArray` in a worker process from its metadata."""
-    name, shape, dtype = meta
-    _evict_released_segments()
-    cached = _ATTACHED_SEGMENTS.get(name)
-    if cached is None:
-        segment = _attach_untracked(name)
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-        view.flags.writeable = False
-        _ATTACHED_SEGMENTS[name] = (segment, view)
-        cached = (segment, view)
-    return SharedArray(cached[1], meta=meta)
-
-
 _SPILL_PATH_RESOLVER = None
 """Optional hook translating spill paths at attach time.
 
@@ -269,45 +192,25 @@ class SharedArray:
     """A read-only NumPy array that reducers can reference cheaply on any backend.
 
     Instances are created by the partition stores' ``finalize``. In the
-    coordinator the wrapper views the stored rows (zero copy). For the
-    out-of-line tiers pickling serialises only a handle:
-    ``(name, shape, dtype)`` for a shared-memory segment,
-    ``(path, shape, dtype)`` for an on-disk ``.npy`` spill file that the
-    worker memory-maps read-only. Handles of in-process arrays (the
-    memory tier) pickle their rows by value, which is correct on every
-    backend but pays the copy.
+    coordinator the wrapper views the stored rows (zero copy). A handle
+    on a disk-tier spill file pickles as ``(path, shape, dtype)``, which
+    the receiving process memory-maps read-only; a handle on in-process
+    rows (the memory tier) pickles them by value, which is correct on
+    every backend but pays the copy.
     """
 
-    __slots__ = ("_array", "_segment", "_meta", "_spill_meta", "_owns_spill")
+    __slots__ = ("_array", "_spill_meta", "_owns_spill")
 
     def __init__(
         self,
         array: np.ndarray,
         *,
-        segment: shared_memory.SharedMemory | None = None,
-        meta: tuple[str, tuple, str] | None = None,
         spill_meta: tuple[str, tuple, str] | None = None,
         owns_spill: bool = False,
     ) -> None:
         self._array = array
-        self._segment = segment
-        self._meta = meta
         self._spill_meta = spill_meta
         self._owns_spill = owns_spill
-
-    @classmethod
-    def from_filled_segment(
-        cls, segment: shared_memory.SharedMemory, shape: tuple, dtype: np.dtype
-    ) -> "SharedArray":
-        """Wrap an already-filled shared-memory segment without copying.
-
-        Used by :class:`PartitionBuffer` to hand off a partition matrix it
-        assembled chunk by chunk; ownership of ``segment`` transfers to
-        the returned wrapper (its :meth:`close` unlinks the segment).
-        """
-        view = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-        view.flags.writeable = False
-        return cls(view, segment=segment, meta=(segment.name, shape, np.dtype(dtype).str))
 
     @classmethod
     def from_spill_file(
@@ -328,7 +231,7 @@ class SharedArray:
         else:
             view = np.load(path, mmap_mode="r")
         expected = (tuple(shape), np.dtype(dtype))
-        if (view.shape, view.dtype) != expected:  # pragma: no cover - corruption guard
+        if (view.shape, view.dtype) != expected:
             raise InvalidParameterError(
                 f"spill file {path} holds {view.shape} {view.dtype}; expected {expected}"
             )
@@ -358,28 +261,18 @@ class SharedArray:
         return self._array[item]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if dtype is not None:
-            return self._array.astype(dtype)
+        if copy or dtype is not None:
+            return np.array(self._array, dtype=dtype)
         return self._array
 
     def __reduce__(self):
-        if self._meta is not None:
-            return (_attach_shared_array, (self._meta,))
         if self._spill_meta is not None:
             return (_attach_spilled_array, (self._spill_meta,))
         return (_rebuild_by_value, (np.asarray(self._array),))
 
     def close(self) -> None:
-        """Release the backing storage (owner side: also unlink/delete it)."""
-        if self._segment is not None:
-            self._array = np.empty(0, dtype=self._array.dtype)
-            self._segment.close()
-            try:
-                self._segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-            self._segment = None
-        if self._owns_spill and self._spill_meta is not None:
+        """Release the backing storage (owner side: also delete the spill file)."""
+        if self._owns_spill:
             # Drop the memmap view before deleting the file; on POSIX the
             # unlink is safe even if stray views are still mapped.
             path = self._spill_meta[0]
@@ -406,7 +299,7 @@ class PartitionStore(Protocol):
     off through :meth:`close` (idempotent, also safe after finalize).
     """
 
-    #: Tier name: ``"memory"``, ``"shared"`` or ``"disk"``.
+    #: Tier name: ``"memory"`` or ``"disk"``.
     tier: str
 
     @property
@@ -416,7 +309,7 @@ class PartitionStore(Protocol):
 
     @property
     def spilled_bytes(self) -> int:
-        """Bytes this store wrote to disk (0 for the in-memory tiers)."""
+        """Bytes this store wrote to disk (0 for the memory tier)."""
         ...
 
     def append(self, rows: np.ndarray) -> None:
@@ -439,29 +332,21 @@ def _partition_shape(dimension: int | None, capacity) -> tuple:
     return (capacity, dimension)
 
 
-class _GrowableStore:
-    """Shared capacity-doubling append logic of the two in-memory tiers."""
+class MemoryPartitionStore:
+    """Partition rows in a plain NumPy array in the coordinator's address space.
+
+    The right tier for the serial and thread backends, whose reducers
+    share the coordinator's memory. The array grows geometrically
+    (amortised O(1) appends). The sealed handle pickles its rows *by
+    value*, so the tier stays usable (at a copy cost) on every backend.
+    """
+
+    tier = "memory"
 
     def __init__(self, dimension: int | None, dtype: np.dtype, initial_capacity: int) -> None:
         self._dimension = dimension
-        self._dtype = dtype
         self._n = 0
-        self._segment, self._storage = self._allocate(initial_capacity)
-
-    def _shape(self, capacity) -> tuple:
-        return _partition_shape(self._dimension, capacity)
-
-    def _allocate(self, capacity: int):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @staticmethod
-    def _release(segment: shared_memory.SharedMemory | None) -> None:
-        if segment is not None:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
+        self._storage = np.empty(_partition_shape(dimension, initial_capacity), dtype=dtype)
 
     @property
     def n_rows(self) -> int:
@@ -472,66 +357,25 @@ class _GrowableStore:
         return 0
 
     def append(self, rows: np.ndarray) -> None:
-        m = rows.shape[0]
-        needed = self._n + m
+        needed = self._n + rows.shape[0]
         capacity = self._storage.shape[0]
         if needed > capacity:
-            new_segment, grown = self._allocate(max(needed, 2 * capacity))
+            grown = np.empty(
+                _partition_shape(self._dimension, max(needed, 2 * capacity)),
+                dtype=self._storage.dtype,
+            )
             grown[: self._n] = self._storage[: self._n]
-            old_segment, self._segment = self._segment, new_segment
             self._storage = grown
-            self._release(old_segment)
         self._storage[self._n : needed] = rows
         self._n = needed
-
-    def close(self) -> None:
-        if self._segment is not None:
-            self._storage = np.empty(self._shape(0), dtype=self._dtype)
-            segment, self._segment = self._segment, None
-            self._release(segment)
-
-
-class MemoryPartitionStore(_GrowableStore):
-    """Partition rows in a plain NumPy array in the coordinator's address space.
-
-    The right tier for the serial and thread backends, whose reducers
-    share the coordinator's memory. The sealed handle pickles its rows
-    *by value*, so the tier stays usable (at a copy cost) even under the
-    process backend.
-    """
-
-    tier = "memory"
-
-    def _allocate(self, capacity: int):
-        return None, np.empty(self._shape(capacity), dtype=self._dtype)
 
     def finalize(self) -> SharedArray:
         view = self._storage[: self._n]
         view.flags.writeable = False
         return SharedArray(view)
 
-
-class SharedMemoryPartitionStore(_GrowableStore):
-    """Partition rows in a POSIX shared-memory segment.
-
-    The right tier for the process backend: :meth:`finalize` transfers
-    the filled segment to the returned :class:`SharedArray`, which
-    worker processes attach to *by name* instead of receiving a pickled
-    copy. Capacity is bounded by ``/dev/shm`` (typically half of RAM).
-    """
-
-    tier = "shared"
-
-    def _allocate(self, capacity: int):
-        shape = self._shape(capacity)
-        nbytes = int(np.prod(shape)) * self._dtype.itemsize
-        segment = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-        return segment, np.ndarray(shape, dtype=self._dtype, buffer=segment.buf)
-
-    def finalize(self) -> SharedArray:
-        segment = self._segment
-        self._segment = None
-        return SharedArray.from_filled_segment(segment, self._shape(self._n), self._dtype)
+    def close(self) -> None:
+        pass
 
 
 _NPY_HEADER_SIZE = 128
@@ -564,9 +408,8 @@ class DiskPartitionStore:
     keeps no copy), a placeholder header is rewritten with the true
     shape at finalize time, and the sealed partition is reopened as a
     read-only :class:`numpy.memmap`. Worker processes unpickling the
-    handle open the file by path — no row data is ever pickled — so the
-    tier mirrors the shared-memory by-name handoff while being bounded
-    by disk instead of ``/dev/shm``.
+    handle open the file by path, so no row data is ever pickled; the
+    tier is bounded by disk rather than by RAM.
     """
 
     tier = "disk"
@@ -618,7 +461,7 @@ class DiskPartitionStore:
                 pass
 
 
-_STORAGE_TIERS = ("disk", "memory", "shared")
+_STORAGE_TIERS = ("disk", "memory")
 
 
 def available_storage_tiers() -> tuple[str, ...]:
@@ -626,36 +469,47 @@ def available_storage_tiers() -> tuple[str, ...]:
     return ("auto",) + _STORAGE_TIERS
 
 
+def check_storage_tier(storage: str, *, allow_auto: bool = True) -> str:
+    """Return ``storage`` if it names a tier, else raise :class:`InvalidParameterError`.
+
+    ``allow_auto=False`` also rejects ``"auto"``, for callers that need a
+    concrete tier (resolve ``"auto"`` with :func:`resolve_storage` first).
+    """
+    accepted = available_storage_tiers() if allow_auto else _STORAGE_TIERS
+    if storage not in accepted:
+        raise InvalidParameterError(
+            f"unknown storage tier {storage!r}; available: {', '.join(accepted)}"
+        )
+    return storage
+
+
 def resolve_storage(
     storage: str | None,
     *,
-    backend: "ExecutorBackend | None" = None,
+    backend: "ExecutorBackend | str | None" = None,
     estimated_bytes: int | None = None,
     memory_budget_bytes: int | None = None,
 ) -> str:
-    """Turn a storage knob (``"auto"``/``"memory"``/``"shared"``/``"disk"``) into a tier.
+    """Turn a storage knob (``"auto"``/``"memory"``/``"disk"``) into a tier.
 
-    ``"auto"`` (or ``None``) preserves the historical pairing — shared
-    memory under a backend with ``uses_shared_memory`` (the process
-    pool), plain in-process arrays otherwise — unless a
+    ``"auto"`` (or ``None``) picks ``"disk"`` when a
     ``memory_budget_bytes`` is given and the shuffle's estimated
     partition-tier footprint exceeds it (or is unknown, for unsized
-    streams), in which case the shuffle spills to disk.
+    streams), and ``"disk"`` under the process pool, whose workers then
+    memory-map the sealed partitions instead of unpickling their rows.
+    Every other backend (serial, threads, distributed) gets
+    ``"memory"``. ``backend`` is a backend instance or a backend name;
+    the rule reads only its name.
     """
     if storage is None:
         storage = "auto"
-    if storage in _STORAGE_TIERS:
+    if check_storage_tier(storage) != "auto":
         return storage
-    if storage != "auto":
-        raise InvalidParameterError(
-            f"unknown storage tier {storage!r}; available: "
-            f"{', '.join(available_storage_tiers())}"
-        )
     if memory_budget_bytes is not None and (
         estimated_bytes is None or estimated_bytes > memory_budget_bytes
     ):
         return "disk"
-    return "shared" if getattr(backend, "uses_shared_memory", False) else "memory"
+    return "disk" if getattr(backend, "name", backend) == "processes" else "memory"
 
 
 class PartitionBuffer:
@@ -666,21 +520,18 @@ class PartitionBuffer:
     full ``(n, d)`` matrix. The buffer validates and counts rows and
     delegates storage to a :class:`PartitionStore`:
 
-    * ``storage="memory"`` — a plain NumPy array in the current address
-      space (:class:`MemoryPartitionStore`);
-    * ``storage="shared"`` — a POSIX shared-memory segment
-      (:class:`SharedMemoryPartitionStore`);
-    * ``storage="disk"`` — an on-disk ``.npy`` spill file
-      (:class:`DiskPartitionStore`; requires ``spill_dir``).
+    * ``storage="memory"`` (default) — a plain NumPy array in the
+      current address space (:class:`MemoryPartitionStore`); it grows
+      geometrically (amortised O(1) appends; for unknown-length streams
+      the overshoot is at most 2x the partition size, and exact-size
+      preallocation is available through ``initial_capacity``);
+    * ``storage="disk"`` — an on-disk ``.npy`` spill file that rows are
+      appended straight to (:class:`DiskPartitionStore`; requires
+      ``spill_dir``).
 
-    The legacy ``shared=`` flag maps to ``"shared"``/``"memory"`` when
-    ``storage`` is not given. The in-memory tiers grow geometrically
-    (amortised O(1) appends; for unknown-length streams the overshoot is
-    at most 2x the partition size, and exact-size preallocation is
-    available through ``initial_capacity``); the disk tier appends
-    straight to its file. ``dimension=None`` stores scalar rows (a 1-d
-    buffer), which the drivers use for the global-index column that
-    rides along with each partition's points.
+    ``dimension=None`` stores scalar rows (a 1-d buffer), which the
+    drivers use for the global-index column that rides along with each
+    partition's points.
     """
 
     def __init__(
@@ -688,22 +539,15 @@ class PartitionBuffer:
         dimension: int | None,
         *,
         dtype=np.float64,
-        shared: bool = False,
         initial_capacity: int = 1024,
-        storage: str | None = None,
+        storage: str = "memory",
         spill_dir: str | None = None,
     ) -> None:
         if dimension is not None and dimension < 1:
             raise InvalidParameterError("dimension must be >= 1 (or None for 1-d rows)")
         if initial_capacity < 1:
             raise InvalidParameterError("initial_capacity must be >= 1")
-        if storage is None:
-            storage = "shared" if shared else "memory"
-        if storage not in _STORAGE_TIERS:
-            raise InvalidParameterError(
-                f"unknown storage tier {storage!r}; available: "
-                f"{', '.join(_STORAGE_TIERS)} (resolve 'auto' with resolve_storage())"
-            )
+        check_storage_tier(storage, allow_auto=False)
         self._dimension = None if dimension is None else int(dimension)
         self._dtype = np.dtype(dtype)
         self._finalized = False
@@ -712,10 +556,6 @@ class PartitionBuffer:
                 raise InvalidParameterError("disk partition storage requires a spill_dir")
             self._store: PartitionStore = DiskPartitionStore(
                 self._dimension, self._dtype, spill_dir
-            )
-        elif storage == "shared":
-            self._store = SharedMemoryPartitionStore(
-                self._dimension, self._dtype, int(initial_capacity)
             )
         else:
             self._store = MemoryPartitionStore(
@@ -732,17 +572,12 @@ class PartitionBuffer:
 
     @property
     def storage_tier(self) -> str:
-        """Name of the tier the rows live on (``"memory"``/``"shared"``/``"disk"``)."""
+        """Name of the tier the rows live on (``"memory"`` or ``"disk"``)."""
         return self._store.tier
 
     @property
-    def shared(self) -> bool:
-        """Whether the buffer lives in POSIX shared memory."""
-        return self._store.tier == "shared"
-
-    @property
     def spilled_bytes(self) -> int:
-        """Bytes this buffer wrote to disk (0 for the in-memory tiers)."""
+        """Bytes this buffer wrote to disk (0 for the memory tier)."""
         return self._store.spilled_bytes
 
     def append(self, rows) -> None:
@@ -765,8 +600,8 @@ class PartitionBuffer:
         """Seal the buffer and return its contents as a read-only :class:`SharedArray`.
 
         Zero-copy: the returned wrapper views the buffer's own storage
-        (the shared-memory segment or spill file transfers to it for the
-        out-of-line tiers). The buffer cannot be appended to afterwards.
+        (on the disk tier, the spill file transfers to it). The buffer
+        cannot be appended to afterwards.
         """
         if self._finalized:
             raise InvalidParameterError("PartitionBuffer already finalized")
@@ -807,9 +642,6 @@ class SerialBackend:
     """Reference backend: reducers run sequentially in the calling process."""
 
     name = "serial"
-    #: Reducers share the coordinator's address space; shuffle partition
-    #: buffers can live on the plain heap.
-    uses_shared_memory = False
 
     def run_reducers(self, reducer, groups):
         return {key: _timed_reduce(reducer, key, values) for key, values in groups.items()}
@@ -822,7 +654,6 @@ class ThreadBackend:
     """Reducers run concurrently on a thread pool (shared address space, GIL applies)."""
 
     name = "threads"
-    uses_shared_memory = False
 
     def __init__(self, max_workers: int | None = None) -> None:
         self._max_workers = _check_workers(max_workers)
@@ -856,21 +687,18 @@ class ThreadBackend:
 
 
 class ProcessBackend:
-    """Reducers run on a process pool; partitions travel as shared-memory handles.
+    """Reducers run on a process pool; partitions travel as spill-file handles.
 
     Reducer callables (and their group values) are pickled per task, so
     they must be module-level functions or partials thereof. Under
-    ``storage="auto"`` the shuffle places partitions in shared memory,
-    which workers attach to by name. Each worker caps its BLAS at one
+    ``storage="auto"`` the shuffle spills partitions to ``.npy`` files,
+    which workers memory-map by path. Each worker caps its BLAS at one
     thread on start-up (:func:`limit_blas_threads`): the pool already
     runs one process per core, and per-worker BLAS pools would
     oversubscribe them.
     """
 
     name = "processes"
-    #: Reducers run in separate processes; shuffle partition buffers are
-    #: placed in POSIX shared memory so tasks reference them by name.
-    uses_shared_memory = True
 
     def __init__(self, max_workers: int | None = None) -> None:
         self._max_workers = _check_workers(max_workers)

@@ -27,9 +27,6 @@ per worker, not once per task. Partition payloads travel by tier:
   no row data is pickled, and a file already pushed to a worker is never
   pushed twice. ``push_spills=False`` skips the push for same-host
   clusters whose workers can open the coordinator's files directly.
-* shared-memory-tier handles pickle by segment *name* and therefore
-  resolve only on workers sharing the coordinator's ``/dev/shm`` (a
-  loopback cluster); cross-host jobs should use the memory or disk tier.
 
 Failure model
 -------------
@@ -200,9 +197,6 @@ class DistributedBackend:
     """
 
     name = "distributed"
-    #: Workers live in other processes (possibly other hosts); shuffle
-    #: partition buffers default to the by-value memory tier.
-    uses_shared_memory = False
 
     def __init__(
         self,

@@ -29,8 +29,8 @@ then is the reduce phase handed to an
   pickles the reducer callable and its group values, so reducers must be
   module-level functions (or partials of them); in exchange the GIL no
   longer serialises pure-Python reducer work. Shuffle partitions travel
-  as :class:`~repro.mapreduce.backends.SharedArray` handles (a
-  shared-memory segment name or a spill-file path), not as copies. Each
+  as :class:`~repro.mapreduce.backends.SharedArray` handles (under the
+  default ``"auto"`` tier, a spill-file path), not as copies. Each
   pool worker runs one BLAS thread (the pool already has one process per
   core); the coordinator's BLAS keeps its default.
 * ``backend="distributed"`` — reducers run on remote worker daemons over
@@ -113,20 +113,17 @@ and the CLI ``mr-*`` commands) selects a
 :class:`~repro.mapreduce.backends.PartitionStore` tier:
 
 * ``"memory"`` — plain per-partition arrays in the coordinator's
-  address space; the natural tier for the serial and thread backends.
-* ``"shared"`` — POSIX shared-memory segments that process-backend
-  workers attach to by name; bounded by ``/dev/shm`` (typically half of
-  RAM).
+  address space, handed to other processes by value.
 * ``"disk"`` — per-partition ``.npy`` spill files, appended chunk by
   chunk and finalized as read-only :class:`numpy.memmap` matrices that
-  workers open by *path*; bounded by disk instead of ``/dev/shm``, which
-  is what makes single-host datasets beyond shared memory drivable while
-  each reducer still only keeps its ``O(n/ell)`` partition resident.
-* ``"auto"`` (default) — the historical backend pairing (shared memory
-  for the process pool, plain arrays otherwise) unless
+  workers open by *path*. Bounded by disk rather than RAM, so datasets
+  beyond the host's memory stay drivable while each reducer keeps only
+  its ``O(n/ell)`` partition resident.
+* ``"auto"`` (default) — ``"disk"`` on the process pool (a partition
+  crosses a process boundary only as a spill file), ``"memory"`` on the
+  serial, thread and distributed backends; either way ``"disk"`` when
   ``memory_budget_bytes`` is set and the estimated partition-tier
-  footprint exceeds it (or the stream is unsized), in which case the
-  shuffle spills to disk. See
+  footprint exceeds it (or the stream is unsized). See
   :func:`~repro.mapreduce.backends.resolve_storage`.
 
 Every tier produces bit-identical partitions (the routing never
@@ -169,7 +166,7 @@ from .backends import (
     ExecutorBackend,
     PartitionBuffer,
     SharedArray,
-    available_storage_tiers,
+    check_storage_tier,
     resolve_backend,
     resolve_storage,
 )
@@ -266,7 +263,7 @@ class JobStats:
     #: ``O(chunk + coreset)``.
     coordinator_peak_items: int = 0
     #: Partition-storage tier the streamed shuffle used
-    #: (``"memory"``/``"shared"``/``"disk"``); ``None`` when no streamed
+    #: (``"memory"``/``"disk"``); ``None`` when no streamed
     #: shuffle ran.
     storage_tier: str | None = None
     #: Bytes of partition data written to spill files (0 unless the
@@ -367,8 +364,7 @@ class StreamShuffleResult:
     chunk_peak:
         Largest single chunk (in points) the coordinator held in flight.
     storage_tier:
-        Partition-storage tier the shuffle used
-        (``"memory"``/``"shared"``/``"disk"``).
+        Partition-storage tier the shuffle used (``"memory"``/``"disk"``).
     spilled_bytes:
         Bytes of partition data written to spill files (0 unless the
         ``"disk"`` tier ran).
@@ -419,7 +415,7 @@ class MapReduceRuntime:
         module docstring.
     storage:
         Partition-storage tier for :meth:`shuffle_stream`: ``"auto"``
-        (default), ``"memory"``, ``"shared"`` or ``"disk"``. See the
+        (default), ``"memory"`` or ``"disk"``. See the
         "Storage tiers" section of the module docstring.
     spill_dir:
         Directory for ``"disk"``-tier spill files. ``None`` (default)
@@ -427,7 +423,7 @@ class MapReduceRuntime:
         removes; a caller-provided directory is created if missing and
         left in place (only the spill files themselves are deleted).
     memory_budget_bytes:
-        Budget (bytes) for the in-memory partition tiers under
+        Budget (bytes) for the in-memory partition tier under
         ``storage="auto"``: a shuffle whose estimated partition
         footprint exceeds it — or cannot be estimated, for unsized
         streams — spills to disk. ``None`` disables the budget.
@@ -461,11 +457,7 @@ class MapReduceRuntime:
             raise InvalidParameterError("local_memory_limit must be >= 1 or None")
         if max_workers is not None and max_workers < 1:
             raise InvalidParameterError("max_workers must be >= 1")
-        if storage not in available_storage_tiers():
-            raise InvalidParameterError(
-                f"unknown storage tier {storage!r}; available: "
-                f"{', '.join(available_storage_tiers())}"
-            )
+        check_storage_tier(storage)
         if memory_budget_bytes is not None and memory_budget_bytes < 1:
             raise InvalidParameterError("memory_budget_bytes must be >= 1 or None")
         self._local_memory_limit = local_memory_limit
@@ -534,8 +526,8 @@ class MapReduceRuntime:
 
         The sealed partitions are registered with the runtime and
         released by :meth:`close`; on a mid-stream failure every
-        partially-filled buffer (shared segment or spill file) is closed
-        and unlinked before the exception propagates. ``max_chunk_rows``
+        partially-filled buffer (and its spill file) is closed and
+        unlinked before the exception propagates. ``max_chunk_rows``
         re-splits oversized incoming chunks (sources with native
         batching, such as
         :class:`~repro.streaming.stream.GeneratorStream`, may deliver
@@ -545,13 +537,9 @@ class MapReduceRuntime:
         """
         if max_chunk_rows is not None and max_chunk_rows < 1:
             raise InvalidParameterError("max_chunk_rows must be >= 1 (or None)")
-        if storage is not None and storage not in available_storage_tiers():
-            # Validated before any chunk is consumed: a typo'd tier must not
-            # cost a single-pass stream its first chunk.
-            raise InvalidParameterError(
-                f"unknown storage tier {storage!r}; available: "
-                f"{', '.join(available_storage_tiers())}"
-            )
+        # Validated before any chunk is consumed: a typo'd tier must not
+        # cost a single-pass stream its first chunk.
+        storage = self._storage if storage is None else check_storage_tier(storage)
         dtype = np.dtype(dtype)
         hint = partition_size_hint
         if hint is None and router.n_total is not None:
@@ -592,7 +580,7 @@ class MapReduceRuntime:
                             row_bytes += np.dtype(np.intp).itemsize
                         estimated_bytes = router.n_total * row_bytes
                     tier = resolve_storage(
-                        storage if storage is not None else self._storage,
+                        storage,
                         backend=self._backend,
                         estimated_bytes=estimated_bytes,
                         memory_budget_bytes=self._memory_budget_bytes,
@@ -666,9 +654,8 @@ class MapReduceRuntime:
                     sealed.append(index_parts[-1])
         except BaseException:
             # A failure (or interrupt) mid-shuffle must not strand the
-            # partially-filled shared segments / spill files — nor any
-            # partition already sealed when a later finalize fails —
-            # until process exit.
+            # partially-filled spill files — nor any partition already
+            # sealed when a later finalize fails — until process exit.
             for handle in sealed:
                 handle.close()
             for buffer in (buffers or []) + (index_buffers or []):

@@ -114,10 +114,10 @@ class TestPlanStorageTier:
         assert plan.predicted_spill_bytes == plan.partition_tier_bytes > 0
 
     def test_auto_selects_backend_natural_tier(self):
-        shared = plan_mapreduce(
+        processes = plan_mapreduce(
             100_000, 10, doubling_dimension=2, backend="processes"
         )
-        assert shared.storage == "shared"
+        assert processes.storage == "disk"
         memory = plan_mapreduce(
             100_000, 10, doubling_dimension=2, backend="serial"
         )
@@ -156,8 +156,39 @@ class TestPlanStorageTier:
     def test_unknown_storage_rejected(self):
         from repro.exceptions import InvalidParameterError
 
-        with pytest.raises(InvalidParameterError):
-            plan_mapreduce(1000, 5, storage="tape")
+        for storage in ("tape", "shared"):
+            with pytest.raises(InvalidParameterError, match="storage tier"):
+                plan_mapreduce(1000, 5, storage=storage)
+
+
+class TestPlanMatchesRuntime:
+    """The planner and the runtime resolve ``storage="auto"`` by one rule."""
+
+    @pytest.mark.parametrize("budget", ("none", "tight", "generous"))
+    @pytest.mark.parametrize("backend", ("serial", "threads", "processes"))
+    def test_planned_tier_is_the_tier_a_run_picks(self, medium_blobs, backend, budget):
+        from repro.core import MapReduceKCenter
+        from repro.streaming import ArrayStream
+
+        n, d = medium_blobs.shape
+        footprint = n * (d * 8 + 8)
+        memory_budget_bytes = {
+            "none": None, "tight": footprint // 2, "generous": 10 * footprint
+        }[budget]
+        plan = plan_mapreduce(
+            n, 4, doubling_dimension=2, backend=backend, point_dimension=d,
+            memory_budget_bytes=memory_budget_bytes,
+        )
+        result = MapReduceKCenter(
+            4, ell=4, coreset_multiplier=2, random_state=0, backend=backend,
+            max_workers=2,
+        ).fit_stream(
+            ArrayStream(medium_blobs), chunk_size=128,
+            memory_budget_bytes=memory_budget_bytes,
+        )
+        assert result.stats.storage_tier == plan.storage
+        spills = budget == "tight" or backend == "processes"
+        assert plan.storage == ("disk" if spills else "memory")
 
 
 class TestPlanDistributed:
@@ -176,8 +207,8 @@ class TestPlanDistributed:
         assert plan.suggested_workers == min(3, plan.ell)
 
     def test_distributed_auto_storage_is_memory_tier(self):
-        # Distributed workers cannot attach the coordinator's /dev/shm:
-        # the auto tier must be by-value memory, not shared.
+        # Distributed workers may run on other hosts: the auto tier must
+        # be by-value memory, not a coordinator-side spill file.
         plan = plan_mapreduce(
             100_000, 10, doubling_dimension=2, workers=2, point_dimension=4,
         )

@@ -44,6 +44,12 @@ def regroup_mapper(_key, value):
     yield (0, value)
 
 
+def describing_reducer(key, values):
+    (part,) = values
+    array = part.array
+    yield (key, (float(array.sum()), isinstance(array, np.memmap), array.flags.writeable))
+
+
 class TestResolveBackend:
     def test_available_backends(self):
         assert available_backends() == ("distributed", "processes", "serial", "threads")
@@ -118,12 +124,37 @@ class TestRoundEquivalence:
 
 
 class TestSharedArray:
-    def test_close_is_idempotent(self):
-        buffer = PartitionBuffer(2, shared=True, initial_capacity=2)
+    def test_close_is_idempotent(self, tmp_path):
+        buffer = PartitionBuffer(2, storage="disk", spill_dir=str(tmp_path))
         buffer.append(np.zeros((2, 2)))
-        shared = buffer.finalize()
-        shared.close()
-        shared.close()
+        sealed = buffer.finalize()
+        sealed.close()
+        sealed.close()
+        assert list(tmp_path.glob("*.npy")) == []
+
+    def test_memory_handle_close_is_idempotent(self):
+        buffer = PartitionBuffer(2, storage="memory")
+        buffer.append(np.ones((2, 2)))
+        sealed = buffer.finalize()
+        sealed.close()
+        sealed.close()
+        np.testing.assert_array_equal(sealed.array, np.ones((2, 2)))
+
+    def test_disk_handle_reaches_a_pool_worker_as_a_mapped_file(self, tmp_path):
+        # A process-pool reducer gets the spill file's path and maps it
+        # read-only; the rows are never pickled.
+        buffer = PartitionBuffer(3, storage="disk", spill_dir=str(tmp_path))
+        rows = np.arange(30.0).reshape(10, 3)
+        buffer.append(rows)
+        sealed = buffer.finalize()
+        try:
+            with MapReduceRuntime(backend="processes", max_workers=1) as runtime:
+                output = runtime.execute_round(
+                    [(0, sealed)], regroup_mapper, describing_reducer
+                )
+            assert output == [(0, (float(rows.sum()), True, False))]
+        finally:
+            sealed.close()
 
 
 class TestBackendLifecycle:

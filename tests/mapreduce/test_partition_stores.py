@@ -1,11 +1,12 @@
 """Unit tests for the partition storage tiers behind the out-of-core shuffle.
 
-Covers the three :class:`~repro.mapreduce.backends.PartitionStore`
-implementations (in-process arrays, POSIX shared memory, on-disk
-``.npy`` spill files), the tier-resolution logic of
-:func:`~repro.mapreduce.backends.resolve_storage`, and the pickling
-contracts of the sealed :class:`~repro.mapreduce.backends.SharedArray`
-handles (by name / by path / by value).
+Covers the two :class:`~repro.mapreduce.backends.PartitionStore`
+implementations (in-process arrays, on-disk ``.npy`` spill files), the
+tier-resolution logic of :func:`~repro.mapreduce.backends.resolve_storage`,
+and the contracts of the sealed
+:class:`~repro.mapreduce.backends.SharedArray` handles (pickled by path
+or by value, copied on request, rejecting a spill file whose header
+disagrees with the handle).
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from repro.mapreduce import (
     PartitionBuffer,
     ProcessBackend,
     SerialBackend,
+    SharedArray,
+    ThreadBackend,
     available_storage_tiers,
     resolve_storage,
 )
 
-STORAGE_TIERS = ("memory", "shared", "disk")
+STORAGE_TIERS = ("memory", "disk")
 
 
 def _buffer(storage, tmp_path, dimension=3, **kwargs):
@@ -115,6 +118,47 @@ class TestAllTiers:
         if storage == "disk":
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("storage", STORAGE_TIERS)
+    def test_array_copy_true_returns_a_writeable_copy(self, storage, tmp_path):
+        buffer = _buffer(storage, tmp_path)
+        buffer.append(np.arange(12.0).reshape(4, 3))
+        sealed = buffer.finalize()
+        try:
+            copied = np.array(sealed, copy=True)
+            assert copied.flags.writeable
+            assert not np.shares_memory(copied, sealed.array)
+            np.testing.assert_array_equal(copied, sealed.array)
+            # Without copy=True the stored read-only rows are handed out.
+            assert np.shares_memory(np.asarray(sealed), sealed.array)
+        finally:
+            sealed.close()
+
+
+    @pytest.mark.parametrize("storage", STORAGE_TIERS)
+    def test_array_copy_false_hands_out_the_stored_rows(self, storage, tmp_path):
+        buffer = _buffer(storage, tmp_path)
+        buffer.append(np.arange(12.0).reshape(4, 3))
+        sealed = buffer.finalize()
+        try:
+            view = np.array(sealed, copy=False)
+            assert np.shares_memory(view, sealed.array)
+            assert not view.flags.writeable
+        finally:
+            sealed.close()
+
+    @pytest.mark.parametrize("storage", STORAGE_TIERS)
+    def test_array_dtype_conversion_returns_a_converted_copy(self, storage, tmp_path):
+        buffer = _buffer(storage, tmp_path)
+        buffer.append(np.arange(12.0).reshape(4, 3))
+        sealed = buffer.finalize()
+        try:
+            converted = np.asarray(sealed, dtype=np.float32)
+            assert converted.dtype == np.float32
+            assert not np.shares_memory(converted, sealed.array)
+            np.testing.assert_array_equal(converted, np.arange(12.0).reshape(4, 3))
+        finally:
+            sealed.close()
+
 
 class TestDiskTier:
     def test_spilled_bytes_counts_both_appends(self, tmp_path):
@@ -124,11 +168,10 @@ class TestDiskTier:
         assert buffer.spilled_bytes == 16 * 4 * 8
 
     def test_memory_tiers_report_zero_spill(self, tmp_path):
-        for storage in ("memory", "shared"):
-            buffer = _buffer(storage, tmp_path)
-            buffer.append(np.zeros((4, 3)))
-            assert buffer.spilled_bytes == 0
-            buffer.close()
+        buffer = _buffer("memory", tmp_path)
+        buffer.append(np.zeros((4, 3)))
+        assert buffer.spilled_bytes == 0
+        buffer.close()
 
     def test_finalized_file_is_a_valid_npy(self, tmp_path):
         rows = np.arange(30.0).reshape(10, 3)
@@ -181,6 +224,16 @@ class TestDiskTier:
         with pytest.raises(InvalidParameterError, match="spill_dir"):
             PartitionBuffer(3, storage="disk")
 
+    def test_spill_file_disagreeing_with_the_handle_rejected(self, tmp_path):
+        # A replaced or truncated spill file must fail loudly on attach,
+        # not hand a reducer the wrong rows.
+        path = tmp_path / "part-replaced.npy"
+        np.save(path, np.zeros((5, 3)))
+        with pytest.raises(InvalidParameterError, match="expected"):
+            SharedArray.from_spill_file(str(path), (4, 3), np.float64)
+        with pytest.raises(InvalidParameterError, match="expected"):
+            SharedArray.from_spill_file(str(path), (5, 3), np.intp)
+
     def test_dtype_preserved(self, tmp_path):
         buffer = _buffer("disk", tmp_path, dimension=None, dtype=np.intp)
         buffer.append(np.arange(7))
@@ -206,7 +259,7 @@ class TestMemoryTierPickling:
 
 class TestResolveStorage:
     def test_available_tiers(self):
-        assert available_storage_tiers() == ("auto", "disk", "memory", "shared")
+        assert available_storage_tiers() == ("auto", "disk", "memory")
 
     def test_explicit_tiers_pass_through(self):
         for tier in STORAGE_TIERS:
@@ -217,7 +270,8 @@ class TestResolveStorage:
         try:
             assert resolve_storage("auto", backend=serial) == "memory"
             assert resolve_storage(None, backend=serial) == "memory"
-            assert resolve_storage("auto", backend=processes) == "shared"
+            assert resolve_storage("auto", backend=ThreadBackend(2)) == "memory"
+            assert resolve_storage("auto", backend=processes) == "disk"
         finally:
             processes.close()
 
@@ -246,7 +300,11 @@ class TestResolveStorage:
         )
 
     def test_unknown_tier_rejected(self):
+        for storage in ("tape", "shared"):
+            with pytest.raises(InvalidParameterError, match="storage tier"):
+                resolve_storage(storage)
+            with pytest.raises(InvalidParameterError, match="storage tier"):
+                PartitionBuffer(2, storage=storage)
+        # A buffer needs a concrete tier; "auto" is resolved before it.
         with pytest.raises(InvalidParameterError, match="storage tier"):
-            resolve_storage("tape")
-        with pytest.raises(InvalidParameterError, match="storage tier"):
-            PartitionBuffer(2, storage="tape")
+            PartitionBuffer(2, storage="auto")

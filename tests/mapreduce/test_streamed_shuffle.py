@@ -3,16 +3,17 @@
 Covers the growable :class:`~repro.mapreduce.backends.PartitionBuffer`
 (on every storage tier), the
 :meth:`~repro.mapreduce.runtime.MapReduceRuntime.shuffle_stream` entry
-point on all three backends x all three tiers, the coordinator-side
-memory accounting that the streamed path is designed to bound, and the
-no-orphans guarantee on mid-stream failures (no stranded ``/dev/shm``
-segments, no stranded spill files).
+point on all three backends x both tiers, the coordinator-side memory
+accounting that the streamed path is designed to bound, and the
+no-orphans guarantee on mid-stream failures (no stranded spill files,
+no spill-file mappings pinned in reused pool workers).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,28 +28,21 @@ from repro.mapreduce import (
 )
 
 BACKENDS = ("serial", "threads", "processes")
-STORAGE_TIERS = ("memory", "shared", "disk")
-
-
-def _shm_entries() -> set:
-    """Names currently present in /dev/shm (POSIX shared-memory segments)."""
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
+STORAGE_TIERS = ("memory", "disk")
 
 
 def _forward_mapper(key, value):
     yield (key, value)
 
 
-def _worker_cache_probe(key, values):
-    """Reducer reporting how many segment attachments the worker still caches."""
-    from repro.mapreduce.backends import _ATTACHED_SEGMENTS, _evict_released_segments
-
+def _spill_mapping_probe(key, values):
+    """Reducer reporting how many deleted spill files the worker still maps."""
     del values
-    _evict_released_segments()
-    yield (key, len(_ATTACHED_SEGMENTS))
+    with open("/proc/self/maps") as maps:
+        count = sum(
+            1 for line in maps if "part-" in line and line.rstrip().endswith(".npy (deleted)")
+        )
+    yield (key, count)
 
 
 def _chunks(points, size):
@@ -56,11 +50,20 @@ def _chunks(points, size):
         yield points[start : start + size]
 
 
+def _tier_buffer(storage, tmp_path, dimension, **kwargs):
+    return PartitionBuffer(
+        dimension,
+        storage=storage,
+        spill_dir=str(tmp_path) if storage == "disk" else None,
+        **kwargs,
+    )
+
+
 class TestPartitionBuffer:
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_append_and_finalize_roundtrip(self, shared):
+    @pytest.mark.parametrize("storage", STORAGE_TIERS)
+    def test_append_and_finalize_roundtrip(self, storage, tmp_path):
         rows = np.arange(24.0).reshape(8, 3)
-        buffer = PartitionBuffer(3, shared=shared, initial_capacity=2)
+        buffer = _tier_buffer(storage, tmp_path, 3, initial_capacity=2)
         buffer.append(rows[:5])
         buffer.append(rows[5:])
         sealed = buffer.finalize()
@@ -70,9 +73,9 @@ class TestPartitionBuffer:
         finally:
             sealed.close()
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_growth_preserves_prefix(self, shared):
-        buffer = PartitionBuffer(2, shared=shared, initial_capacity=1)
+    @pytest.mark.parametrize("storage", STORAGE_TIERS)
+    def test_growth_preserves_prefix(self, storage, tmp_path):
+        buffer = _tier_buffer(storage, tmp_path, 2, initial_capacity=1)
         expected = []
         for block in range(10):
             rows = np.full((3, 2), float(block))
@@ -90,16 +93,6 @@ class TestPartitionBuffer:
         sealed = buffer.finalize()
         np.testing.assert_array_equal(sealed.array, np.arange(10))
 
-    def test_shared_buffer_pickles_by_name(self):
-        buffer = PartitionBuffer(2, shared=True, initial_capacity=4)
-        buffer.append(np.ones((3, 2)))
-        sealed = buffer.finalize()
-        try:
-            attached = pickle.loads(pickle.dumps(sealed))
-            np.testing.assert_array_equal(attached.array, np.ones((3, 2)))
-        finally:
-            sealed.close()
-
     def test_append_after_finalize_rejected(self):
         buffer = PartitionBuffer(2)
         buffer.append(np.zeros((1, 2)))
@@ -111,12 +104,6 @@ class TestPartitionBuffer:
         buffer = PartitionBuffer(3)
         with pytest.raises(InvalidParameterError):
             buffer.append(np.zeros((2, 2)))
-
-    def test_close_without_finalize_releases_segment(self):
-        buffer = PartitionBuffer(2, shared=True)
-        buffer.append(np.zeros((2, 2)))
-        buffer.close()
-        buffer.close()  # idempotent
 
 
 class TestShuffleStream:
@@ -203,40 +190,37 @@ class TestShuffleStream:
             with pytest.raises(InvalidParameterError, match="dimension"):
                 runtime.shuffle_stream(chunks(), ChunkRouter(2, "round_robin"))
 
-    def test_reused_process_pool_does_not_accumulate_attachments(self, medium_blobs):
-        # Regression: a long-lived caller-owned process pool reused across
-        # many fit_stream runs used to pin every run's partition segments
-        # in the workers forever (the attachment cache had no eviction).
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
+    )
+    def test_reused_process_pool_does_not_accumulate_spill_mappings(
+        self, medium_blobs
+    ):
+        # A long-lived caller-owned pool reused across many disk-tier runs
+        # must not keep every run's (deleted) spill files mapped: a worker
+        # holds on to at most the last run or two, however many ran.
         from repro.core import MapReduceKCenter
         from repro.streaming import ArrayStream
 
-        backend = ProcessBackend(max_workers=1)
-        try:
-            for seed in range(3):
+        def run_and_probe(backend, runs):
+            for seed in range(runs):
                 MapReduceKCenter(
                     4, ell=4, coreset_multiplier=2, random_state=seed, backend=backend
-                ).fit_stream(ArrayStream(medium_blobs), chunk_size=128)
+                ).fit_stream(ArrayStream(medium_blobs), chunk_size=128, storage="disk")
             with MapReduceRuntime(backend=backend) as runtime:
                 output = runtime.execute_round(
-                    [(0, [None])], _forward_mapper, _worker_cache_probe
+                    [(0, [None])], _forward_mapper, _spill_mapping_probe
                 )
-            # Every prior run's segments were unlinked by its runtime close;
-            # nothing references them in the worker, so all are evicted.
-            assert output[0][1] == 0
+            return output[0][1]
+
+        backend = ProcessBackend(max_workers=1)
+        try:
+            after_few = run_and_probe(backend, 2)
+            after_many = run_and_probe(backend, 10)
         finally:
             backend.close()
-
-    def test_close_releases_shared_partitions(self, medium_blobs):
-        runtime = MapReduceRuntime(backend="processes", max_workers=2)
-        router = ChunkRouter(3, "round_robin")
-        result = runtime.shuffle_stream(_chunks(medium_blobs, 100), router)
-        segment_names = [part._meta[0] for part in result.parts]
-        runtime.close()
-        from multiprocessing import shared_memory
-
-        for name in segment_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        # One run seals 2 * ell = 8 spill files (points and indices).
+        assert after_many <= max(after_few, 2 * 8)
 
 
 class TestStorageTiers:
@@ -315,7 +299,7 @@ class TestStorageTiers:
             result = runtime.shuffle_stream(
                 _chunks(medium_blobs, 100), ChunkRouter(4, "round_robin")
             )
-            assert result.storage_tier == "shared"
+            assert result.storage_tier == "disk"
 
     def test_auto_spills_for_unsized_stream_under_budget(self, medium_blobs, tmp_path):
         # No length declared -> the footprint cannot be estimated -> spill.
@@ -339,24 +323,33 @@ class TestStorageTiers:
         assert list(target.glob("*.npy")) == []
 
     def test_unknown_tier_rejected(self):
-        with pytest.raises(InvalidParameterError, match="storage tier"):
-            MapReduceRuntime(storage="tape")
-        with MapReduceRuntime() as runtime:
+        from repro.core import MapReduceKCenter
+        from repro.streaming import ArrayStream
+
+        solver = MapReduceKCenter(2, ell=2, coreset_multiplier=2, random_state=0)
+        for storage in ("tape", "shared"):
             with pytest.raises(InvalidParameterError, match="storage tier"):
-                runtime.shuffle_stream(
-                    _chunks(np.zeros((4, 2)), 2), ChunkRouter(2, "round_robin"),
-                    storage="tape",
-                )
+                MapReduceRuntime(storage=storage)
+            with MapReduceRuntime() as runtime:
+                with pytest.raises(InvalidParameterError, match="storage tier"):
+                    runtime.shuffle_stream(
+                        _chunks(np.zeros((4, 2)), 2), ChunkRouter(2, "round_robin"),
+                        storage=storage,
+                    )
+            with pytest.raises(InvalidParameterError, match="storage tier"):
+                solver.fit_stream(ArrayStream(np.zeros((8, 2))), storage=storage)
 
     def test_unknown_tier_rejected_before_consuming_the_stream(self):
-        # A typo'd tier must not cost a single-pass source its first chunk.
-        chunks = iter([np.ones((4, 2))])
-        with MapReduceRuntime() as runtime:
-            with pytest.raises(InvalidParameterError, match="storage tier"):
-                runtime.shuffle_stream(
-                    chunks, ChunkRouter(2, "round_robin"), storage="dsik"
-                )
-        assert next(chunks).shape == (4, 2)
+        # A typo'd (or retired) tier must not cost a single-pass source its
+        # first chunk.
+        for storage in ("dsik", "shared"):
+            chunks = iter([np.ones((4, 2))])
+            with MapReduceRuntime() as runtime:
+                with pytest.raises(InvalidParameterError, match="storage tier"):
+                    runtime.shuffle_stream(
+                        chunks, ChunkRouter(2, "round_robin"), storage=storage
+                    )
+            assert next(chunks).shape == (4, 2)
 
 
 class TestShuffleEdgeCases:
@@ -433,17 +426,6 @@ class TestNoOrphansOnFailure:
 
         return chunks()
 
-    def test_shared_tier_failure_leaves_no_shm_orphans(self, medium_blobs):
-        before = _shm_entries()
-        with MapReduceRuntime() as runtime:
-            with pytest.raises(InvalidParameterError):
-                runtime.shuffle_stream(
-                    self._failing_chunks(medium_blobs),
-                    ChunkRouter(3, "round_robin"),
-                    storage="shared",
-                )
-        assert _shm_entries() - before == set()
-
     def test_disk_tier_failure_leaves_no_spill_files(self, medium_blobs, tmp_path):
         with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
             with pytest.raises(InvalidParameterError):
@@ -456,14 +438,14 @@ class TestNoOrphansOnFailure:
             assert list(tmp_path.glob("*.npy")) == []
 
     def test_overdelivery_failure_leaves_no_orphans(self, medium_blobs, tmp_path):
-        before = _shm_entries()
         router = ChunkRouter(2, "contiguous", n_total=medium_blobs.shape[0] - 50)
         with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
             with pytest.raises(InvalidParameterError, match="more than the declared"):
                 runtime.shuffle_stream(
-                    _chunks(medium_blobs, 100), router, storage="shared"
+                    _chunks(medium_blobs, 100), router, storage="disk"
                 )
-        assert _shm_entries() - before == set()
+            # Released immediately on failure, before the runtime closes.
+            assert list(tmp_path.glob("*.npy")) == []
 
     def test_underdelivery_failure_leaves_no_spill_files(self, tmp_path):
         router = ChunkRouter(2, "contiguous", n_total=100)
@@ -478,20 +460,77 @@ class TestNoOrphansOnFailure:
         from repro.core import MapReduceKCenter
         from repro.streaming import GeneratorStream
 
-        before = _shm_entries()
-        solver = MapReduceKCenter(
-            4, ell=4, coreset_multiplier=2, partitioning="round_robin", random_state=0
-        )
-        for storage in ("shared", "disk"):
+        # The disk tier is both the explicit spill tier and the process
+        # pool's "auto" tier: neither path may strand a spill file.
+        for backend in ("serial", "processes"):
+            solver = MapReduceKCenter(
+                4, ell=4, coreset_multiplier=2, partitioning="round_robin",
+                random_state=0, backend=backend, max_workers=2,
+            )
             with pytest.raises(InvalidParameterError):
                 solver.fit_stream(
                     GeneratorStream(self._failing_chunks(medium_blobs)),
                     chunk_size=100,
-                    storage=storage,
+                    storage="disk",
                     spill_dir=str(tmp_path),
                 )
-        assert _shm_entries() - before == set()
         assert list(tmp_path.glob("*.npy")) == []
+
+
+class TestRunOwnedSpillDir:
+    """Without a ``spill_dir`` a run spills into a temporary directory it owns.
+
+    That directory is the process pool's default spill location (its
+    ``"auto"`` tier is the disk tier), so it must be gone once the run
+    ends, whether the run succeeds or fails.
+    """
+
+    @staticmethod
+    def _record_spill_dirs(monkeypatch):
+        created = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def recording_mkdtemp(*args, **kwargs):
+            path = real_mkdtemp(*args, **kwargs)
+            if os.path.basename(path).startswith("repro-spill-"):
+                created.append(path)
+            return path
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+        return created
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_removed_after_fit_stream(self, backend, medium_blobs, monkeypatch):
+        from repro.core import MapReduceKCenter
+        from repro.streaming import ArrayStream
+
+        created = self._record_spill_dirs(monkeypatch)
+        result = MapReduceKCenter(
+            4, ell=4, coreset_multiplier=2, random_state=0, backend=backend,
+            max_workers=2,
+        ).fit_stream(ArrayStream(medium_blobs), chunk_size=128, storage="disk")
+        assert result.stats.spilled_bytes > 0
+        assert len(created) == 1
+        assert not os.path.exists(created[0])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_removed_after_failed_fit_stream(self, backend, medium_blobs, monkeypatch):
+        from repro.core import MapReduceKCenter
+        from repro.streaming import GeneratorStream
+
+        created = self._record_spill_dirs(monkeypatch)
+        solver = MapReduceKCenter(
+            4, ell=4, coreset_multiplier=2, partitioning="round_robin",
+            random_state=0, backend=backend, max_workers=2,
+        )
+        with pytest.raises(InvalidParameterError):
+            solver.fit_stream(
+                GeneratorStream(TestNoOrphansOnFailure._failing_chunks(medium_blobs)),
+                chunk_size=100,
+                storage="disk",
+            )
+        assert len(created) == 1
+        assert not os.path.exists(created[0])
 
 
 class TestEmptyStreams:

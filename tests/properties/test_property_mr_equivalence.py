@@ -8,8 +8,8 @@ must produce **bit-identical** centers, center indices, radii and
 outlier sets across
 
 * every executor backend (serial / threads / processes),
-* every partition-storage tier (in-process memory / POSIX shared memory
-  / disk spill files), and
+* every partition-storage tier (in-process memory / disk spill files),
+  and
 * every chunk size, fed from both an
   :class:`~repro.streaming.stream.ArrayStream` and a single-pass
   :class:`~repro.streaming.stream.GeneratorStream`.
@@ -29,7 +29,7 @@ from repro.exceptions import InvalidParameterError
 from repro.streaming import ArrayStream, GeneratorStream
 
 BACKENDS = ("serial", "threads", "processes")
-STORAGE_TIERS = ("memory", "shared", "disk")
+STORAGE_TIERS = ("memory", "disk")
 CHUNK_SIZES = (64, 251, 4096)
 
 _OUTLIERS_CONTIGUOUS = [
@@ -268,7 +268,7 @@ class TestCoordinatorMemoryBound:
 
 
 class TestStorageTierEquivalence:
-    """All three partition-storage tiers must be bit-identical to ``fit``."""
+    """Both partition-storage tiers must be bit-identical to ``fit``."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
@@ -279,6 +279,23 @@ class TestStorageTierEquivalence:
             ArrayStream(dataset.points), chunk_size=251, storage=storage
         )
         assert streamed.stats.storage_tier == storage
+        _assert_same(streamed, references["kcenter-random"])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_kcenter_auto_tier_matches_the_plan(self, dataset, references, backend):
+        # One "auto" rule serves the planner and the runtime: the tier a
+        # run picks is the one plan_mapreduce predicts for that backend.
+        from repro.core import plan_mapreduce
+
+        n, d = dataset.points.shape
+        plan = plan_mapreduce(
+            n, 6, doubling_dimension=2, backend=backend, point_dimension=d
+        )
+        streamed = _kcenter(backend).fit_stream(
+            ArrayStream(dataset.points), chunk_size=251, storage="auto"
+        )
+        assert streamed.stats.storage_tier == plan.storage
+        assert plan.storage == ("disk" if backend == "processes" else "memory")
         _assert_same(streamed, references["kcenter-random"])
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)

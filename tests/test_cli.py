@@ -130,10 +130,11 @@ class TestMain:
             ])
 
     def test_storage_choices_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["solve", "mr-kcenter", "--from-stream", "--storage", "tape"]
-            )
+        for storage in ("tape", "shared"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["solve", "mr-kcenter", "--from-stream", "--storage", storage]
+                )
 
     def test_from_stream_rejected_on_non_mr_commands(self):
         with pytest.raises(SystemExit):
