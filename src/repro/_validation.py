@@ -18,6 +18,7 @@ __all__ = [
     "check_batch",
     "check_positive_int",
     "check_non_negative_int",
+    "check_non_negative_float",
     "check_epsilon",
     "check_k_z",
     "check_weights",
@@ -102,6 +103,17 @@ def check_non_negative_int(value: Any, *, name: str) -> int:
     value = int(value)
     if value < 0:
         raise InvalidParameterError(f"{name} must be >= 0; got {value}")
+    return value
+
+
+def check_non_negative_float(value: Any, *, name: str) -> float:
+    """Validate that ``value`` is a finite number >= 0 and return it as ``float``."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{name} must be a number; got {value!r}") from exc
+    if not (np.isfinite(value) and value >= 0.0):
+        raise InvalidParameterError(f"{name} must be finite and >= 0; got {value}")
     return value
 
 

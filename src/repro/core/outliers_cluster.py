@@ -14,14 +14,33 @@ it is the second-round workhorse of both the MapReduce and the Streaming
 algorithms for the outlier formulation.
 
 :class:`OutliersClusterSolver` precomputes the pairwise distance matrix
-of ``T`` once (``8 * m**2`` bytes for ``m = |T|``, one ``(m, m)``
+``D`` of ``T`` once (``8 * m**2`` bytes for ``m = |T|``, one ``(m, m)``
 float64 matrix) so that the radius search of
-:mod:`repro.core.radius_search` can probe many radii cheaply. A probe
-reads that matrix by contiguous or gathered rows through a fixed
-``(_BLOCK_ROWS, m)`` float64 buffer, so on top of the cached matrix it
-holds only ``O(_BLOCK_ROWS * m)`` bytes, never another ``(m, m)`` array.
+:mod:`repro.core.radius_search` can probe many radii cheaply.
 :meth:`OutliersClusterSolver.candidate_radii` holds the ``m * (m - 1) / 2``
 upper-triangle distances once, sorted in place.
+
+A probe takes its selection balls from one of two places:
+
+* **The selection graph.** When every weight is an integer and the total
+  is below ``2**53``, the solver keeps the entries ``D[row, col] <= bound``
+  in row-major order (int32 indices, float64 distances). ``bound`` is the
+  largest selection radius probed so far whose balls hold at most
+  ``m * m // 32`` entries. A probe at or below ``bound`` filters the
+  graph once and reads ``D`` only for the rows of its at most ``k``
+  centers. Integer sums below ``2**53`` are exact in any order, so such a
+  probe returns, bit for bit, what the dense pass returns, whichever
+  probes ran before.
+* **The dense pass.** Any other probe thresholds ``D`` in row blocks.
+  Under the same weight condition it first collects the blocks' entries
+  through a one-byte mask; if all of them fit under the cap they become
+  the new graph. From the block that overflows the cap on, and for any
+  other weights, it reads ``D`` by contiguous or gathered rows through a
+  fixed ``(_BLOCK_ROWS, m)`` float64 buffer.
+
+On top of the cached matrix a probe holds ``O(_BLOCK_ROWS * m)`` bytes
+and the graph, whose at most ``m * m / 32`` entries of 16 bytes each take
+at most 1/16 of the matrix's bytes; never another ``(m, m)`` array.
 """
 
 from __future__ import annotations
@@ -30,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import check_positive_int
+from .._validation import check_non_negative_float, check_positive_int
 from ..exceptions import InvalidParameterError
 from ..metricspace.distance import Metric, get_metric
 from ..metricspace.points import WeightedPoints
@@ -40,6 +59,10 @@ __all__ = ["OutliersClusterResult", "OutliersClusterSolver", "outliers_cluster"]
 # Rows of the pairwise matrix thresholded at once by a probe; the probe
 # buffer holds ``_BLOCK_ROWS * m`` float64 values.
 _BLOCK_ROWS = 256
+
+# The selection graph holds at most ``m * m // _GRAPH_FILL`` entries of 16
+# bytes each, so at most 1/16 of the bytes of the pairwise matrix.
+_GRAPH_FILL = 32
 
 
 @dataclass(frozen=True)
@@ -101,12 +124,20 @@ class OutliersClusterSolver:
             raise InvalidParameterError("coreset must be a WeightedPoints instance")
         self._coreset = coreset
         self._k = check_positive_int(k, name="k")
-        if eps_hat < 0:
-            raise InvalidParameterError("eps_hat must be non-negative")
-        self._eps_hat = float(eps_hat)
+        self._eps_hat = check_non_negative_float(eps_hat, name="eps_hat")
         self._metric = get_metric(metric)
         self._pairwise = self._metric.pairwise(coreset.points)
-        self._weights = coreset.weights
+        weights = coreset.weights
+        self._weights = weights
+        # Integer weights with a total below 2**53 sum exactly in any order,
+        # the condition under which a probe may read the selection graph.
+        self._graph_allowed = bool(np.all(weights == np.floor(weights))) and (
+            float(weights.sum()) < 2.0**53
+        )
+        self._graph: _SelectionGraph | None = None
+        # The smallest selection radius whose balls overflowed the graph's
+        # cap; a probe at or above it does not try to build a graph.
+        self._dense_floor = np.inf
 
     # -- read-only properties ---------------------------------------------------------
 
@@ -161,27 +192,21 @@ class OutliersClusterSolver:
         ``(3 + 4*eps_hat) * radius``, stop when ``k`` centers are chosen or
         nothing is left uncovered.
         """
-        if radius < 0:
-            raise InvalidParameterError("radius must be non-negative")
+        if not radius >= 0:  # also rejects NaN
+            raise InvalidParameterError(f"radius must be non-negative; got {radius!r}")
         selection_radius = (1.0 + 2.0 * self._eps_hat) * radius
         coverage_radius = (3.0 + 4.0 * self._eps_hat) * radius
 
         n = len(self._coreset)
-        pairwise, weights = self._pairwise, self._weights
+        pairwise = self._pairwise
         uncovered = np.ones(n, dtype=bool)
         remaining = n
         # ball_weights[j] is the uncovered weight inside the selection ball
-        # of point j. It is built from the cached matrix in row blocks and
-        # then maintained incrementally, so no (n, n) temporary exists. The
-        # sums stay in float64: the proxy weights are integer counts up to
-        # the input size, exact in float64 below 2**53.
-        buffer = np.empty((min(_BLOCK_ROWS, n), n), dtype=np.float64)
-        ball_weights = np.empty(n, dtype=np.float64)
-        for start in range(0, n, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n)
-            block = buffer[: stop - start]
-            np.less_equal(pairwise[start:stop], selection_radius, out=block)
-            np.matmul(block, weights, out=ball_weights[start:stop])
+        # of point j. It is built once per probe and then maintained
+        # incrementally, so no (n, n) temporary exists. The sums stay in
+        # float64: the proxy weights are integer counts up to the input
+        # size, exact in float64 below 2**53.
+        balls, ball_weights = self._selection_balls(selection_radius)
         centers: list[int] = []
 
         while remaining and len(centers) < self._k:
@@ -193,12 +218,11 @@ class OutliersClusterSolver:
             if not remaining or len(centers) == self._k:
                 break
             # Subtract what the newly covered points contributed or rebuild
-            # from the uncovered points, whichever reads fewer rows of D.
+            # from the uncovered points, whichever reads fewer rows.
             if remaining < newly_covered.size:
-                uncovered_rows = np.flatnonzero(uncovered)
-                ball_weights = self._ball_weights_of(uncovered_rows, selection_radius, buffer)
+                ball_weights = balls.weights_of(np.flatnonzero(uncovered))
             else:
-                ball_weights -= self._ball_weights_of(newly_covered, selection_radius, buffer)
+                ball_weights -= balls.weights_of(newly_covered)
 
         return OutliersClusterResult(
             center_indices=np.array(centers, dtype=np.intp),
@@ -207,30 +231,183 @@ class OutliersClusterSolver:
             radius=float(radius),
         )
 
-    def _ball_weights_of(
-        self, rows: np.ndarray, selection_radius: float, buffer: np.ndarray
-    ) -> np.ndarray:
+    def _selection_balls(
+        self, selection_radius: float
+    ) -> tuple[_DenseBalls | _GraphBalls, np.ndarray]:
+        """The balls one probe reads, and the weight inside each of them.
+
+        A probe at or below the graph's bound reads the graph. Any other
+        probe thresholds ``D`` in row blocks. While the ball entries seen so
+        far fit under the graph's cap, it collects them through a 1-byte
+        mask and sums their weights per row; those integer sums equal the
+        block ``matmul``, bit for bit, and skip the float64 buffer. When
+        every block fits, the entries become the new graph. Once a block
+        overflows the cap, the rest of the pass is dense.
+        """
+        pairwise, weights = self._pairwise, self._weights
+        graph = self._graph
+        if graph is not None and selection_radius <= graph.bound:
+            balls = _GraphBalls(graph, selection_radius, weights)
+            return balls, balls.weights_of_all()
+
+        n = pairwise.shape[0]
+        collector = None
+        if self._graph_allowed and selection_radius < self._dense_floor:
+            collector = _GraphCollector(n, selection_radius)
+        buffer = None
+        ball_weights = np.empty(n, dtype=np.float64)
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            if collector is not None:
+                if collector.add(start, pairwise[start:stop], weights, ball_weights[start:stop]):
+                    continue
+                collector = None
+                self._dense_floor = selection_radius
+            if buffer is None:
+                buffer = np.empty((min(_BLOCK_ROWS, n), n), dtype=np.float64)
+            block = buffer[: stop - start]
+            np.less_equal(pairwise[start:stop], selection_radius, out=block)
+            np.matmul(block, weights, out=ball_weights[start:stop])
+        if collector is None:
+            return _DenseBalls(pairwise, weights, selection_radius, buffer), ball_weights
+        self._graph = collector.graph()
+        return _GraphBalls(self._graph, selection_radius, weights), ball_weights
+
+    def uncovered_weight(self, radius: float) -> float:
+        """Total uncovered weight after a run with radius ``radius``."""
+        return self.run(radius).uncovered_weight
+
+
+@dataclass(frozen=True)
+class _SelectionGraph:
+    """The entries ``D[row, col] <= bound`` of the pairwise matrix, row-major."""
+
+    bound: float
+    rows: np.ndarray  # int32
+    cols: np.ndarray  # int32
+    distances: np.ndarray  # float64
+
+
+class _GraphCollector:
+    """Collects the entries of one threshold pass while they fit under the cap."""
+
+    def __init__(self, n: int, bound: float) -> None:
+        capacity = n * n // _GRAPH_FILL
+        self._bound = bound
+        self._rows = np.empty(capacity, dtype=np.int32)
+        self._cols = np.empty(capacity, dtype=np.int32)
+        self._distances = np.empty(capacity, dtype=np.float64)
+        self._size = 0
+        self._inside = np.empty((min(_BLOCK_ROWS, n), n), dtype=bool)
+
+    def add(
+        self, start: int, block: np.ndarray, weights: np.ndarray, ball_weights: np.ndarray
+    ) -> bool:
+        """Collect the rows ``start:start + len(block)`` of ``D``.
+
+        Writes their ball weights into ``ball_weights`` and returns True, or
+        returns False, collecting nothing, when the entries overflow the cap.
+        """
+        inside = self._inside[: block.shape[0]]
+        np.less_equal(block, self._bound, out=inside)
+        stop = self._size + int(np.count_nonzero(inside))
+        if stop > self._rows.size:
+            return False
+        # flatnonzero on the 1-byte mask is several times faster than a
+        # two-dimensional nonzero or any scan of the float64 block.
+        flat = np.flatnonzero(inside)
+        rows = flat // block.shape[1]
+        cols = self._cols[self._size : stop]
+        np.subtract(flat, rows * block.shape[1], out=cols, casting="unsafe")
+        np.add(rows, start, out=self._rows[self._size : stop], casting="unsafe")
+        np.take(block, flat, out=self._distances[self._size : stop], mode="clip")
+        self._size = stop
+        ball_weights[:] = np.bincount(rows, weights=weights[cols], minlength=block.shape[0])
+        return True
+
+    def graph(self) -> _SelectionGraph:
+        """The collected entries as a graph, copied out of the capacity arrays."""
+        size = self._size
+        return _SelectionGraph(
+            self._bound,
+            self._rows[:size].copy(),
+            self._cols[:size].copy(),
+            self._distances[:size].copy(),
+        )
+
+
+class _DenseBalls:
+    """Selection balls read from gathered row blocks of ``D``."""
+
+    def __init__(
+        self,
+        pairwise: np.ndarray,
+        weights: np.ndarray,
+        selection_radius: float,
+        buffer: np.ndarray,
+    ) -> None:
+        self._pairwise = pairwise
+        self._weights = weights
+        self._selection_radius = selection_radius
+        self._buffer = buffer
+
+    def weights_of(self, rows: np.ndarray) -> np.ndarray:
         """Weight of the points ``rows`` inside each point's selection ball.
 
         Entry ``j`` is ``sum(w[i] for i in rows if D[i, j] <= selection_radius)``.
         It reads the rows of ``D`` rather than its columns, which is the
         same thing because ``D`` is symmetric, and gathers them block by
-        block into ``buffer``.
+        block into the buffer.
         """
         total = np.zeros(self._pairwise.shape[0], dtype=np.float64)
         for start in range(0, rows.size, _BLOCK_ROWS):
             block_rows = rows[start : start + _BLOCK_ROWS]
-            block = buffer[: block_rows.size]
+            block = self._buffer[: block_rows.size]
             # mode="clip" writes straight into ``block``; mode="raise"
             # would buffer a copy. The indices are in range either way.
             np.take(self._pairwise, block_rows, axis=0, out=block, mode="clip")
-            np.less_equal(block, selection_radius, out=block)
+            np.less_equal(block, self._selection_radius, out=block)
             total += self._weights[block_rows] @ block
         return total
 
-    def uncovered_weight(self, radius: float) -> float:
-        """Total uncovered weight after a run with radius ``radius``."""
-        return self.run(radius).uncovered_weight
+
+class _GraphBalls:
+    """Selection balls read from the selection graph, filtered once per probe."""
+
+    def __init__(
+        self, graph: _SelectionGraph, selection_radius: float, weights: np.ndarray
+    ) -> None:
+        rows, cols = graph.rows, graph.cols
+        if selection_radius < graph.bound:
+            keep = graph.distances <= selection_radius
+            rows, cols = rows[keep], cols[keep]
+        self._rows, self._cols = rows, cols
+        self._weights = weights
+        # The filtered entries stay row-major: row i's are at
+        # [starts[i], starts[i] + sizes[i]).
+        self._sizes = np.bincount(rows, minlength=weights.size)
+        self._starts = np.cumsum(self._sizes) - self._sizes
+
+    def weights_of_all(self) -> np.ndarray:
+        """Weight of all points inside each point's selection ball."""
+        return np.bincount(
+            self._rows, weights=self._weights[self._cols], minlength=self._weights.size
+        )
+
+    def weights_of(self, rows: np.ndarray) -> np.ndarray:
+        """Weight of the points ``rows`` inside each point's selection ball.
+
+        The same sums as :meth:`_DenseBalls.weights_of`, read from the
+        graph entries of ``rows``.
+        """
+        sizes = self._sizes[rows]
+        ends = np.cumsum(sizes)
+        entries = np.arange(int(sizes.sum())) + np.repeat(self._starts[rows] - ends + sizes, sizes)
+        return np.bincount(
+            self._cols[entries],
+            weights=np.repeat(self._weights[rows], sizes),
+            minlength=self._weights.size,
+        )
 
 
 def outliers_cluster(

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .._validation import check_non_negative_int
-from ..exceptions import InvalidParameterError, RadiusSearchError
+from .._validation import check_non_negative_float, check_non_negative_int
+from ..exceptions import RadiusSearchError
 from .outliers_cluster import OutliersClusterResult, OutliersClusterSolver
 
 __all__ = ["RadiusSearchResult", "search_radius", "delta_for"]
@@ -31,8 +31,7 @@ def delta_for(eps_hat: float) -> float:
     degenerates to 0; callers then skip the geometric refinement and the
     binary search alone decides.
     """
-    if eps_hat < 0:
-        raise InvalidParameterError("eps_hat must be non-negative")
+    eps_hat = check_non_negative_float(eps_hat, name="eps_hat")
     if eps_hat == 0:
         return 0.0
     return eps_hat / (3.0 + 4.0 * eps_hat)
@@ -87,6 +86,8 @@ def search_radius(
 
     Raises
     ------
+    InvalidParameterError
+        If ``delta`` is negative, NaN or infinite.
     RadiusSearchError
         If either geometric loop exhausts ``max_geometric_steps`` without
         establishing its invariant — the upward doubling fallback without
@@ -109,8 +110,9 @@ def search_radius(
     z = check_non_negative_int(z, name="z")
     if delta is None:
         delta = delta_for(solver.eps_hat)
-    if delta < 0:
-        raise InvalidParameterError("delta must be non-negative")
+    # A NaN delta would skip the geometric refinement and so drop the
+    # (1 + delta) guarantee without a word.
+    delta = check_non_negative_float(delta, name="delta")
 
     probes = 0
 

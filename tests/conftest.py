@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.datasets import GaussianMixtureSpec, gaussian_mixture, inject_outliers
+
+# The test-only references in tests/properties (``_reference_*.py``) are
+# importable from every test directory.
+sys.path.insert(0, str(Path(__file__).parent / "properties"))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,11 @@ from repro.core.outliers_cluster import OutliersClusterResult
 from repro.evaluation import optimal_kcenter_with_outliers_radius
 from repro.exceptions import InvalidParameterError
 from repro.metricspace import WeightedPoints
+
+from _reference_outliers_cluster import ReferenceSolver, naive_run, reference_candidates
+
+# The module, not the ``outliers_cluster`` function that repro.core exports.
+solver_module = importlib.import_module("repro.core.outliers_cluster")
 
 
 def _unit_coreset(points: np.ndarray) -> WeightedPoints:
@@ -98,9 +104,21 @@ class TestOutliersClusterSolver:
         with pytest.raises(InvalidParameterError):
             solver.run(radius=-1.0)
 
+    def test_nan_radius_rejected(self, small_blobs):
+        # NaN compares false with every distance: without the check, the run
+        # picked center 0 k times and left every point uncovered.
+        solver = OutliersClusterSolver(_unit_coreset(small_blobs), k=2)
+        with pytest.raises(InvalidParameterError):
+            solver.run(radius=float("nan"))
+
     def test_negative_eps_hat_rejected(self, small_blobs):
         with pytest.raises(InvalidParameterError):
             OutliersClusterSolver(_unit_coreset(small_blobs), k=2, eps_hat=-0.1)
+
+    @pytest.mark.parametrize("eps_hat", (float("nan"), float("inf")))
+    def test_non_finite_eps_hat_rejected(self, small_blobs, eps_hat):
+        with pytest.raises(InvalidParameterError):
+            OutliersClusterSolver(_unit_coreset(small_blobs), k=2, eps_hat=eps_hat)
 
     def test_requires_weighted_points(self, small_blobs):
         with pytest.raises(InvalidParameterError):
@@ -116,48 +134,6 @@ class TestOutliersClusterSolver:
         assert solver.uncovered_weight(1e9) == pytest.approx(0.0)
 
 
-def _naive_run(solver: OutliersClusterSolver, radius: float):
-    """Algorithm 1 written out literally: a dense ball-weight pass per center."""
-    selection_radius = (1.0 + 2.0 * solver.eps_hat) * radius
-    coverage_radius = (3.0 + 4.0 * solver.eps_hat) * radius
-    pairwise = solver.pairwise_distances
-    weights = solver.coreset.weights
-    uncovered = np.ones(len(solver.coreset), dtype=bool)
-    centers = []
-    while len(centers) < solver.k and uncovered.any():
-        uncovered_weight = np.where(uncovered, weights, 0.0)
-        ball_weights = (pairwise <= selection_radius) @ uncovered_weight
-        center = int(np.argmax(ball_weights))
-        centers.append(center)
-        uncovered &= ~(pairwise[center] <= coverage_radius)
-    return centers, uncovered
-
-
-def _reference_candidates(solver: OutliersClusterSolver) -> np.ndarray:
-    pairwise = solver.pairwise_distances
-    return np.unique(pairwise[np.triu_indices(pairwise.shape[0], k=1)])
-
-
-class _ReferenceSolver:
-    """The solver interface of search_radius over the literal reference."""
-
-    def __init__(self, solver: OutliersClusterSolver) -> None:
-        self._solver = solver
-        self.eps_hat = solver.eps_hat
-
-    def candidate_radii(self) -> np.ndarray:
-        return _reference_candidates(self._solver)
-
-    def run(self, radius: float) -> OutliersClusterResult:
-        centers, uncovered = _naive_run(self._solver, radius)
-        return OutliersClusterResult(
-            center_indices=np.array(centers, dtype=np.intp),
-            uncovered_mask=uncovered,
-            uncovered_weight=float(self._solver.coreset.weights[uncovered].sum()),
-            radius=float(radius),
-        )
-
-
 def _integer_weights(size: int, seed: int = 4, high: int = 9) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.asarray(rng.integers(1, high, size=size), dtype=np.float64)
@@ -171,7 +147,7 @@ class TestIncrementalBallWeights:
         solver: OutliersClusterSolver, radius: float
     ) -> OutliersClusterResult:
         result = solver.run(radius)
-        expected_centers, expected_uncovered = _naive_run(solver, radius)
+        expected_centers, expected_uncovered = naive_run(solver, radius)
         assert list(result.center_indices) == expected_centers
         assert np.array_equal(result.uncovered_mask, expected_uncovered)
         weights = solver.coreset.weights
@@ -179,17 +155,34 @@ class TestIncrementalBallWeights:
         return result
 
     @staticmethod
-    def _spy_on_updates(solver: OutliersClusterSolver, monkeypatch) -> list[np.ndarray]:
-        """Record the rows passed to each ball-weight update of ``solver``."""
+    def _spy_on_updates(monkeypatch) -> list[tuple[str, np.ndarray]]:
+        """Record the balls class and the rows of each ball-weight update."""
         calls = []
-        original = solver._ball_weights_of
+        for balls in (solver_module._DenseBalls, solver_module._GraphBalls):
 
-        def spy(rows, selection_radius, buffer):
-            calls.append(rows.copy())
-            return original(rows, selection_radius, buffer)
+            def spy(self, rows, _original=balls.weights_of, _name=balls.__name__):
+                calls.append((_name, rows.copy()))
+                return _original(self, rows)
 
-        monkeypatch.setattr(solver, "_ball_weights_of", spy)
+            monkeypatch.setattr(balls, "weights_of", spy)
         return calls
+
+    # "dense" thresholds D as fractional weights would; "build" collects a
+    # graph the whole pass fits into; "graph" filters a graph already built
+    # at the largest pairwise distance.
+    PATHS = ("dense", "build", "graph")
+
+    @staticmethod
+    def _use_path(solver: OutliersClusterSolver, path: str, monkeypatch) -> str:
+        """Make the next probe of ``solver`` take ``path``; return its balls class."""
+        if path == "dense":
+            monkeypatch.setattr(solver, "_graph_allowed", False)
+            return "_DenseBalls"
+        monkeypatch.setattr(solver_module, "_GRAPH_FILL", 1)
+        if path == "graph":
+            solver.run(float(solver.pairwise_distances.max()))
+            assert solver._graph is not None
+        return "_GraphBalls"
 
     @pytest.mark.parametrize("eps_hat", (0.0, 1 / 6))
     @pytest.mark.parametrize("quantile", (0.0, 0.02, 0.1, 0.3, 0.6, 0.9, 0.99, 1.0))
@@ -207,23 +200,32 @@ class TestIncrementalBallWeights:
         # were just covered and the weights are rebuilt from those rows.
         points = np.vstack([rng.normal(size=(300, 2)), rng.uniform(-80, 80, size=(40, 2))])
         coreset = WeightedPoints(points=points, weights=_integer_weights(340))
-        solver = OutliersClusterSolver(coreset, k=6, eps_hat=eps_hat)
-        calls = self._spy_on_updates(solver, monkeypatch)
-        self._assert_matches_naive(solver, radius=1.5)
-        # The first update passes the 40-odd uncovered rows, not the
-        # ~300 newly covered ones.
-        assert calls and calls[0].size < 150
+        for path in self.PATHS:
+            with monkeypatch.context() as patch:
+                solver = OutliersClusterSolver(coreset, k=6, eps_hat=eps_hat)
+                balls = self._use_path(solver, path, patch)
+                calls = self._spy_on_updates(patch)
+                self._assert_matches_naive(solver, radius=1.5)
+            assert (solver._graph is None) == (path == "dense"), path
+            # Every update reads the path's balls, and the first passes the
+            # 40-odd uncovered rows, not the ~300 newly covered ones.
+            assert calls and {name for name, _ in calls} == {balls}, path
+            assert calls[0][1].size < 150, path
 
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_kth_center_exit_skips_the_update(self, small_blobs, monkeypatch, k):
         coreset = WeightedPoints(points=small_blobs, weights=_integer_weights(200))
-        solver = OutliersClusterSolver(coreset, k=k, eps_hat=1 / 6)
-        calls = self._spy_on_updates(solver, monkeypatch)
-        radius = float(np.quantile(solver.candidate_radii(), 0.01))
-        result = self._assert_matches_naive(solver, radius)
-        assert result.n_centers == k
-        # One update between consecutive centers, none after the k-th.
-        assert len(calls) == k - 1
+        for path in self.PATHS:
+            with monkeypatch.context() as patch:
+                solver = OutliersClusterSolver(coreset, k=k, eps_hat=1 / 6)
+                radius = float(np.quantile(solver.candidate_radii(), 0.01))
+                balls = self._use_path(solver, path, patch)
+                calls = self._spy_on_updates(patch)
+                result = self._assert_matches_naive(solver, radius)
+            assert (solver._graph is None) == (path == "dense"), path
+            assert result.n_centers == k, path
+            # One update between consecutive centers, none after the k-th.
+            assert [name for name, _ in calls] == [balls] * (k - 1), path
 
     @pytest.mark.parametrize("eps_hat", (0.0, 1 / 6))
     def test_zero_radius_with_duplicates(self, rng, eps_hat):
@@ -277,7 +279,7 @@ class TestIncrementalBallWeights:
         coreset = WeightedPoints(points=small_blobs, weights=_integer_weights(200))
         solver = OutliersClusterSolver(coreset, k=4, eps_hat=eps_hat)
         result = search_radius(solver, z=z)
-        expected = search_radius(_ReferenceSolver(solver), z=z)
+        expected = search_radius(ReferenceSolver(solver), z=z)
         assert result.radius == expected.radius
         assert result.probes == expected.probes
         assert np.array_equal(result.solution.center_indices, expected.solution.center_indices)
@@ -291,7 +293,7 @@ class TestCandidateRadii:
     def _assert_matches_unique(points: np.ndarray) -> None:
         solver = OutliersClusterSolver(_unit_coreset(points), k=1)
         candidates = solver.candidate_radii()
-        expected = _reference_candidates(solver)
+        expected = reference_candidates(solver)
         assert candidates.dtype == expected.dtype == np.float64
         assert candidates.tobytes() == expected.tobytes()
 
@@ -317,12 +319,16 @@ class TestProbeMemory:
 
     M = 2048
 
+    @classmethod
+    def _new_solver(cls) -> OutliersClusterSolver:
+        rng = np.random.default_rng(11)
+        points = rng.normal(size=(cls.M, 5))
+        weights = np.asarray(rng.integers(1, 50, size=cls.M), dtype=np.float64)
+        return OutliersClusterSolver(WeightedPoints(points=points, weights=weights), k=20)
+
     @pytest.fixture(scope="class")
     def solver(self):
-        rng = np.random.default_rng(11)
-        points = rng.normal(size=(self.M, 5))
-        weights = np.asarray(rng.integers(1, 50, size=self.M), dtype=np.float64)
-        return OutliersClusterSolver(WeightedPoints(points=points, weights=weights), k=20)
+        return self._new_solver()
 
     @staticmethod
     def _traced_peak(call) -> int:
@@ -340,6 +346,38 @@ class TestProbeMemory:
         for radius in (0.0, 0.05 * diameter, 0.2 * diameter, 0.6 * diameter, diameter):
             peak = self._traced_peak(lambda: solver.run(radius))
             assert peak < self.M * self.M * 8 / 4, (radius, peak)
+
+    def test_graph_build_and_graph_probe_peaks(self):
+        solver = self._new_solver()
+        # At 2.5% of the pairs the balls fit under the m*m/32 cap; at 30%
+        # they do not.
+        build_radius, graph_radius, dense_radius = (
+            float(radius) for radius in np.quantile(solver.candidate_radii(), (0.025, 0.01, 0.3))
+        )
+        build_peak = self._traced_peak(lambda: solver.run(build_radius))
+        graph = solver._graph
+        assert graph is not None and graph.bound == build_radius
+        graph_peak = self._traced_peak(lambda: solver.run(graph_radius))
+        assert solver._graph is graph
+        # A dense probe above the cap runs next to the graph it keeps.
+        dense_peak = self._traced_peak(lambda: solver.run(dense_radius))
+        assert solver._graph is graph
+        for peak in (build_peak, graph_peak, dense_peak):
+            assert peak < self.M * self.M * 8 / 4, (build_peak, graph_peak, dense_peak)
+
+    @pytest.mark.parametrize("weights", ("fractional", "total_at_2_53"))
+    def test_inexact_weight_sums_never_build_a_graph(self, rng, weights):
+        points = rng.normal(size=(300, 5))
+        if weights == "fractional":
+            values = np.asarray(rng.integers(1, 50, size=300), dtype=np.float64)
+            values[7] += 0.5
+        else:
+            values = np.full(300, 2.0**46)  # integers summing past 2**53
+        solver = OutliersClusterSolver(WeightedPoints(points=points, weights=values), k=5)
+        quantiles = np.quantile(solver.candidate_radii(), (0.001, 0.01, 0.03, 0.5, 1.0))
+        for radius in (0.0, *quantiles):
+            solver.run(float(radius))
+            assert solver._graph is None
 
     def test_candidate_radii_peak(self, solver):
         peak = self._traced_peak(solver.candidate_radii)

@@ -28,6 +28,11 @@ class TestDeltaFor:
         with pytest.raises(InvalidParameterError):
             delta_for(-0.1)
 
+    @pytest.mark.parametrize("eps_hat", (float("nan"), float("inf")))
+    def test_non_finite_rejected(self, eps_hat):
+        with pytest.raises(InvalidParameterError):
+            delta_for(eps_hat)
+
 
 class TestSearchRadius:
     def test_found_radius_is_feasible(self, small_blobs):
@@ -71,6 +76,14 @@ class TestSearchRadius:
         result = search_radius(solver, z=4)
         check = solver.run(result.radius)
         assert check.uncovered_weight <= 4
+
+    @pytest.mark.parametrize("delta", (-0.1, float("nan"), float("inf")))
+    def test_invalid_delta_rejected(self, small_blobs, delta):
+        # A NaN delta used to skip the geometric refinement silently,
+        # dropping the (1 + delta) guarantee on the returned radius.
+        solver = OutliersClusterSolver(_unit_coreset(small_blobs[:30]), k=3, eps_hat=0.1)
+        with pytest.raises(InvalidParameterError):
+            search_radius(solver, z=2, delta=delta)
 
     def test_negative_z_rejected(self, small_blobs):
         solver = OutliersClusterSolver(_unit_coreset(small_blobs), k=3)
