@@ -13,7 +13,22 @@ matrix in row blocks so the broadcast temporaries of the L1/L-inf
 metrics stay bounded, and :meth:`Metric.nearest` reduces each block to
 per-row ``(min distance, argmin index)`` without ever materialising the
 full ``batch x centers`` product — the primitive the batched doubling
-coreset is built on.
+coreset, round 3 of the MapReduce solvers and the point assignment are
+built on. Both raise :class:`~repro.exceptions.InvalidParameterError`
+when the two row sets differ in dimension.
+
+The Euclidean :meth:`Metric.nearest` keeps each block's GEMM but never
+forms the block's distances: it takes every row's argmin on the proxy
+``||y||^2 / 2 - x.y`` (one pass per L2-sized slice of the GEMM output),
+computes the exact distance only at the winner, and recomputes the whole
+row the way :func:`euclidean` does when another candidate lies within a
+proven rounding slack of the winner (ties, near ties, clipped negatives,
+non-finite values). Its results are bit for bit those of the blocked
+loop the other metrics (and a :class:`DistanceCounter`) still run; its
+memory is one GEMM block plus the output and one 512 KiB slice. Against
+fewer than 64 candidates it evaluates each slice exactly instead, in
+place in the slice buffer. The slack is derived in
+:func:`_euclidean_nearest`.
 
 For the incremental GMM traversal, :meth:`Metric.distances_from` binds a
 one-to-many evaluator to a fixed point matrix: ``f(i)`` returns the
@@ -163,6 +178,163 @@ def _euclidean_distances_from(
     return distances
 
 
+#: Rows of one proxy slice in :func:`_euclidean_nearest` are
+#: ``max(1, _SLICE_ELEMENTS // m)``: a slice's ``(rows, m)`` float64
+#: buffer (512 KiB) stays in L2 whatever the number of candidates ``m``.
+_SLICE_ELEMENTS = 2**16
+
+#: Rows whose winners :func:`_euclidean_nearest` settles at once, which
+#: bounds its per-row temporaries when a GEMM block is tall (small ``m``).
+_SETTLE_ROWS = 4096
+
+#: Below this many candidates a row is too short for the proxy's second
+#: per-row reduction to pay: :func:`_euclidean_nearest` then evaluates
+#: every slice exactly, in place in the slice buffer. (On 2 vCPUs at
+#: d = 7, 1024 to 125k rows, the proxy took 1.2-1.3 times as long at 32
+#: candidates, about as long at 56-64 and 0.75 times at 128.)
+_PROXY_MIN_COLUMNS = 64
+
+_EPS = float(np.finfo(np.float64).eps)
+#: Absolute slack for the halvings that may round below the normal range.
+_TINY = 16 * float(np.finfo(np.float64).smallest_subnormal)
+
+
+def _as_row_sets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as 2-D float64 row sets of one dimension."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    if a.shape[1] != b.shape[1]:
+        raise InvalidParameterError(
+            f"row sets differ in dimension: {a.shape[1]} columns against {b.shape[1]}"
+        )
+    return a, b
+
+
+def _euclidean_nearest(
+    a: np.ndarray, b: np.ndarray, max_block_elements: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Euclidean :meth:`Metric.nearest`: argmin on a proxy, exact winners.
+
+    Bit for bit the blocked loop of :meth:`Metric.nearest` over
+    :func:`euclidean`. Both read the same floats: the same block
+    boundaries, the same ``einsum`` row norms ``aa`` and ``bb``, and the
+    same ``a[block] @ b.T`` product ``g`` (here written into one reused
+    ``(block, m)`` buffer). The loop evaluates ``s = (aa + bb) - 2 g`` and
+    ``sqrt(max(s, 0))`` at every entry. This path makes one pass per slice
+    of ``_SLICE_ELEMENTS // m`` rows for the proxy ``q = bb / 2 - g`` and
+    its argmin ``j``, one more for the runner-up (the least ``q`` of the
+    other columns), and evaluates ``s`` and ``d = sqrt(max(s, 0))`` with
+    the loop's steps only at ``j``. Below ``_PROXY_MIN_COLUMNS``
+    candidates the second per-row reduction costs more than it saves, so
+    every slice takes the exact path below instead.
+
+    **Slack.** Take one row, ``u = eps / 2``, and ``A, B, G`` its ``aa``,
+    ``bb[c]`` and ``g[c]`` at some column ``c``; let ``T = A + B - 2G``
+    exactly. ``2G`` is exact, so ``s`` rounds twice and
+    ``|s - T| <= u (A + B) + u ((1 + u)(A + B) + |2G|)``; ``B / 2`` is
+    exact above the subnormals, so ``q`` rounds once and
+    ``|A + 2q - T| <= u (B + |2G|)``. The norms and ``g`` are dot
+    products with relative error ``O(d u)``, so Cauchy-Schwarz gives
+    ``|2G| <= (A + B)(1 + O(d u))``, and the two errors of any column sum
+    to at most ``E = 2.5 eps (A + max bb)``. Column ``c`` ties or beats
+    ``j`` in ``sqrt`` space only if ``max(s_c, 0) < N**2`` with
+    ``N = nextafter(d, inf)``: from ``N**2`` up the correctly rounded
+    ``sqrt`` is at least ``N > d``. As ``A + 2 q_c <= s_c + E`` and
+    ``A + 2 q_j >= s_j - E``, that needs
+    ``q_c < q_j + (N**2 - s_j) / 2 + E``. The first term is the width of
+    the ``sqrt`` bucket at ``d``; it also covers a negative ``s_j``
+    clipped to ``d = 0``, which any other clipped column would tie. The
+    code takes ``nextafter(fl(N * N), inf) >= N**2`` for ``N**2`` and
+    ``8 eps (A + max bb)`` for ``E``, which leaves room for the rounding
+    of the slack and of ``q_j + slack``, plus 16 subnormal units for
+    halvings near underflow. A row is settled when its runner-up lies
+    above ``q_j + slack``: then ``j`` is the loop's unique argmin and
+    ``d`` its distance.
+
+    **Exact path.** Rows not settled are recomputed as the loop does: the
+    whole row's ``sqrt(max((aa + bb) - 2 g, 0))`` and its argmin, by
+    :func:`_exact_rows` in the slice buffer. They are the near ties
+    (duplicate or 1-ulp-apart centers, cancellation far from the origin)
+    and every row whose threshold is not finite, which no runner-up
+    exceeds. The rounding term is infinite from ``aa + max bb`` at a
+    quarter of the float range up, before any step above can overflow;
+    below that ``g``, ``q`` and ``s`` are finite. A NaN norm makes the
+    threshold NaN, and a NaN proxy wins the argmin and does the same.
+
+    **Memory.** The ``(block, m)`` GEMM buffer, one ``(slice, m)`` buffer
+    of at most 512 KiB (or one row), the ``16 n`` output bytes, a copy of
+    the ``g`` rows on the exact path (at most one slice), the block's
+    ``aa`` and per-row temporaries of at most ``_SETTLE_ROWS`` rows.
+    """
+    n, m = a.shape[0], b.shape[0]
+    distances = np.empty(n, dtype=np.float64)
+    indices = np.empty(n, dtype=np.intp)
+    block = _rows_per_block(m, a.shape[1], max_block_elements)
+    if n == 0:
+        return distances, indices
+    step = max(1, _SLICE_ELEMENTS // m)
+    bb = np.einsum("ij,ij->i", b, b)
+    half_bb = bb * 0.5
+    bb_max = bb.max()
+    gram = np.empty((min(block, n), m), dtype=np.float64)
+    proxy = np.empty((min(step, gram.shape[0]), m), dtype=np.float64)
+    slice_rows = np.arange(proxy.shape[0])
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = a[start:stop]
+        aa = np.einsum("ij,ij->i", rows, rows)
+        g = np.matmul(rows, b.T, out=gram[: stop - start])
+        win = indices[start:stop]
+        out = distances[start:stop]
+        if m < _PROXY_MIN_COLUMNS:
+            for lo in range(0, stop - start, step):
+                hi = min(lo + step, stop - start)
+                win[lo:hi], out[lo:hi] = _exact_rows(aa[lo:hi], g[lo:hi], bb, proxy)
+            continue
+        # Each row's runner-up proxy waits in the output for its distance.
+        for lo in range(0, stop - start, step):
+            hi = min(lo + step, stop - start)
+            q = np.subtract(half_bb, g[lo:hi], out=proxy[: hi - lo])
+            q.argmin(axis=1, out=win[lo:hi])
+            q[slice_rows[: hi - lo], win[lo:hi]] = np.inf
+            q.min(axis=1, out=out[lo:hi])
+        for lo in range(0, stop - start, _SETTLE_ROWS):
+            hi = min(lo + _SETTLE_ROWS, stop - start)
+            group = slice(lo, hi)
+            j = win[group]
+            g_win = g[np.arange(lo, hi), j]
+            s = (aa[group] + bb[j]) - 2.0 * g_win
+            d = np.sqrt(np.maximum(s, 0.0))
+            bucket = np.nextafter(np.nextafter(d, np.inf) ** 2, np.inf)
+            # 8 eps (aa + max bb), scaled by 4 first so that it is infinite
+            # from a quarter of the float range up.
+            rounding = (aa[group] + bb_max) * 4.0 * (2.0 * _EPS) + _TINY
+            threshold = (half_bb[j] - g_win) + ((bucket - s) * 0.5 + rounding)
+            settled = out[group] > threshold
+            out[group] = d
+            open_rows = np.flatnonzero(~settled) + lo
+            for k in range(0, open_rows.size, step):
+                part = open_rows[k : k + step]
+                win[part], out[part] = _exact_rows(aa[part], g[part], bb, proxy)
+    return distances, indices
+
+
+def _exact_rows(
+    aa: np.ndarray, g: np.ndarray, bb: np.ndarray, buffer: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Argmin and least distance of each row, by :func:`euclidean`'s steps.
+
+    Evaluates ``sqrt(max((aa + bb) - 2 g, 0))`` in ``buffer`` (which
+    needs ``len(aa)`` rows) and doubles ``g`` in place on the way.
+    """
+    exact = np.add(aa[:, None], bb, out=buffer[: aa.shape[0]])
+    g *= 2.0
+    exact -= g
+    np.sqrt(np.maximum(exact, 0.0, out=exact), out=exact)
+    choice = exact.argmin(axis=1)
+    return choice, exact[np.arange(choice.shape[0]), choice]
+
+
 @dataclass(frozen=True)
 class Metric:
     """A named metric with vectorised distance primitives.
@@ -273,9 +445,10 @@ class Metric:
         ``max_block_elements`` float64 values, which caps the ``(n, m, d)``
         broadcast temporaries of the L1/L-inf metrics for large-batch x
         large-coreset products. ``out`` may supply a preallocated result.
+        Raises :class:`~repro.exceptions.InvalidParameterError` when the two
+        row sets differ in dimension.
         """
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+        a, b = _as_row_sets(a, b)
         n, m = a.shape[0], b.shape[0]
         if out is None:
             out = np.empty((n, m), dtype=np.float64)
@@ -304,12 +477,32 @@ class Metric:
         block, so the full ``(len(a), len(b))`` matrix is never held in
         memory — this is the hot primitive of the batched streaming update
         rule.
+
+        The Euclidean metric takes :func:`_euclidean_nearest`. It keeps the
+        loop's GEMM blocks, takes each row's argmin on the proxy
+        ``||y||^2 / 2 - x.y`` in L2-sized slices, and computes the exact
+        distance only at the winner. A row is recomputed exactly, as the
+        loop below does, when another candidate lies within the proven
+        rounding slack of its winner (the slack covers the ``sqrt`` bucket
+        at the winner, so ``sqrt``-space ties and clipped negatives are
+        caught) or when its proxy or slack is not finite; against fewer
+        than 64 candidates every row is. Its results are bit for bit those
+        of the loop below, and its memory is one ``(block, m)`` float64
+        buffer, one 512 KiB slice buffer and the ``16 n`` output bytes.
+        Every other metric, including a :class:`DistanceCounter`-wrapped
+        one (whose count must stay ``len(a) * len(b)``), evaluates
+        :attr:`cross` block by block and takes the argmin of each block's
+        distances.
+
+        Raises :class:`~repro.exceptions.InvalidParameterError` when ``b``
+        has no rows or the two row sets differ in dimension.
         """
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+        a, b = _as_row_sets(a, b)
         n, m = a.shape[0], b.shape[0]
         if m == 0:
             raise InvalidParameterError("nearest() needs at least one candidate row")
+        if self.cross is euclidean:
+            return _euclidean_nearest(a, b, max_block_elements)
         distances = np.empty(n, dtype=np.float64)
         indices = np.empty(n, dtype=np.intp)
         block = _rows_per_block(m, a.shape[1], max_block_elements)

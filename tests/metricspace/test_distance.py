@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.datasets import higgs_like
 from repro.exceptions import InvalidParameterError
 from repro.metricspace import (
     DistanceCounter,
@@ -18,6 +21,7 @@ from repro.metricspace import (
     pairwise,
     point_to_points,
 )
+from repro.metricspace.distance import DEFAULT_BLOCK_ELEMENTS
 
 
 class TestEuclidean:
@@ -174,6 +178,29 @@ class TestBlockedPrimitives:
         with pytest.raises(InvalidParameterError):
             get_metric("euclidean").nearest(np.zeros((3, 2)), np.empty((0, 2)))
 
+    @pytest.mark.parametrize("name", metric_names)
+    def test_column_mismatch_raises(self, name):
+        metric = get_metric(name)
+        with pytest.raises(InvalidParameterError, match="dimension"):
+            metric.nearest(np.ones((3, 2)), np.ones((4, 3)))
+        with pytest.raises(InvalidParameterError, match="dimension"):
+            metric.cdist_blocked(np.ones((3, 2)), np.ones((4, 3)))
+
+    @pytest.mark.parametrize("n, m", [(4096, 1760), (125_000, 20)])
+    def test_euclidean_nearest_peak_memory(self, n, m):
+        # At most one (block, m) float64 GEMM block, the 16 n output bytes
+        # and 2 MiB of slices and per-row vectors.
+        points = higgs_like(n + m, random_state=3)
+        a, b = points[:n], points[n:]
+        block = min(n, DEFAULT_BLOCK_ELEMENTS // (m * a.shape[1]))
+        tracemalloc.start()
+        try:
+            get_metric("euclidean").nearest(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * block * m + 16 * n + 2 * 2**20
+
     def test_nearest_tie_break_is_lowest_index(self):
         points = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0]])
         _, indices = get_metric("euclidean").nearest(np.array([[0.0, 0.0]]), points)
@@ -215,6 +242,19 @@ class TestDistanceCounter:
         distances_from(0)
         distances_from(5)
         assert counter.count == 34
+
+    def test_nearest_counts_every_pair_and_matches_euclidean(self):
+        # A counted metric keeps the blocked loop, so the count stays exact;
+        # its results are those of the Euclidean proxy path bit for bit.
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(57, 4)), rng.normal(size=(80, 4))
+        b[7] = b[3]
+        counter = DistanceCounter("euclidean")
+        counted = counter.metric.nearest(a, b, max_block_elements=200)
+        plain = get_metric("euclidean").nearest(a, b, max_block_elements=200)
+        assert counter.count == len(a) * len(b)
+        assert counted[0].tobytes() == plain[0].tobytes()
+        assert np.array_equal(counted[1], plain[1])
 
     def test_counted_metric_is_a_metric(self):
         counter = DistanceCounter()
