@@ -80,9 +80,14 @@ class _GuessParallelStream(StreamingAlgorithm):
     def _initialize(self) -> None:
         points = np.vstack(self._buffer)
         pairwise = self.metric.pairwise(points)
-        upper = pairwise[np.triu_indices(points.shape[0], k=1)]
-        positive = upper[upper > 0]
-        base = float(positive.min()) / 2.0 if positive.size else 1.0
+        # Symmetric with a zero diagonal: the least positive entry of the whole
+        # matrix is the least positive pairwise distance.
+        positive = pairwise > 0
+        base = (
+            float(np.min(pairwise, where=positive, initial=np.inf)) / 2.0
+            if positive.any()
+            else 1.0
+        )
         # Stagger the m instances across one factor-2 octave so that, jointly,
         # they realise a geometric grid of ratio 2^(1/m).
         for index in range(self.n_instances):

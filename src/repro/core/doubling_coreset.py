@@ -170,10 +170,13 @@ class StreamingCoreset:
         return self._metric.pairwise(self._centers[: self._size])
 
     def _min_positive_pairwise(self) -> float:
+        # The matrix is symmetric with a zero diagonal, so its least positive
+        # entry is the upper triangle's, found without gathering the triangle.
         pairs = self._active_pairwise()
-        upper = pairs[np.triu_indices(self._size, k=1)]
-        positive = upper[upper > 0]
-        return float(positive.min()) if positive.size else 0.0
+        positive = pairs > 0
+        if not positive.any():
+            return 0.0
+        return float(np.min(pairs, where=positive, initial=np.inf))
 
     def _merge_centers(self) -> None:
         """Enforce invariant (b): merge centers at distance <= 4 * phi.

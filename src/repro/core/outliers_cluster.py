@@ -18,7 +18,11 @@ algorithms for the outlier formulation.
 float64 matrix) so that the radius search of
 :mod:`repro.core.radius_search` can probe many radii cheaply.
 :meth:`OutliersClusterSolver.candidate_radii` holds the ``m * (m - 1) / 2``
-upper-triangle distances once, sorted in place.
+upper-triangle distances once: it sorts them in place, moves the distinct
+values to the front in place and returns a view of that front. For the
+Euclidean metric from 2048 points up, :meth:`Metric.pairwise` builds ``D``
+in the buffer of its one matrix product, so building ``D`` holds one
+``(m, m)`` matrix, not several.
 
 A probe takes its selection balls from one of two places:
 
@@ -63,6 +67,10 @@ _BLOCK_ROWS = 256
 # The selection graph holds at most ``m * m // _GRAPH_FILL`` entries of 16
 # bytes each, so at most 1/16 of the bytes of the pairwise matrix.
 _GRAPH_FILL = 32
+
+# Sorted candidates deduplicated at once by ``candidate_radii``; the boolean
+# indexing holds an 8-byte index and an 8-byte value per kept entry of a block.
+_COMPACT_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -165,9 +173,11 @@ class OutliersClusterSolver:
         """Sorted unique pairwise distances — the radius-search candidates.
 
         Equal, bit for bit, to ``np.unique(D[np.triu_indices(m, 1)])`` but
-        without the two int64 index arrays: the strict upper triangle is
-        copied row by row into one array, sorted in place and deduplicated
-        with a neighbour mask.
+        without the two int64 index arrays or a second copy: the strict
+        upper triangle is copied row by row into one array and sorted in
+        place, and each value unequal to its predecessor is moved forward
+        over the duplicates, ``_COMPACT_BLOCK`` entries at a time. The
+        result is a view of the front of that array.
         """
         m = self._pairwise.shape[0]
         upper = np.empty(m * (m - 1) // 2, dtype=np.float64)
@@ -177,10 +187,19 @@ class OutliersClusterSolver:
             upper[start:stop] = self._pairwise[row, row + 1 :]
             start = stop
         upper.sort()
-        distinct = np.empty(upper.shape, dtype=bool)
-        distinct[:1] = True
-        np.not_equal(upper[1:], upper[:-1], out=distinct[1:])
-        return upper[distinct]
+        write = 0
+        distinct = np.empty(min(_COMPACT_BLOCK, upper.shape[0]), dtype=bool)
+        for start in range(0, upper.shape[0], _COMPACT_BLOCK):
+            block = upper[start : start + _COMPACT_BLOCK]
+            keep = distinct[: block.shape[0]]
+            # ``upper[start - 1]`` still holds its sorted value: the writes so
+            # far end at or below it, and reach it only if nothing was dropped.
+            keep[0] = start == 0 or block[0] != upper[start - 1]
+            np.not_equal(block[1:], block[:-1], out=keep[1:])
+            kept = block[keep]
+            upper[write : write + kept.shape[0]] = kept
+            write += kept.shape[0]
+        return upper[:write]
 
     # -- the algorithm -----------------------------------------------------------------
 

@@ -30,6 +30,19 @@ fewer than 64 candidates it evaluates each slice exactly instead, in
 place in the slice buffer. The slack is derived in
 :func:`_euclidean_nearest`.
 
+The Euclidean :meth:`Metric.pairwise` of 2048 or more points (the
+round-2 matrix of the MapReduce outlier solver) takes
+:func:`_euclidean_pairwise`: it keeps :func:`euclidean`'s one
+``a @ b.T`` product, with ``points`` converted twice so that BLAS picks
+the same routine, and then overwrites the product in one pass over
+pairs of 192-row tiles with the distances, symmetrised as
+``(D + D.T) * 0.5``, each step element-wise and in the reference's
+order. The result is bit for bit the reference's; the memory is one
+``(m, m)`` matrix and two tiles instead of the reference's full-size
+temporaries. Smaller inputs keep the reference: glibc may keep a freed
+matrix below 32 MiB on its heap, and there the fused path raised the
+peak RSS of a streaming run (see ``_PAIRWISE_MIN_ROWS``).
+
 For the incremental GMM traversal, :meth:`Metric.distances_from` binds a
 one-to-many evaluator to a fixed point matrix: ``f(i)`` returns the
 distances from row ``i`` to every row, bit for bit the values of
@@ -319,6 +332,71 @@ def _euclidean_nearest(
     return distances, indices
 
 
+#: Side of the square tiles :func:`_euclidean_pairwise` evaluates at once:
+#: its two scratch tiles take 288 KiB each.
+_PAIRWISE_TILE = 192
+
+#: :meth:`Metric.pairwise` takes :func:`_euclidean_pairwise` from this
+#: many rows up, where one matrix takes at least 32 MiB: from that size
+#: glibc always maps and unmaps an allocation on its own. Below it, glibc's
+#: dynamic mmap threshold may keep a freed matrix on its heap. On the
+#: streaming merge's 1761-row (24.8 MB) matrices the fused path raised
+#: the peak RSS of the ``stream-outliers`` benchmark from 287 to 311 MiB;
+#: with ``MALLOC_MMAP_THRESHOLD_`` fixed it peaked lower than the
+#: reference path instead (178 against 199 MiB).
+_PAIRWISE_MIN_ROWS = 2048
+
+
+def _euclidean_pairwise(points: np.ndarray, tile: int = _PAIRWISE_TILE) -> np.ndarray:
+    """The Euclidean :meth:`Metric.pairwise`: one GEMM, then one tile pass.
+
+    Bit for bit ``euclidean(points, points)`` symmetrised as
+    ``(D + D.T) * 0.5`` with a zero diagonal. ``points`` is converted
+    twice, as :func:`euclidean` converts ``a`` and ``b``, so that the one
+    ``a @ b.T`` call takes the same BLAS routine (``syrk`` when the two
+    share a buffer, ``gemm`` otherwise); the product is never split into
+    row blocks, which may change its bits. The rest is element-wise:
+    for each pair of ``tile``-sided tiles ``I <= J``, ``x`` evaluates
+    ``sqrt(max((aa + bb) - 2 g, 0))`` on ``g[I, J]`` and ``y`` on
+    ``g[J, I]``, with :func:`euclidean`'s steps in its order, and
+    ``(x + y.T) * 0.5`` overwrites both tiles of the product. Memory is
+    the one ``(m, m)`` matrix plus two scratch tiles.
+    """
+    a = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    aa = np.einsum("ij,ij->i", a, a)
+    bb = np.einsum("ij,ij->i", b, b)
+    matrix = a @ b.T
+    m = matrix.shape[0]
+    x_buffer = np.empty((min(tile, m), min(tile, m)), dtype=np.float64)
+    y_buffer = np.empty_like(x_buffer)
+
+    def evaluate(rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
+        g = matrix[rows, cols]
+        g *= 2.0
+        np.add(aa[rows, None], bb[None, cols], out=out)
+        out -= g
+        np.maximum(out, 0.0, out=out)
+        return np.sqrt(out, out=out)
+
+    tiles = [slice(start, min(start + tile, m)) for start in range(0, m, tile)]
+    for i, rows in enumerate(tiles):
+        for cols in tiles[i:]:
+            height, width = rows.stop - rows.start, cols.stop - cols.start
+            x = evaluate(rows, cols, x_buffer[:height, :width])
+            y = y_buffer[:width, :height]
+            if cols is rows:
+                np.copyto(y, x)  # g[J, I] is g[I, I]: y equals x
+            else:
+                evaluate(cols, rows, y)
+            x += y.T
+            x *= 0.5
+            matrix[rows, cols] = x
+            matrix[cols, rows] = x.T
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
+
+
 def _exact_rows(
     aa: np.ndarray, g: np.ndarray, bb: np.ndarray, buffer: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -414,7 +492,24 @@ class Metric:
         )
 
     def pairwise(self, points: np.ndarray) -> np.ndarray:
-        """Full symmetric pairwise distance matrix of ``points``."""
+        """Full symmetric pairwise distance matrix of ``points``.
+
+        The Euclidean metric takes :func:`_euclidean_pairwise` from
+        ``_PAIRWISE_MIN_ROWS`` (2048) rows up: it makes the one ``a @ b.T``
+        product :func:`euclidean` makes and overwrites it tile by tile with
+        the symmetrised distances, so it holds one ``(m, m)`` float64
+        matrix and two small tiles instead of the full-size temporaries of
+        the path below, and returns the same bits. Smaller inputs, the other metrics and any
+        :class:`DistanceCounter`-wrapped metric (whose count stays
+        ``m * m``) evaluate :attr:`cross` on the whole set, then
+        symmetrise in place.
+        """
+        if (
+            self.cross is euclidean
+            and np.atleast_2d(np.asarray(points, dtype=np.float64)).shape[0]
+            >= _PAIRWISE_MIN_ROWS
+        ):
+            return _euclidean_pairwise(points)
         matrix = self.cross(points, points)
         if not self.exactly_symmetric:
             # Symmetrize in place (guards against FP noise in BLAS-backed

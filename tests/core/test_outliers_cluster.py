@@ -313,6 +313,24 @@ class TestCandidateRadii:
     def test_all_coincident(self):
         self._assert_matches_unique(np.full((50, 2), 3.0))
 
+    @pytest.mark.parametrize("block", (1, 2, 7, 64))
+    @pytest.mark.parametrize("kind", ("grid", "distinct", "coincident"))
+    def test_compaction_blocks(self, rng, monkeypatch, block, kind):
+        # Runs of equal values straddle the block boundaries of the in-place
+        # compaction.
+        monkeypatch.setattr(solver_module, "_COMPACT_BLOCK", block)
+        if kind == "grid":
+            points = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
+        elif kind == "distinct":
+            points = rng.normal(size=(60, 3))
+        else:
+            points = np.zeros((60, 2))
+        self._assert_matches_unique(points)
+
+    def test_several_default_blocks(self, rng):
+        # 600 points give 179,700 pairs: three compaction blocks.
+        self._assert_matches_unique(rng.integers(0, 6, size=(600, 3)).astype(np.float64))
+
 
 class TestProbeMemory:
     """A probe allocates no (m, m) temporary on top of the cached matrix."""
@@ -381,7 +399,7 @@ class TestProbeMemory:
 
     def test_candidate_radii_peak(self, solver):
         peak = self._traced_peak(solver.candidate_radii)
-        assert peak < self.M * (self.M - 1) / 2 * 8 * 2.2
+        assert peak < self.M * (self.M - 1) / 2 * 8 * 1.3
 
 
 class TestOutliersClusterFunction:

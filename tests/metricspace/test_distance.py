@@ -201,6 +201,18 @@ class TestBlockedPrimitives:
             tracemalloc.stop()
         assert peak <= 8 * block * m + 16 * n + 2 * 2**20
 
+    def test_euclidean_pairwise_peak_memory(self):
+        # One (m, m) float64 matrix plus 2 MiB of tiles and row norms.
+        m = 3000
+        points = higgs_like(m, random_state=4)
+        tracemalloc.start()
+        try:
+            get_metric("euclidean").pairwise(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m * m + 2 * 2**20
+
     def test_nearest_tie_break_is_lowest_index(self):
         points = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0]])
         _, indices = get_metric("euclidean").nearest(np.array([[0.0, 0.0]]), points)

@@ -1,0 +1,132 @@
+"""The Euclidean ``Metric.pairwise`` equals the reference matrix bit for bit.
+
+From 2048 points up the Euclidean metric keeps the reference's one
+``a @ b.T`` product and overwrites it tile by tile with the symmetrised
+distances. These suites pin that path to
+:func:`_reference_pairwise.reference_pairwise` (``euclidean(p, p)``,
+then ``(D + D.T) * 0.5`` and a zero diagonal) at every tile size, on
+inputs where the steps round, clip or overflow: duplicate and 1-ulp-apart
+points, cancellation far from the origin, rows near 1e200 whose squared
+norms overflow to inf and NaN, and inputs that are not float64 arrays
+(lists and float32 take ``gemm`` instead of ``syrk``, so the product is
+not symmetric).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datasets import higgs_like
+from repro.metricspace import DistanceCounter
+from repro.metricspace import distance
+from repro.metricspace.distance import _PAIRWISE_TILE, _euclidean_pairwise, get_metric
+
+from _reference_pairwise import reference_pairwise
+
+KINDS = ("gaussian", "duplicates", "ulp", "far", "huge")
+FORMS = ("array", "list", "float32", "fortran", "strided")
+
+
+def _points(kind: str, m: int, d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(m, d))
+    if kind == "duplicates":
+        points = points[rng.integers(0, max(1, m // 3), size=m)]
+    elif kind == "ulp":
+        points[1::2] = np.nextafter(points[0 : m - 1 : 2], np.inf)
+    elif kind == "far":
+        points = 1e6 + 1e-8 * points
+    elif kind == "huge":
+        points[rng.random(m) < 0.3] *= 1e200
+    return points
+
+
+def _as_form(points: np.ndarray, form: str):
+    if form == "list":
+        return points.tolist()
+    if form == "float32":
+        with np.errstate(over="ignore"):
+            return points.astype(np.float32)
+    if form == "fortran":
+        return np.asfortranarray(points)
+    if form == "strided":
+        m, d = points.shape
+        wide = np.zeros((2 * m, d + 1))
+        wide[::2, 1:] = points
+        return wide[::2, 1:]
+    return points
+
+
+# One-point tiles cost a Python iteration per pair, so they take at most
+# 64 points; the larger tiles take up to 300.
+_TILE_AND_M = st.sampled_from((1, 7, 64, _PAIRWISE_TILE)).flatmap(
+    lambda tile: st.tuples(st.just(tile), st.integers(1, 64 if tile == 1 else 300))
+)
+
+
+@given(
+    kind=st.sampled_from(KINDS),
+    form=st.sampled_from(FORMS),
+    tile_and_m=_TILE_AND_M,
+    d=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_euclidean_pairwise_matches_reference(kind, form, tile_and_m, d, seed):
+    tile, m = tile_and_m
+    points = _as_form(_points(kind, m, d, seed), form)
+    with np.errstate(all="ignore"):
+        expected = reference_pairwise(points)
+        got = _euclidean_pairwise(points, tile)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tile", [7, 64, _PAIRWISE_TILE, 512])
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("m", [257, 300])
+def test_gemm_and_syrk_inputs_match_reference(form, m, tile):
+    # At these sizes a list input changes the product's bits against the
+    # same float64 array (gemm against syrk): the product is not symmetric
+    # in its last rows and columns. A 512-point tile holds the whole
+    # matrix, so those entries meet their mirror inside one diagonal tile.
+    # Every form must match its own reference.
+    points = _as_form(_points("gaussian", m, 7, seed=m), form)
+    assert _euclidean_pairwise(points, tile).tobytes() == reference_pairwise(points).tobytes()
+
+
+@pytest.mark.parametrize("m", [2048, 5440])
+def test_pairwise_matches_reference_at_round_two_sizes(m):
+    # 5440 is the round-2 union of the MapReduce outlier benchmark.
+    points = higgs_like(m, random_state=m)
+    got = get_metric("euclidean").pairwise(points)
+    expected = reference_pairwise(points)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_pairwise_dispatch_by_size(monkeypatch):
+    calls = []
+    fused = distance._euclidean_pairwise
+
+    def spy(points, *args):
+        calls.append(len(points))
+        return fused(points, *args)
+
+    monkeypatch.setattr(distance, "_euclidean_pairwise", spy)
+    metric = get_metric("euclidean")
+    points = higgs_like(distance._PAIRWISE_MIN_ROWS, random_state=1)
+    metric.pairwise(points[:-1])
+    assert calls == []
+    metric.pairwise(points)
+    assert calls == [distance._PAIRWISE_MIN_ROWS]
+
+
+def test_counted_pairwise_counts_every_pair():
+    points = higgs_like(distance._PAIRWISE_MIN_ROWS, random_state=2)
+    counter = DistanceCounter("euclidean")
+    matrix = counter.metric.pairwise(points)
+    m = points.shape[0]
+    assert counter.count == m * m
+    assert np.array_equal(matrix.view(np.uint64), reference_pairwise(points).view(np.uint64))
