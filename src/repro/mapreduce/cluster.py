@@ -22,11 +22,21 @@ per worker, not once per task. Partition payloads travel by tier:
 * memory-tier partitions (the default under this backend) pickle their
   rows *by value* inside the TASK frame;
 * disk-tier spill files are detected while pickling the task (the
-  handles carry their path), pushed once per worker as raw ``.npy``
-  bytes in a PUT frame, and re-opened worker-side as read-only memmaps —
-  no row data is pickled, and a file already pushed to a worker is never
-  pushed twice. ``push_spills=False`` skips the push for same-host
-  clusters whose workers can open the coordinator's files directly.
+  handles carry their path), pushed once per worker as a PUT frame, and
+  re-opened worker-side as read-only memmaps — no row data is pickled,
+  and a file already pushed to a worker is never pushed twice. The file
+  goes out with :meth:`socket.socket.sendfile` behind a short
+  path prefix, so the coordinator never reads it: a push costs the
+  coordinator no memory beyond the frame header, and the worker writes
+  the body into its own file through one fixed-size buffer.
+  ``push_spills=False`` skips the push for same-host clusters whose
+  workers can open the coordinator's files directly.
+
+Both ends of every connection set ``TCP_NODELAY``, and a frame's header
+leaves in one gather write with its payload (a PUT's with its path
+prefix), so no frame waits for the peer's delayed ACK (see
+:mod:`repro.mapreduce.worker`). :attr:`DistributedBackend.bytes_shipped`
+counts the payload bytes of every REDUCER, PUT and TASK frame sent.
 
 Failure model
 -------------
@@ -65,14 +75,15 @@ from .worker import (
     OP_ERROR,
     OP_HELLO,
     OP_OK,
-    OP_PUT,
     OP_QUIT,
     OP_REDUCER,
     OP_RESULT,
     OP_TASK,
     WorkerServer,
+    configure_socket,
     recv_frame,
     send_frame,
+    send_put,
 )
 
 __all__ = [
@@ -271,7 +282,7 @@ class DistributedBackend:
             (link.host, link.port), timeout=self._connect_timeout
         )
         sock.settimeout(None)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        configure_socket(sock)
         link.sock = sock
         link.round_marker = None
         opcode, response = self._request(link, OP_HELLO, b"")
@@ -354,19 +365,14 @@ class DistributedBackend:
                         for path in spill_paths:
                             if path in link.pushed_spills:
                                 continue
-                            with open(path, "rb") as handle:
-                                data = handle.read()
-                            put_payload = pickle.dumps(
-                                (path, data), protocol=pickle.HIGHEST_PROTOCOL
-                            )
-                            opcode, response = self._request(link, OP_PUT, put_payload)
+                            sent += send_put(link.sock, path)
+                            opcode, response = recv_frame(link.sock)
                             if not expect_ok(
                                 opcode, response, f"storing pushed spill file {path!r}"
                             ):
                                 failed.extend(assigned[position:])
                                 return
                             link.pushed_spills.add(path)
-                            sent += len(put_payload)
                     opcode, response = self._request(link, OP_TASK, payload)
                     sent += len(payload)
                     if opcode == OP_RESULT:

@@ -24,12 +24,21 @@ opcodes (coordinator to worker):
   coordinator sends it once per connection.
 * ``r`` **REDUCER** — pickled reducer callable; becomes the connection's
   current reducer (sent once per round, not once per task). Replies OK.
-* ``p`` **PUT** — pickled ``(origin_path, file_bytes)``: a disk-tier
-  spill file pushed by value. The worker writes the bytes into its own
-  spill directory and registers ``origin_path`` as an alias, so a
-  disk-tier :class:`~repro.mapreduce.backends.SharedArray` handle
-  pickled into a later task re-opens the *local copy* as a read-only
-  memmap. Replies OK with the local path.
+* ``p`` **PUT** — a disk-tier spill file pushed by value, not pickled:
+  a 4-byte big-endian length, that many bytes of the UTF-8 origin path,
+  then the raw ``.npy`` file. The coordinator streams the file with
+  :meth:`socket.socket.sendfile` (:func:`send_put`), so it never holds
+  the file in memory. The worker parses the ``.npy`` magic and header
+  from the head of the body (no pickled dtypes) and checks that the rest
+  of the body is exactly ``prod(shape) * itemsize`` bytes. A body that
+  passes is written straight into a file in the worker's spill
+  directory through one reused :data:`CHUNK_BYTES` buffer, and
+  ``origin_path`` becomes an alias for it, so a disk-tier
+  :class:`~repro.mapreduce.backends.SharedArray` handle pickled into a
+  later task re-opens the *local copy* as a read-only memmap. Replies OK
+  with the local path (UTF-8). A body that fails the check is read to
+  its end in bounded chunks and dropped: no file is written and the
+  reply is ERROR.
 * ``t`` **TASK** — pickled ``(key, values)``: run the connection's
   reducer on the group. Replies RESULT with pickled
   ``(outputs, elapsed_seconds)``, or ERROR with a pickled
@@ -42,13 +51,26 @@ Response opcodes (worker to coordinator): ``o`` OK, ``R`` RESULT,
 ``E`` ERROR. Anything that breaks the framing — EOF mid-frame, an
 unknown opcode — is a *transport* failure: the coordinator marks the
 worker dead and retries its tasks on the surviving workers, while the
-worker drops the connection and cleans up its received files. Memory-tier
-partitions need no PUT at all: their handles pickle the rows by value
-inside the TASK frame.
+worker drops the connection and cleans up its received files, a
+partly written PUT file included. Memory-tier partitions need no PUT at
+all: their handles pickle the rows by value inside the TASK frame.
+
+Both ends set ``TCP_NODELAY`` on every connection
+(:func:`configure_socket`), and :func:`send_frame` hands a frame's
+header and payload to the kernel in one gather write. The exchange is
+strict request and reply, so with Nagle's algorithm on, the tail of a
+frame written after its header would wait for the peer's delayed ACK
+(about 40 ms on Linux) before leaving: a stall on every reply that
+carries a payload. :func:`recv_frame` reads with ``recv_into`` and grows
+its buffer only as bytes arrive, one :data:`CHUNK_BYTES` chunk at a
+time, so a header announcing a huge payload costs one chunk, not the
+announced size.
 """
 
 from __future__ import annotations
 
+import io
+import math
 import os
 import pickle
 import shutil
@@ -59,6 +81,8 @@ import tempfile
 import threading
 import traceback
 import uuid
+
+import numpy as np
 
 from ..exceptions import InvalidParameterError
 from . import backends as _backends
@@ -73,8 +97,12 @@ __all__ = [
     "OP_OK",
     "OP_RESULT",
     "OP_ERROR",
+    "CHUNK_BYTES",
+    "MAX_FRAME_BYTES",
     "ProtocolError",
+    "configure_socket",
     "send_frame",
+    "send_put",
     "recv_frame",
     "WorkerServer",
     "serve",
@@ -82,6 +110,7 @@ __all__ = [
 
 
 _HEADER = struct.Struct("!cQ")
+_PATH_LENGTH = struct.Struct("!I")
 
 OP_HELLO = b"h"
 OP_REDUCER = b"r"
@@ -95,9 +124,21 @@ OP_ERROR = b"E"
 _REQUEST_OPS = (OP_HELLO, OP_REDUCER, OP_PUT, OP_TASK, OP_QUIT)
 
 #: Upper bound on a single frame's payload, a corruption guard: a header
-#: announcing more than this is treated as a broken stream rather than
-#: honoured with a terabyte-sized allocation.
+#: announcing more than this is treated as a broken stream. It stays this
+#: high because memory-tier TASK frames still carry a partition's rows by
+#: value; a header within the cap costs the receiver at most one chunk
+#: until the bytes actually arrive.
 MAX_FRAME_BYTES = 1 << 40
+
+#: Largest piece of a frame read by one ``recv_into``, and the size of
+#: the one buffer a PUT body passes through on its way into the file.
+CHUNK_BYTES = 1 << 20
+
+#: Longest origin path a PUT may carry (Linux's ``PATH_MAX``).
+_MAX_PATH_BYTES = 4096
+
+#: Longest ``.npy`` header a PUT may carry (numpy's own parsing default).
+_MAX_NPY_HEADER_BYTES = 10000
 
 
 class ProtocolError(ConnectionError):
@@ -109,35 +150,162 @@ class ProtocolError(ConnectionError):
     """
 
 
+def configure_socket(sock: socket.socket) -> None:
+    """Turn Nagle's algorithm off on a connected TCP socket (both ends call this)."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _send_buffers(sock: socket.socket, buffers) -> None:
+    """Write all of ``buffers`` with gather writes, resuming after partial sends."""
+    views = [memoryview(buffer).cast("B") for buffer in buffers if len(buffer)]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if sent:
+            views[0] = views[0][sent:]
+
+
 def send_frame(sock: socket.socket, opcode: bytes, payload: bytes = b"") -> None:
-    """Write one length-prefixed frame to ``sock``."""
-    sock.sendall(_HEADER.pack(opcode, len(payload)))
-    if payload:
-        sock.sendall(payload)
+    """Write one length-prefixed frame to ``sock`` in one gather write."""
+    _send_buffers(sock, (_HEADER.pack(opcode, len(payload)), payload))
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise :class:`ProtocolError` on early EOF."""
-    parts = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ProtocolError(
-                f"connection closed mid-frame ({n - remaining} of {n} bytes received)"
-            )
-        parts.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(parts)
+def send_put(sock: socket.socket, path: str) -> int:
+    """Push the spill file at ``path`` as a PUT frame; returns the body length.
+
+    The frame header and the length-prefixed origin path leave in one
+    gather write; the file follows through :meth:`socket.socket.sendfile`,
+    so the caller never reads it into memory.
+    """
+    origin = os.fspath(path).encode("utf-8", "surrogateescape")
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        body = _PATH_LENGTH.size + len(origin) + size
+        _send_buffers(sock, (
+            _HEADER.pack(OP_PUT, body), _PATH_LENGTH.pack(len(origin)), origin,
+        ))
+        if size and sock.sendfile(handle, 0, size) != size:
+            raise ProtocolError(f"spill file {path} shrank while it was being sent")
+    return body
 
 
-def recv_frame(sock: socket.socket) -> tuple[bytes, bytes]:
-    """Read one frame; returns ``(opcode, payload)``."""
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """Read exactly ``n`` bytes or raise :class:`ProtocolError` on early EOF.
+
+    Up to :data:`CHUNK_BYTES` are read in place. A longer payload is read
+    chunk by chunk through one buffer and appended to the result, so
+    memory grows with the bytes that arrive, not with the announced ``n``.
+    """
+    if n <= CHUNK_BYTES:
+        buffer = bytearray(n)
+        view = memoryview(buffer)
+        got = 0
+        while got < n:
+            received = sock.recv_into(view[got:])
+            if not received:
+                break
+            got += received
+    else:
+        buffer = bytearray()
+        chunk = memoryview(bytearray(CHUNK_BYTES))
+        while len(buffer) < n:
+            received = sock.recv_into(chunk, min(n - len(buffer), CHUNK_BYTES))
+            if not received:
+                break
+            buffer += chunk[:received]
+        got = len(buffer)
+    if got < n:
+        raise ProtocolError(
+            f"connection closed mid-frame ({got} of {n} bytes received)"
+        )
+    return buffer
+
+
+def _recv_header(sock: socket.socket) -> tuple[bytes, int]:
+    """Read one frame header; returns ``(opcode, payload_length)``."""
     opcode, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame announces {length} bytes; refusing")
-    payload = _recv_exact(sock, length) if length else b""
-    return opcode, payload
+    return opcode, length
+
+
+def recv_frame(sock: socket.socket) -> tuple[bytes, bytearray]:
+    """Read one frame; returns ``(opcode, payload)``."""
+    opcode, length = _recv_header(sock)
+    return opcode, _recv_exact(sock, length)
+
+
+class _PutRefused(ValueError):
+    """A PUT body the worker will not store (its head does not check out)."""
+
+
+class _PutBody:
+    """The unread rest of one PUT frame's body, read through one reused buffer."""
+
+    def __init__(self, sock: socket.socket, length: int) -> None:
+        self._sock = sock
+        self.remaining = length
+        self._chunk = memoryview(bytearray(min(length, CHUNK_BYTES)))
+
+    def read(self, n: int) -> bytearray:
+        """The next ``n`` bytes of the body; refuses to read past its end."""
+        if n > self.remaining:
+            raise _PutRefused(
+                f"PUT body ends {self.remaining} bytes in; its head needs {n} more"
+            )
+        self.remaining -= n
+        return _recv_exact(self._sock, n)
+
+    def drain(self, handle=None) -> None:
+        """Read the rest of the body, writing it to ``handle`` unless ``None``."""
+        while self.remaining:
+            size = min(self.remaining, len(self._chunk))
+            received = self._sock.recv_into(self._chunk, size)
+            if not received:
+                raise ProtocolError(
+                    f"connection closed mid-frame ({self.remaining} PUT bytes missing)"
+                )
+            self.remaining -= received
+            if handle is not None:
+                handle.write(self._chunk[:received])
+
+
+def _read_put_head(body: _PutBody) -> tuple[str, bytes]:
+    """Parse a PUT body's origin path and ``.npy`` head; returns ``(origin, head)``.
+
+    Leaves ``body`` at the first data byte and checks that exactly the
+    data the ``.npy`` header announces is left; raises :class:`_PutRefused`
+    (or another :class:`ValueError` from numpy) when the head is malformed.
+    """
+    (path_length,) = _PATH_LENGTH.unpack(body.read(_PATH_LENGTH.size))
+    if path_length > _MAX_PATH_BYTES:
+        raise _PutRefused(f"PUT origin path of {path_length} bytes; refusing")
+    origin = body.read(path_length).decode("utf-8", "surrogateescape")
+    head = body.read(8)  # magic string and format version
+    major = head[6]
+    if major not in (1, 2):
+        raise _PutRefused(f"PUT body is not a version 1 or 2 .npy file: {bytes(head)!r}")
+    length_field = struct.Struct("<H" if major == 1 else "<I")
+    head += body.read(length_field.size)
+    (header_length,) = length_field.unpack(head[8:])
+    if header_length > _MAX_NPY_HEADER_BYTES:
+        raise _PutRefused(f".npy header of {header_length} bytes; refusing")
+    head += body.read(header_length)
+    stream = io.BytesIO(head)
+    version = np.lib.format.read_magic(stream)
+    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                   else np.lib.format.read_array_header_2_0)
+    shape, _fortran_order, dtype = read_header(stream)
+    if dtype.hasobject:
+        raise _PutRefused("PUT body holds an object array; refusing (no pickles)")
+    data_bytes = math.prod(shape) * dtype.itemsize
+    if body.remaining != data_bytes:
+        raise _PutRefused(
+            f"PUT body carries {body.remaining} data bytes; its .npy header "
+            f"{shape} {dtype} announces {data_bytes}"
+        )
+    return origin, bytes(head)
 
 
 # -- worker-side spill aliasing --------------------------------------------------------
@@ -268,6 +436,7 @@ class WorkerServer:
                 continue
             except OSError:
                 break
+            configure_socket(conn)
             with self._lock:
                 if self._shutdown.is_set():
                     conn.close()
@@ -357,7 +526,13 @@ class WorkerServer:
         reducer = None
         try:
             while not self._shutdown.is_set():
-                opcode, payload = recv_frame(conn)
+                opcode, length = _recv_header(conn)
+                if opcode not in _REQUEST_OPS:
+                    raise ProtocolError(f"unknown opcode {opcode!r}")
+                if opcode == OP_PUT:
+                    self._receive_put(conn, length, aliases, received)
+                    continue
+                payload = _recv_exact(conn, length)
                 if opcode == OP_QUIT:
                     # Delete the received files *before* acknowledging, so a
                     # coordinator that saw the OK can rely on the cleanup.
@@ -383,20 +558,6 @@ class WorkerServer:
                         send_frame(conn, OP_ERROR, pickle.dumps(self._summarize(exc)))
                     else:
                         send_frame(conn, OP_OK)
-                elif opcode == OP_PUT:
-                    try:
-                        origin_path, data = pickle.loads(payload)
-                        local_path = os.path.join(
-                            self._spill_dir, f"recv-{uuid.uuid4().hex}.npy"
-                        )
-                        with open(local_path, "wb") as handle:
-                            handle.write(data)
-                    except Exception as exc:
-                        send_frame(conn, OP_ERROR, pickle.dumps(self._summarize(exc)))
-                    else:
-                        aliases[os.fspath(origin_path)] = local_path
-                        received.append(local_path)
-                        send_frame(conn, OP_OK, pickle.dumps(local_path))
                 elif opcode == OP_TASK:
                     if self._should_fail_now():
                         self._die_on(conn)
@@ -414,8 +575,6 @@ class WorkerServer:
                         send_frame(conn, OP_RESULT, pickle.dumps((outputs, elapsed)))
                         with self._lock:
                             self._tasks_completed += 1
-                else:
-                    raise ProtocolError(f"unknown opcode {opcode!r}")
         except (ProtocolError, OSError, EOFError, pickle.UnpicklingError):
             pass  # the peer vanished or spoke garbage; drop the connection
         finally:
@@ -424,6 +583,43 @@ class WorkerServer:
             conn.close()
             with self._lock:
                 self._connections.discard(conn)
+
+    def _receive_put(
+        self, conn: socket.socket, length: int, aliases: dict[str, str], received: list[str]
+    ) -> None:
+        """Store one PUT body as a local spill file, or refuse it with ERROR.
+
+        A refused body is read to its end and dropped, so the connection
+        stays usable. EOF mid-body raises :class:`ProtocolError`; the
+        partly written file is already in ``received``, so the
+        connection's cleanup deletes it.
+        """
+        body = _PutBody(conn, length)
+        try:
+            origin, head = _read_put_head(body)
+        except ValueError as exc:
+            body.drain()
+            send_frame(conn, OP_ERROR, pickle.dumps(self._summarize(exc)))
+            return
+        local_path = os.path.join(self._spill_dir, f"recv-{uuid.uuid4().hex}.npy")
+        received.append(local_path)
+        try:
+            with open(local_path, "wb") as handle:
+                handle.write(head)
+                body.drain(handle)
+        except ConnectionError:
+            raise  # the socket failed, not the file: the connection's cleanup runs
+        except OSError as exc:  # the file failed (e.g. a full disk): refuse the body
+            body.drain()
+            received.remove(local_path)
+            try:
+                os.unlink(local_path)
+            except FileNotFoundError:
+                pass
+            send_frame(conn, OP_ERROR, pickle.dumps(self._summarize(exc)))
+            return
+        aliases[origin] = local_path
+        send_frame(conn, OP_OK, local_path.encode("utf-8", "surrogateescape"))
 
     @staticmethod
     def _summarize(exc: BaseException) -> tuple[str, str, str]:

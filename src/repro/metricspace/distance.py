@@ -33,8 +33,8 @@ place in the slice buffer. The slack is derived in
 The Euclidean :meth:`Metric.pairwise` of 2048 or more points (the
 round-2 matrix of the MapReduce outlier solver) takes
 :func:`_euclidean_pairwise`: it keeps :func:`euclidean`'s one
-``a @ b.T`` product, with ``points`` converted twice so that BLAS picks
-the same routine, and then overwrites the product in one pass over
+``a @ b.T`` product, on the same C-ordered float64 copy of ``points``
+that the reference path reads, and then overwrites the product in one pass over
 pairs of 192-row tiles with the distances, symmetrised as
 ``(D + D.T) * 0.5``, each step element-wise and in the reference's
 order. The result is bit for bit the reference's; the memory is one
@@ -351,10 +351,10 @@ def _euclidean_pairwise(points: np.ndarray, tile: int = _PAIRWISE_TILE) -> np.nd
     """The Euclidean :meth:`Metric.pairwise`: one GEMM, then one tile pass.
 
     Bit for bit ``euclidean(points, points)`` symmetrised as
-    ``(D + D.T) * 0.5`` with a zero diagonal. ``points`` is converted
-    twice, as :func:`euclidean` converts ``a`` and ``b``, so that the one
-    ``a @ b.T`` call takes the same BLAS routine (``syrk`` when the two
-    share a buffer, ``gemm`` otherwise); the product is never split into
+    ``(D + D.T) * 0.5`` with a zero diagonal. ``points`` is read as one
+    C-ordered float64 array (what :meth:`Metric.pairwise` passes), so the
+    one ``points @ points.T`` call takes the BLAS routine (``syrk``) that
+    :func:`euclidean` takes on that array; the product is never split into
     row blocks, which may change its bits. The rest is element-wise:
     for each pair of ``tile``-sided tiles ``I <= J``, ``x`` evaluates
     ``sqrt(max((aa + bb) - 2 g, 0))`` on ``g[I, J]`` and ``y`` on
@@ -362,11 +362,9 @@ def _euclidean_pairwise(points: np.ndarray, tile: int = _PAIRWISE_TILE) -> np.nd
     ``(x + y.T) * 0.5`` overwrites both tiles of the product. Memory is
     the one ``(m, m)`` matrix plus two scratch tiles.
     """
-    a = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
-    matrix = a @ b.T
+    points = np.atleast_2d(np.ascontiguousarray(points, dtype=np.float64))
+    aa = np.einsum("ij,ij->i", points, points)
+    matrix = points @ points.T
     m = matrix.shape[0]
     x_buffer = np.empty((min(tile, m), min(tile, m)), dtype=np.float64)
     y_buffer = np.empty_like(x_buffer)
@@ -374,7 +372,7 @@ def _euclidean_pairwise(points: np.ndarray, tile: int = _PAIRWISE_TILE) -> np.nd
     def evaluate(rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
         g = matrix[rows, cols]
         g *= 2.0
-        np.add(aa[rows, None], bb[None, cols], out=out)
+        np.add(aa[rows, None], aa[None, cols], out=out)
         out -= g
         np.maximum(out, 0.0, out=out)
         return np.sqrt(out, out=out)
@@ -502,13 +500,13 @@ class Metric:
         the path below, and returns the same bits. Smaller inputs, the other metrics and any
         :class:`DistanceCounter`-wrapped metric (whose count stays
         ``m * m``) evaluate :attr:`cross` on the whole set, then
-        symmetrise in place.
+        symmetrise in place. Both paths read one C-ordered float64 copy
+        of ``points``, so a list, a C-ordered and a Fortran-ordered array
+        of the same points take the same BLAS routine and give the same
+        bits.
         """
-        if (
-            self.cross is euclidean
-            and np.atleast_2d(np.asarray(points, dtype=np.float64)).shape[0]
-            >= _PAIRWISE_MIN_ROWS
-        ):
+        points = np.atleast_2d(np.ascontiguousarray(points, dtype=np.float64))
+        if self.cross is euclidean and points.shape[0] >= _PAIRWISE_MIN_ROWS:
             return _euclidean_pairwise(points)
         matrix = self.cross(points, points)
         if not self.exactly_symmetric:

@@ -38,6 +38,7 @@ from repro.mapreduce import (
 from repro.mapreduce.worker import (
     OP_HELLO,
     OP_OK,
+    OP_TASK,
     ProtocolError,
     recv_frame,
     send_frame,
@@ -439,17 +440,59 @@ class TestNoOrphans:
                     time.sleep(0.01)
                 assert os.listdir(worker.spill_dir) == []
 
-    def test_spill_files_pushed_once_per_worker(self, medium_blobs):
+    def test_spill_files_pushed_once_per_worker(self, medium_blobs, monkeypatch):
         # Rounds 1 and 3 both reference the sealed partitions; the PUT
-        # dedupe must ship each file a single time per worker.
+        # dedupe must ship each file a single time per worker that needs
+        # it, and bytes_shipped must be exactly the frame bodies sent.
+        from repro.mapreduce import cluster as cluster_module
+        from repro.mapreduce.backends import _NPY_HEADER_SIZE
+
+        puts, frames, scanned = [], [], {}
+        real_put = cluster_module.send_put
+        real_frame = cluster_module.send_frame
+        real_scan = cluster_module._dumps_scanning_spills
+
+        def spy_put(sock, path):
+            body = real_put(sock, path)
+            puts.append((sock.getpeername(), path, os.path.getsize(path), body))
+            return body
+
+        def spy_frame(sock, opcode, payload=b""):
+            frames.append((sock.getpeername(), opcode, bytes(payload)))
+            real_frame(sock, opcode, payload)
+
+        def spy_scan(payload):
+            data, spill_paths = real_scan(payload)
+            scanned[data] = list(spill_paths)
+            return data, spill_paths
+
+        monkeypatch.setattr(cluster_module, "send_put", spy_put)
+        monkeypatch.setattr(cluster_module, "send_frame", spy_frame)
+        monkeypatch.setattr(cluster_module, "_dumps_scanning_spills", spy_scan)
         with LocalCluster(2) as cluster:
             result = self._fit_stream_disk(cluster.addresses, medium_blobs)
-            spilled = result.stats.spilled_bytes
-            shipped = result.stats.bytes_shipped
-            # Every byte spilled is pushed at most once per round-1 worker
-            # plus once per round-3 worker — bounded by 2x, not 2 rounds x
-            # full re-pickles. (Loose sanity bound: < spilled * 4.)
-            assert shipped < spilled * 4
+        pushed = [(peer, path) for peer, path, _, _ in puts]
+        needed = {
+            (peer, path)
+            for peer, opcode, payload in frames if opcode == OP_TASK
+            for path in scanned[payload]
+        }
+        # Once per worker that needs the file, and never to one that does not.
+        assert len(pushed) == len(set(pushed))
+        assert set(pushed) == needed
+        # Every spilled byte crossed the wire, each body being the
+        # length-prefixed origin path followed by the whole .npy file.
+        sizes = {path: size for _, path, size, _ in puts}
+        assert sum(size - _NPY_HEADER_SIZE for size in sizes.values()) == (
+            result.stats.spilled_bytes
+        )
+        for _, path, size, body in puts:
+            assert body == 4 + len(os.fsencode(path)) + size
+        # bytes_shipped is exactly the bodies of the PUT, REDUCER and TASK
+        # frames (HELLO and QUIT carry none).
+        assert result.stats.bytes_shipped == sum(body for *_, body in puts) + sum(
+            len(payload) for _, _, payload in frames
+        )
 
     def test_backend_close_shuts_sockets(self):
         with LocalCluster(1) as cluster:

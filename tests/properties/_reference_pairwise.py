@@ -3,10 +3,10 @@
 :func:`reference_pairwise` is :meth:`Metric.pairwise` for the Euclidean
 metric written the way it computed every input before large inputs took
 :func:`~repro.metricspace.distance._euclidean_pairwise`: the full
-``euclidean(points, points)`` matrix (each element-wise step into a
-fresh ``(m, m)`` temporary), symmetrised in place as ``(D + D.T) * 0.5``
-with a zero diagonal. The distance kernel suites require the fused path
-to match it bit for bit.
+``euclidean(points, points)`` matrix of one C-ordered float64 copy of
+``points`` (each element-wise step into a fresh ``(m, m)`` temporary),
+symmetrised in place as ``(D + D.T) * 0.5`` with a zero diagonal. The
+distance kernel suites require the fused path to match it bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.metricspace.distance import euclidean
 
 def reference_pairwise(points: np.ndarray) -> np.ndarray:
     """Symmetric Euclidean distance matrix of ``points`` with a zero diagonal."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
     matrix = euclidean(points, points)
     matrix += matrix.T
     matrix *= 0.5

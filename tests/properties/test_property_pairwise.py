@@ -7,9 +7,10 @@ distances. These suites pin that path to
 then ``(D + D.T) * 0.5`` and a zero diagonal) at every tile size, on
 inputs where the steps round, clip or overflow: duplicate and 1-ulp-apart
 points, cancellation far from the origin, rows near 1e200 whose squared
-norms overflow to inf and NaN, and inputs that are not float64 arrays
-(lists and float32 take ``gemm`` instead of ``syrk``, so the product is
-not symmetric).
+norms overflow to inf and NaN, and inputs that are not C-ordered float64
+arrays. ``Metric.pairwise`` reads every input as one C-ordered float64
+copy, so a list, a C-ordered and a Fortran-ordered array of the same
+points take the same BLAS routine (``syrk``) and give the same bits.
 """
 
 from __future__ import annotations
@@ -88,13 +89,24 @@ def test_euclidean_pairwise_matches_reference(kind, form, tile_and_m, d, seed):
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("m", [257, 300])
 def test_gemm_and_syrk_inputs_match_reference(form, m, tile):
-    # At these sizes a list input changes the product's bits against the
-    # same float64 array (gemm against syrk): the product is not symmetric
-    # in its last rows and columns. A 512-point tile holds the whole
+    # At these sizes a list input converted twice (once per operand) took
+    # gemm where a C-ordered float64 array takes syrk, and changed the
+    # product's last rows and columns. A 512-point tile holds the whole
     # matrix, so those entries meet their mirror inside one diagonal tile.
     # Every form must match its own reference.
     points = _as_form(_points("gaussian", m, 7, seed=m), form)
     assert _euclidean_pairwise(points, tile).tobytes() == reference_pairwise(points).tobytes()
+
+
+@pytest.mark.parametrize("m", [256, 257, 300, 2048])
+def test_pairwise_bits_do_not_depend_on_input_layout(m):
+    # 257 and 300 rows took gemm for a list and a Fortran-ordered array
+    # and syrk for a C-ordered one; 2048 takes the fused path.
+    points = _points("gaussian", m, 7, seed=m)
+    metric = get_metric("euclidean")
+    expected = metric.pairwise(points).tobytes()
+    for form in ("list", "fortran"):
+        assert metric.pairwise(_as_form(points, form)).tobytes() == expected
 
 
 @pytest.mark.parametrize("m", [2048, 5440])
