@@ -117,17 +117,16 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--from-stream", action="store_true",
         help="drive the solver out of core: generate the dataset chunk by chunk "
-             "and route it through the streamed shuffle (fit_stream) so the "
-             "coordinator never holds the full point matrix",
+             "instead of in memory, so the coordinator never holds the full "
+             "point matrix",
     )
     parser.add_argument(
         "--chunk-size", type=int, default=4096,
-        help="rows per shuffle chunk in --from-stream mode (the coordinator's "
-             "transient working set)",
+        help="rows per shuffle chunk (the coordinator's transient working set)",
     )
     parser.add_argument(
         "--storage", choices=available_storage_tiers(), default="auto",
-        help="partition-storage tier for the streamed shuffle: memory/disk, or auto "
+        help="partition-storage tier for the shuffle: memory/disk, or auto "
              "(disk on the processes backend or when --memory-budget-mb is "
              "exceeded, memory otherwise)",
     )
@@ -144,10 +143,8 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _solve(args: argparse.Namespace) -> int:
-    if getattr(args, "from_stream", False) and args.command in ("mr-kcenter", "mr-outliers"):
-        return _solve_from_stream(args)
     points = load_paper_dataset(args.dataset, args.n_points, random_state=args.seed)
-    if args.command in ("mr-outliers", "sequential-outliers", "stream-outliers"):
+    if args.command in ("sequential-outliers", "stream-outliers"):
         injected = inject_outliers(points, args.z, random_state=args.seed + 1)
         points = injected.points
 
@@ -178,36 +175,7 @@ def _solve(args: argparse.Namespace) -> int:
         print(format_records(rows))
         return 0
 
-    max_workers, worker_addresses = _resolve_execution(args)
-    if args.command == "mr-kcenter":
-        solver = MapReduceKCenter(
-            args.k, ell=args.ell, coreset_multiplier=args.mu, random_state=args.seed,
-            backend=args.backend, max_workers=max_workers, workers=worker_addresses,
-        )
-        result = solver.fit(points)
-        rows = [{
-            "algorithm": "MapReduceKCenter",
-            "backend": args.backend or "serial",
-            "radius": result.radius,
-            "coreset_size": result.coreset_size,
-            "peak_local_memory": result.stats.peak_local_memory,
-        }]
-    elif args.command == "mr-outliers":
-        solver = MapReduceKCenterOutliers(
-            args.k, args.z, ell=args.ell, coreset_multiplier=args.mu,
-            randomized=args.randomized, include_log_term=False, random_state=args.seed,
-            backend=args.backend, max_workers=max_workers, workers=worker_addresses,
-        )
-        result = solver.fit(points)
-        rows = [{
-            "algorithm": "MapReduceKCenterOutliers" + (" (randomized)" if args.randomized else ""),
-            "backend": args.backend or "serial",
-            "radius": result.radius,
-            "radius_all_points": result.radius_all_points,
-            "coreset_size": result.coreset_size,
-            "peak_local_memory": result.stats.peak_local_memory,
-        }]
-    elif args.command == "sequential-kcenter":
+    if args.command == "sequential-kcenter":
         result = SequentialKCenter(args.k, random_state=args.seed).fit(points)
         rows = [{
             "algorithm": "SequentialKCenter (GMM)",
@@ -257,20 +225,47 @@ def _chunks_with_planted_outliers(args):
             yield chunk
 
 
-def _solve_from_stream(args: argparse.Namespace) -> int:
-    """Out-of-core solve: chunked dataset generation into the streamed shuffle."""
-    if args.command == "mr-outliers":
-        # Same problem instance as without --from-stream: z planted outliers
-        # ride along with the stream (chunk-wise injection).
-        chunks = _chunks_with_planted_outliers(args)
-        stream = GeneratorStream(chunks, length_hint=args.n_points + args.z)
+def _solve_mapreduce(args: argparse.Namespace) -> int:
+    """MapReduce solve: the in-memory dataset, or (``--from-stream``) chunked generation.
+
+    Either way the points go through ``fit_stream`` and its streamed
+    shuffle, so ``--chunk-size``, ``--storage``, ``--spill-dir`` and
+    ``--memory-budget-mb`` apply to both.
+    """
+    if args.from_stream:
+        if args.command == "mr-outliers":
+            # Same problem instance as without --from-stream: z planted
+            # outliers ride along with the stream (chunk-wise injection).
+            chunks = _chunks_with_planted_outliers(args)
+            stream = GeneratorStream(chunks, length_hint=args.n_points + args.z)
+        else:
+            chunks = stream_paper_dataset(
+                args.dataset, args.n_points, chunk_size=args.chunk_size,
+                random_state=args.seed,
+            )
+            stream = GeneratorStream(chunks, length_hint=args.n_points)
     else:
-        chunks = stream_paper_dataset(
-            args.dataset, args.n_points, chunk_size=args.chunk_size,
-            random_state=args.seed,
+        points = load_paper_dataset(args.dataset, args.n_points, random_state=args.seed)
+        if args.command == "mr-outliers":
+            points = inject_outliers(points, args.z, random_state=args.seed + 1).points
+        stream = ArrayStream(points)
+    max_workers, worker_addresses = _resolve_execution(args)
+    if args.command == "mr-kcenter":
+        solver = MapReduceKCenter(
+            args.k, ell=args.ell, coreset_multiplier=args.mu, random_state=args.seed,
+            backend=args.backend, max_workers=max_workers, workers=worker_addresses,
         )
-        stream = GeneratorStream(chunks, length_hint=args.n_points)
-    storage_kwargs = dict(
+        algorithm = "MapReduceKCenter"
+    else:
+        solver = MapReduceKCenterOutliers(
+            args.k, args.z, ell=args.ell, coreset_multiplier=args.mu,
+            randomized=args.randomized, include_log_term=False, random_state=args.seed,
+            backend=args.backend, max_workers=max_workers, workers=worker_addresses,
+        )
+        algorithm = "MapReduceKCenterOutliers" + (" (randomized)" if args.randomized else "")
+    result = solver.fit_stream(
+        stream,
+        chunk_size=args.chunk_size,
         storage=args.storage,
         spill_dir=args.spill_dir,
         # Converted as-is: a budget that is zero or negative is rejected by
@@ -280,28 +275,17 @@ def _solve_from_stream(args: argparse.Namespace) -> int:
             else int(args.memory_budget_mb * 1024 * 1024)
         ),
     )
-    max_workers, worker_addresses = _resolve_execution(args)
-    if args.command == "mr-kcenter":
-        solver = MapReduceKCenter(
-            args.k, ell=args.ell, coreset_multiplier=args.mu, random_state=args.seed,
-            backend=args.backend, max_workers=max_workers, workers=worker_addresses,
-        )
-        result = solver.fit_stream(stream, chunk_size=args.chunk_size, **storage_kwargs)
-        row = {"algorithm": "MapReduceKCenter (streamed)"}
-    else:
-        solver = MapReduceKCenterOutliers(
-            args.k, args.z, ell=args.ell, coreset_multiplier=args.mu,
-            randomized=args.randomized, include_log_term=False, random_state=args.seed,
-            backend=args.backend, max_workers=max_workers, workers=worker_addresses,
-        )
-        result = solver.fit_stream(stream, chunk_size=args.chunk_size, **storage_kwargs)
-        row = {"algorithm": "MapReduceKCenterOutliers (streamed)"}
-    row.update({
+    row = {
+        "algorithm": algorithm + (" (streamed)" if args.from_stream else ""),
         "backend": args.backend or "serial",
         "chunk_size": args.chunk_size,
         "storage": result.stats.storage_tier,
         "spilled_bytes": result.stats.spilled_bytes,
         "radius": result.radius,
+    }
+    if args.command == "mr-outliers":
+        row["radius_all_points"] = result.radius_all_points
+    row.update({
         "coreset_size": result.coreset_size,
         "peak_local_memory": result.stats.peak_local_memory,
         "coordinator_peak": result.stats.coordinator_peak_items,
@@ -392,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_stream_arguments(sub)
         if name.startswith("stream-"):
             _add_batch_size_argument(sub)
-        sub.set_defaults(handler=_solve)
+        sub.set_defaults(handler=_solve_mapreduce if name.startswith("mr-") else _solve)
 
     worker = subparsers.add_parser(
         "worker",

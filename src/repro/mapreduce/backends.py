@@ -74,7 +74,6 @@ __all__ = [
     "limit_blas_threads",
     "resolve_backend",
     "resolve_storage",
-    "set_spill_path_resolver",
 ]
 
 
@@ -149,36 +148,16 @@ def limit_blas_threads() -> int | None:
 # -- shared arrays ---------------------------------------------------------------------
 
 
-_SPILL_PATH_RESOLVER = None
-"""Optional hook translating spill paths at attach time.
-
-Distributed workers receive disk-tier spill files pushed by value (see
-:mod:`repro.mapreduce.worker`) and store them under their own spill
-directory; the hook maps the coordinator-side path carried by a pickled
-handle to the worker-local copy. ``None`` (the default everywhere except
-inside a worker) leaves paths untouched.
-"""
-
-
-def set_spill_path_resolver(resolver) -> None:
-    """Install ``resolver`` (a ``path -> path`` callable, or ``None``) globally."""
-    global _SPILL_PATH_RESOLVER
-    _SPILL_PATH_RESOLVER = resolver
-
-
 def _attach_spilled_array(meta: tuple[str, tuple, str]) -> "SharedArray":
     """Reconstruct a spilled :class:`SharedArray` in a worker process by path.
 
     The worker memory-maps the ``.npy`` spill file read-only; nothing is
     copied and the attached handle never owns (so never unlinks) the
-    file — the coordinator's sealed handle does. On a distributed worker
-    the path is first translated to the locally-received copy of the
-    pushed file (see :func:`set_spill_path_resolver`).
+    file — the coordinator's sealed handle does. A pool worker opens the
+    coordinator's own file; a distributed worker gets ``meta`` naming its
+    pushed copy instead (see :mod:`repro.mapreduce.cluster`).
     """
-    path, shape, dtype = meta
-    if _SPILL_PATH_RESOLVER is not None:
-        path = _SPILL_PATH_RESOLVER(path)
-    return SharedArray.from_spill_file(path, shape, dtype)
+    return SharedArray.from_spill_file(*meta)
 
 
 def _rebuild_by_value(array: np.ndarray) -> "SharedArray":
@@ -194,9 +173,10 @@ class SharedArray:
     Instances are created by the partition stores' ``finalize``. In the
     coordinator the wrapper views the stored rows (zero copy). A handle
     on a disk-tier spill file pickles as ``(path, shape, dtype)``, which
-    the receiving process memory-maps read-only; a handle on in-process
-    rows (the memory tier) pickles them by value, which is correct on
-    every backend but pays the copy.
+    the receiving process memory-maps read-only (the distributed backend
+    puts the path of the worker's pushed copy there); a handle on
+    in-process rows (the memory tier) pickles them by value, which is
+    correct on every backend but pays the copy.
     """
 
     __slots__ = ("_array", "_spill_meta", "_owns_spill")

@@ -21,22 +21,23 @@ per worker, not once per task. Partition payloads travel by tier:
 
 * memory-tier partitions (the default under this backend) pickle their
   rows *by value* inside the TASK frame;
-* disk-tier spill files are detected while pickling the task (the
-  handles carry their path), pushed once per worker as a PUT frame, and
-  re-opened worker-side as read-only memmaps — no row data is pickled,
-  and a file already pushed to a worker is never pushed twice. The file
-  goes out with :meth:`socket.socket.sendfile` behind a short
-  path prefix, so the coordinator never reads it: a push costs the
-  coordinator no memory beyond the frame header, and the worker writes
-  the body into its own file through one fixed-size buffer.
-  ``push_spills=False`` skips the push for same-host clusters whose
-  workers can open the coordinator's files directly.
+* disk-tier spill files are pushed to a worker as PUT frames the first
+  time a task for that worker references them, and the worker's OK
+  reply names its copy. The task is pickled per worker, and each
+  disk-tier handle in it pickles with the path of that worker's copy,
+  which the reducer re-opens as a read-only memmap: no row data is
+  pickled, a file already pushed to a worker is never pushed twice, and
+  the worker opens only its own files. The file goes out with
+  :meth:`socket.socket.sendfile`, so the coordinator never reads it: a
+  push costs the coordinator no memory beyond the frame header, and the
+  worker writes the body into its own file through one fixed-size
+  buffer.
 
 Both ends of every connection set ``TCP_NODELAY``, and a frame's header
-leaves in one gather write with its payload (a PUT's with its path
-prefix), so no frame waits for the peer's delayed ACK (see
-:mod:`repro.mapreduce.worker`). :attr:`DistributedBackend.bytes_shipped`
-counts the payload bytes of every REDUCER, PUT and TASK frame sent.
+leaves in one gather write with its payload, so no frame waits for the
+peer's delayed ACK (see :mod:`repro.mapreduce.worker`).
+:attr:`DistributedBackend.bytes_shipped` counts the payload bytes of
+every REDUCER, PUT and TASK frame sent, in failed rounds too.
 
 Failure model
 -------------
@@ -70,7 +71,7 @@ from ..exceptions import (
     WorkerTaskError,
     WorkerUnavailableError,
 )
-from .backends import SharedArray
+from .backends import SharedArray, _attach_spilled_array
 from .worker import (
     OP_ERROR,
     OP_HELLO,
@@ -114,32 +115,32 @@ def parse_worker_address(spec) -> tuple[str, int]:
     return str(host), port
 
 
-class _SpillScanPickler(pickle.Pickler):
-    """Pickles a payload while collecting the spill files it references.
+class _TaskPickler(pickle.Pickler):
+    """Pickles a task for one worker, naming that worker's copy of each spill file.
 
-    Disk-tier :class:`SharedArray` handles pickle as ``(path, shape,
-    dtype)`` — no row data — so the coordinator must learn *which* files
-    a task needs in order to push them ahead of it. Scanning during the
-    one pickling pass the task needs anyway makes discovery free.
+    A disk-tier :class:`SharedArray` handle pickles as ``(path, shape,
+    dtype)`` with no row data. ``worker_path`` maps the coordinator's
+    path to the worker's copy, pushing the file first if need be, so the
+    discovery and the push ride on the one pickling pass the task needs
+    anyway.
     """
 
-    def __init__(self, buffer: io.BytesIO) -> None:
+    def __init__(self, buffer: io.BytesIO, worker_path) -> None:
         super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        self.spill_paths: list[str] = []
+        self._worker_path = worker_path
 
-    def persistent_id(self, obj):
-        if isinstance(obj, SharedArray):
-            meta = getattr(obj, "_spill_meta", None)
-            if meta is not None and meta[0] not in self.spill_paths:
-                self.spill_paths.append(meta[0])
-        return None  # always pickle normally; the scan is a side effect
+    def reducer_override(self, obj):
+        meta = obj._spill_meta if isinstance(obj, SharedArray) else None
+        if meta is None:
+            return NotImplemented
+        path, shape, dtype = meta
+        return _attach_spilled_array, ((self._worker_path(path), shape, dtype),)
 
 
-def _dumps_scanning_spills(payload) -> tuple[bytes, list[str]]:
+def _dumps_task(task, worker_path) -> bytes:
     buffer = io.BytesIO()
-    pickler = _SpillScanPickler(buffer)
-    pickler.dump(payload)
-    return buffer.getvalue(), pickler.spill_paths
+    _TaskPickler(buffer, worker_path).dump(task)
+    return buffer.getvalue()
 
 
 class _WorkerLink:
@@ -156,7 +157,8 @@ class _WorkerLink:
         self.sock: socket.socket | None = None
         self.alive = True
         self.failure: str | None = None
-        self.pushed_spills: set[str] = set()
+        #: Coordinator spill path -> the path of the worker's copy.
+        self.pushed_spills: dict[str, str] = {}
         self.round_marker: object | None = None
         #: The worker's HELLO reply from the latest connection (``None``
         #: before the first one).
@@ -190,11 +192,6 @@ class DistributedBackend:
         cluster or the printed listen addresses of ``repro worker``
         daemons. At least one is required; the list order defines the
         round-robin placement.
-    push_spills:
-        Push disk-tier spill files to workers as raw bytes (default).
-        ``False`` lets workers open the coordinator's files by path —
-        only correct when every worker shares the coordinator's
-        filesystem.
     connect_timeout:
         Seconds to wait for a TCP connect before declaring a worker
         unreachable (the job then proceeds on the surviving workers).
@@ -213,7 +210,6 @@ class DistributedBackend:
         self,
         workers: Sequence,
         *,
-        push_spills: bool = True,
         connect_timeout: float = 5.0,
     ) -> None:
         links = [_WorkerLink(spec) for spec in workers]
@@ -224,7 +220,6 @@ class DistributedBackend:
         if connect_timeout <= 0:
             raise InvalidParameterError("connect_timeout must be positive")
         self._links = links
-        self._push_spills = bool(push_spills)
         self._connect_timeout = float(connect_timeout)
         self._lock = threading.Lock()
         self._last_assignments: dict[Hashable, list[str]] = {}
@@ -285,7 +280,8 @@ class DistributedBackend:
         configure_socket(sock)
         link.sock = sock
         link.round_marker = None
-        opcode, response = self._request(link, OP_HELLO, b"")
+        send_frame(sock, OP_HELLO)
+        opcode, response = recv_frame(sock)
         if opcode != OP_OK:
             raise ProtocolViolation(opcode)
         link.hello = pickle.loads(response)
@@ -299,10 +295,6 @@ class DistributedBackend:
         link.pushed_spills.clear()
         link.round_marker = None
 
-    def _request(self, link: _WorkerLink, opcode: bytes, payload: bytes) -> tuple[bytes, bytes]:
-        send_frame(link.sock, opcode, payload)
-        return recv_frame(link.sock)
-
     # -- the ExecutorBackend protocol --------------------------------------------------
 
     def run_reducers(self, reducer, groups):
@@ -311,82 +303,68 @@ class DistributedBackend:
         reducer_payload = pickle.dumps(reducer, protocol=pickle.HIGHEST_PROTOCOL)
 
         round_marker = object()
+        # Recorded as the round goes, so a failed round is accounted too:
+        # the attempts and the bytes shipped before the failure.
         assignments: dict[Hashable, list[str]] = {key: [] for key in keys}
+        self._last_assignments, self._last_bytes = assignments, 0
         results: dict[Hashable, tuple[list, float]] = {}
         task_errors: list[WorkerTaskError] = []
         abort = threading.Event()
-        shipped = [0]  # single cell, guarded by self._lock
-
-        def remote_error(response: bytes, context: str, link: _WorkerLink) -> WorkerTaskError:
-            exc_type, message, remote_traceback = pickle.loads(response)
-            return WorkerTaskError(
-                f"{context} raised {exc_type} on worker {link.label}: {message}\n"
-                f"--- remote traceback ---\n{remote_traceback}"
-            )
 
         def drain(link: _WorkerLink, assigned: list[tuple[int, Hashable]],
                   failed: list[tuple[int, Hashable]]) -> None:
             sent = 0
 
-            def expect_ok(opcode: bytes, response: bytes, context: str) -> bool:
-                """True when OK; records a (non-retriable) remote error on ERROR."""
-                if opcode == OP_OK:
-                    return True
+            def send(opcode: bytes, payload: bytes) -> None:
+                nonlocal sent
+                send_frame(link.sock, opcode, payload)
+                sent += len(payload)
+
+            def reply(expected: bytes, context: str) -> bytearray:
+                """The worker's reply payload; a remote ERROR raises WorkerTaskError."""
+                opcode, response = recv_frame(link.sock)
+                if opcode == expected:
+                    return response
                 if opcode == OP_ERROR:
-                    # An application error (unpicklable reducer, bad spill
-                    # payload) is deterministic: abort instead of retrying
-                    # the identical payload on every worker in turn.
-                    task_errors.append(remote_error(response, context, link))
-                    abort.set()
-                    return False
+                    exc_type, message, remote_traceback = pickle.loads(response)
+                    raise WorkerTaskError(
+                        f"{context} raised {exc_type} on worker {link.label}: {message}\n"
+                        f"--- remote traceback ---\n{remote_traceback}"
+                    )
                 raise ProtocolViolation(opcode)
 
+            def worker_path(path: str) -> str:
+                """The worker's copy of spill file ``path``, pushed on first use."""
+                nonlocal sent
+                if path not in link.pushed_spills:
+                    sent += send_put(link.sock, path)
+                    local = reply(OP_OK, f"storing pushed spill file {path!r}")
+                    link.pushed_spills[path] = local.decode("utf-8", "surrogateescape")
+                return link.pushed_spills[path]
+
             try:
-                for position, (index, key) in enumerate(assigned):
+                for index, key in assigned:
                     if abort.is_set():
-                        failed.extend(assigned[position:])
-                        return
+                        break
                     assignments[key].append(link.label)
                     if link.sock is None:
                         self._connect(link)
                     if link.round_marker is not round_marker:
-                        opcode, response = self._request(link, OP_REDUCER, reducer_payload)
-                        if not expect_ok(opcode, response, "unpickling the reducer"):
-                            failed.extend(assigned[position:])
-                            return
+                        send(OP_REDUCER, reducer_payload)
+                        reply(OP_OK, "unpickling the reducer")
                         link.round_marker = round_marker
-                        sent += len(reducer_payload)
                     # Pickled per dispatch (not up front for the whole round),
                     # so the coordinator holds at most one serialized payload
                     # per worker in flight — a retry re-pickles instead of the
                     # round keeping a full serialized copy of every partition.
-                    payload, spill_paths = _dumps_scanning_spills((key, groups[key]))
-                    if self._push_spills:
-                        for path in spill_paths:
-                            if path in link.pushed_spills:
-                                continue
-                            sent += send_put(link.sock, path)
-                            opcode, response = recv_frame(link.sock)
-                            if not expect_ok(
-                                opcode, response, f"storing pushed spill file {path!r}"
-                            ):
-                                failed.extend(assigned[position:])
-                                return
-                            link.pushed_spills.add(path)
-                    opcode, response = self._request(link, OP_TASK, payload)
-                    sent += len(payload)
-                    if opcode == OP_RESULT:
-                        outputs, elapsed = pickle.loads(response)
-                        results[key] = (outputs, elapsed)
-                    elif opcode == OP_ERROR:
-                        task_errors.append(
-                            remote_error(response, f"reducer for key {key!r}", link)
-                        )
-                        abort.set()
-                        failed.extend(assigned[position + 1:])
-                        return
-                    else:
-                        raise ProtocolViolation(opcode)
+                    send(OP_TASK, _dumps_task((key, groups[key]), worker_path))
+                    results[key] = pickle.loads(reply(OP_RESULT, f"reducer for key {key!r}"))
+            except WorkerTaskError as exc:
+                # An application error (unpicklable reducer, refused spill
+                # file, raising reducer) is deterministic: abort instead of
+                # retrying the identical payload on every worker in turn.
+                task_errors.append(exc)
+                abort.set()
             except (OSError, EOFError, pickle.PickleError, ProtocolViolation) as exc:
                 self._mark_dead(link, exc)
                 # The task in flight and everything after it must be retried.
@@ -404,7 +382,8 @@ class DistributedBackend:
                 abort.set()
             finally:
                 with self._lock:
-                    shipped[0] += sent
+                    self._last_bytes += sent
+                    self._bytes_shipped += sent
 
         pending: list[tuple[int, Hashable]] = list(enumerate(keys))
         while pending and not abort.is_set():
@@ -447,10 +426,6 @@ class DistributedBackend:
                  for index, key in per_link if key not in results},
                 key=lambda task: task[0],
             )
-
-        self._last_assignments = assignments
-        self._last_bytes = shipped[0]
-        self._bytes_shipped += shipped[0]
         return {key: results[key] for key in keys}
 
     def close(self) -> None:

@@ -785,8 +785,6 @@ def shuffle_point_stream(
     rng: np.random.Generator,
     chunk_size: int,
     adversarial_indices=None,
-    storage: str | None = None,
-    spill_dir: str | None = None,
 ) -> tuple[list[StreamedPartition], int, int]:
     """The MapReduce drivers' shuffle: route a point stream into ``ell`` partitions.
 
@@ -795,8 +793,7 @@ def shuffle_point_stream(
     the length when it is known, builds the matching
     :class:`~repro.mapreduce.partitioner.ChunkRouter` and runs
     :meth:`MapReduceRuntime.shuffle_stream` with oversized native batches
-    re-split to ``chunk_size``, on the partition-storage tier ``storage``
-    selects (``None`` defers to the runtime's default).
+    re-split to ``chunk_size``, on the runtime's partition-storage tier.
 
     ``partitioning`` is ``"contiguous"``, ``"round_robin"``, ``"random"``
     or ``"adversarial"``. The random split draws one variate from ``rng``
@@ -840,8 +837,6 @@ def shuffle_point_stream(
         stream.iterate_batches(chunk_size),
         router,
         max_chunk_rows=chunk_size,
-        storage=storage,
-        spill_dir=spill_dir,
     )
     parts = [
         StreamedPartition(points, indices)

@@ -25,18 +25,14 @@ opcodes (coordinator to worker):
 * ``r`` **REDUCER** — pickled reducer callable; becomes the connection's
   current reducer (sent once per round, not once per task). Replies OK.
 * ``p`` **PUT** — a disk-tier spill file pushed by value, not pickled:
-  a 4-byte big-endian length, that many bytes of the UTF-8 origin path,
-  then the raw ``.npy`` file. The coordinator streams the file with
+  the body is the raw ``.npy`` file. The coordinator streams it with
   :meth:`socket.socket.sendfile` (:func:`send_put`), so it never holds
   the file in memory. The worker parses the ``.npy`` magic and header
   from the head of the body (no pickled dtypes) and checks that the rest
   of the body is exactly ``prod(shape) * itemsize`` bytes. A body that
-  passes is written straight into a file in the worker's spill
-  directory through one reused :data:`CHUNK_BYTES` buffer, and
-  ``origin_path`` becomes an alias for it, so a disk-tier
-  :class:`~repro.mapreduce.backends.SharedArray` handle pickled into a
-  later task re-opens the *local copy* as a read-only memmap. Replies OK
-  with the local path (UTF-8). A body that fails the check is read to
+  passes is written straight into a new file in the worker's spill
+  directory through one reused :data:`CHUNK_BYTES` buffer. Replies OK
+  with that file's path (UTF-8). A body that fails the check is read to
   its end in bounded chunks and dropped: no file is written and the
   reply is ERROR.
 * ``t`` **TASK** — pickled ``(key, values)``: run the connection's
@@ -52,8 +48,14 @@ Response opcodes (worker to coordinator): ``o`` OK, ``R`` RESULT,
 unknown opcode — is a *transport* failure: the coordinator marks the
 worker dead and retries its tasks on the surviving workers, while the
 worker drops the connection and cleans up its received files, a
-partly written PUT file included. Memory-tier partitions need no PUT at
-all: their handles pickle the rows by value inside the TASK frame.
+partly written PUT file included.
+
+The worker never translates paths. The coordinator pickles each TASK for
+one worker, and a disk-tier
+:class:`~repro.mapreduce.backends.SharedArray` in it pickles with the
+path that worker's PUT reply named, so the reducer memory-maps the
+worker's own copy. Memory-tier partitions need no PUT at all: their
+handles pickle the rows by value inside the TASK frame.
 
 Both ends set ``TCP_NODELAY`` on every connection
 (:func:`configure_socket`), and :func:`send_frame` hands a frame's
@@ -110,7 +112,6 @@ __all__ = [
 
 
 _HEADER = struct.Struct("!cQ")
-_PATH_LENGTH = struct.Struct("!I")
 
 OP_HELLO = b"h"
 OP_REDUCER = b"r"
@@ -133,9 +134,6 @@ MAX_FRAME_BYTES = 1 << 40
 #: Largest piece of a frame read by one ``recv_into``, and the size of
 #: the one buffer a PUT body passes through on its way into the file.
 CHUNK_BYTES = 1 << 20
-
-#: Longest origin path a PUT may carry (Linux's ``PATH_MAX``).
-_MAX_PATH_BYTES = 4096
 
 #: Longest ``.npy`` header a PUT may carry (numpy's own parsing default).
 _MAX_NPY_HEADER_BYTES = 10000
@@ -174,20 +172,16 @@ def send_frame(sock: socket.socket, opcode: bytes, payload: bytes = b"") -> None
 def send_put(sock: socket.socket, path: str) -> int:
     """Push the spill file at ``path`` as a PUT frame; returns the body length.
 
-    The frame header and the length-prefixed origin path leave in one
-    gather write; the file follows through :meth:`socket.socket.sendfile`,
-    so the caller never reads it into memory.
+    The file follows the frame header through
+    :meth:`socket.socket.sendfile`, so the caller never reads it into
+    memory.
     """
-    origin = os.fspath(path).encode("utf-8", "surrogateescape")
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
-        body = _PATH_LENGTH.size + len(origin) + size
-        _send_buffers(sock, (
-            _HEADER.pack(OP_PUT, body), _PATH_LENGTH.pack(len(origin)), origin,
-        ))
+        sock.sendall(_HEADER.pack(OP_PUT, size))
         if size and sock.sendfile(handle, 0, size) != size:
             raise ProtocolError(f"spill file {path} shrank while it was being sent")
-    return body
+    return size
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytearray:
@@ -271,17 +265,13 @@ class _PutBody:
                 handle.write(self._chunk[:received])
 
 
-def _read_put_head(body: _PutBody) -> tuple[str, bytes]:
-    """Parse a PUT body's origin path and ``.npy`` head; returns ``(origin, head)``.
+def _read_put_head(body: _PutBody) -> bytes:
+    """Parse a PUT body's ``.npy`` magic and header; returns the bytes read.
 
     Leaves ``body`` at the first data byte and checks that exactly the
     data the ``.npy`` header announces is left; raises :class:`_PutRefused`
     (or another :class:`ValueError` from numpy) when the head is malformed.
     """
-    (path_length,) = _PATH_LENGTH.unpack(body.read(_PATH_LENGTH.size))
-    if path_length > _MAX_PATH_BYTES:
-        raise _PutRefused(f"PUT origin path of {path_length} bytes; refusing")
-    origin = body.read(path_length).decode("utf-8", "surrogateescape")
     head = body.read(8)  # magic string and format version
     major = head[6]
     if major not in (1, 2):
@@ -305,25 +295,7 @@ def _read_put_head(body: _PutBody) -> tuple[str, bytes]:
             f"PUT body carries {body.remaining} data bytes; its .npy header "
             f"{shape} {dtype} announces {data_bytes}"
         )
-    return origin, bytes(head)
-
-
-# -- worker-side spill aliasing --------------------------------------------------------
-
-_CONNECTION_LOCAL = threading.local()
-"""Per-connection spill-path aliases (each connection runs on its own thread)."""
-
-
-def _translate_spill_path(path: str) -> str:
-    """Resolve a coordinator-side spill path to this connection's local copy."""
-    aliases = getattr(_CONNECTION_LOCAL, "spill_aliases", None)
-    if aliases:
-        return aliases.get(path, path)
-    return path
-
-
-def _install_spill_resolver() -> None:
-    _backends.set_spill_path_resolver(_translate_spill_path)
+    return bytes(head)
 
 
 # -- the server ------------------------------------------------------------------------
@@ -385,7 +357,6 @@ class WorkerServer:
             )
         if fail_after_tasks is not None and fail_after_tasks < 0:
             raise InvalidParameterError("fail_after_tasks must be >= 0 or None")
-        _install_spill_resolver()
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.2)
         bound = self._listener.getsockname()
@@ -520,9 +491,7 @@ class WorkerServer:
     # -- connection handling -----------------------------------------------------------
 
     def _handle_connection(self, conn: socket.socket) -> None:
-        aliases: dict[str, str] = {}
         received: list[str] = []
-        _CONNECTION_LOCAL.spill_aliases = aliases
         reducer = None
         try:
             while not self._shutdown.is_set():
@@ -530,13 +499,13 @@ class WorkerServer:
                 if opcode not in _REQUEST_OPS:
                     raise ProtocolError(f"unknown opcode {opcode!r}")
                 if opcode == OP_PUT:
-                    self._receive_put(conn, length, aliases, received)
+                    self._receive_put(conn, length, received)
                     continue
                 payload = _recv_exact(conn, length)
                 if opcode == OP_QUIT:
                     # Delete the received files *before* acknowledging, so a
                     # coordinator that saw the OK can rely on the cleanup.
-                    self._cleanup_received(received, aliases)
+                    self._cleanup_received(received)
                     send_frame(conn, OP_OK)
                     break
                 if opcode == OP_HELLO:
@@ -578,15 +547,12 @@ class WorkerServer:
         except (ProtocolError, OSError, EOFError, pickle.UnpicklingError):
             pass  # the peer vanished or spoke garbage; drop the connection
         finally:
-            _CONNECTION_LOCAL.spill_aliases = None
-            self._cleanup_received(received, aliases)
+            self._cleanup_received(received)
             conn.close()
             with self._lock:
                 self._connections.discard(conn)
 
-    def _receive_put(
-        self, conn: socket.socket, length: int, aliases: dict[str, str], received: list[str]
-    ) -> None:
+    def _receive_put(self, conn: socket.socket, length: int, received: list[str]) -> None:
         """Store one PUT body as a local spill file, or refuse it with ERROR.
 
         A refused body is read to its end and dropped, so the connection
@@ -596,7 +562,7 @@ class WorkerServer:
         """
         body = _PutBody(conn, length)
         try:
-            origin, head = _read_put_head(body)
+            head = _read_put_head(body)
         except ValueError as exc:
             body.drain()
             send_frame(conn, OP_ERROR, pickle.dumps(self._summarize(exc)))
@@ -618,7 +584,6 @@ class WorkerServer:
                 pass
             send_frame(conn, OP_ERROR, pickle.dumps(self._summarize(exc)))
             return
-        aliases[origin] = local_path
         send_frame(conn, OP_OK, local_path.encode("utf-8", "surrogateescape"))
 
     @staticmethod
@@ -627,7 +592,7 @@ class WorkerServer:
         return (type(exc).__name__, str(exc), traceback.format_exc())
 
     @staticmethod
-    def _cleanup_received(received: list[str], aliases: dict[str, str]) -> None:
+    def _cleanup_received(received: list[str]) -> None:
         """Delete spill files received on a connection. Idempotent."""
         while received:
             path = received.pop()
@@ -635,7 +600,6 @@ class WorkerServer:
                 os.unlink(path)
             except FileNotFoundError:
                 pass
-        aliases.clear()
 
 
 def serve(listen: str, *, spill_dir: str | None = None) -> int:

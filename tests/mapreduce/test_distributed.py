@@ -12,6 +12,7 @@ lives in ``tests/properties/test_property_distributed_equivalence.py``.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import socket
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.exceptions import (
@@ -57,6 +59,28 @@ def failing_reducer(key, values):
 def modulo_mapper(_key, values):
     for value in values:
         yield (value % 3, value)
+
+
+def mapped_file_reducer(key, values):
+    yield (key, values.array.filename)
+
+
+def _spill_paths_named(task_payload: bytes) -> list[str]:
+    """The spill-file paths a pickled TASK payload's disk-tier handles name.
+
+    Unpickles with the attach step replaced by a recorder, so nothing is
+    opened: the paths are read from the payload itself.
+    """
+    named = []
+
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module, name):
+            if (module, name) == ("repro.mapreduce.backends", "_attach_spilled_array"):
+                return lambda meta: named.append(meta[0])
+            return super().find_class(module, name)
+
+    Recorder(io.BytesIO(task_payload)).load()
+    return named
 
 
 def _dead_address() -> str:
@@ -161,31 +185,32 @@ class TestWorkerDaemonSubprocess:
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
-        process = subprocess.Popen(
+        # The context manager closes the stdout pipe on the way out.
+        with subprocess.Popen(
             [sys.executable, "-m", "repro", "worker",
              "--listen", "127.0.0.1:0", "--spill-dir", str(tmp_path)],
             stdout=subprocess.PIPE, text=True, env=env,
-        )
-        try:
-            line = process.stdout.readline()
-            assert "listening on" in line
-            address = line.strip().rsplit(" ", 1)[-1]
-            backend = DistributedBackend([address])
+        ) as process:
             try:
-                # The daemon process can only unpickle importable callables,
-                # exactly like a remote host: use a library-level reducer.
-                from repro.mapreduce.runtime import identity_mapper
+                line = process.stdout.readline()
+                assert "listening on" in line
+                address = line.strip().rsplit(" ", 1)[-1]
+                backend = DistributedBackend([address])
+                try:
+                    # The daemon process can only unpickle importable callables,
+                    # exactly like a remote host: use a library-level reducer.
+                    from repro.mapreduce.runtime import identity_mapper
 
-                results = backend.run_reducers(
-                    identity_mapper, {0: [1, 2, 3], 1: [10, 20]}
-                )
-                assert results[0][0] == [(0, [1, 2, 3])]
-                assert results[1][0] == [(1, [10, 20])]
+                    results = backend.run_reducers(
+                        identity_mapper, {0: [1, 2, 3], 1: [10, 20]}
+                    )
+                    assert results[0][0] == [(0, [1, 2, 3])]
+                    assert results[1][0] == [(1, [10, 20])]
+                finally:
+                    backend.close()
             finally:
-                backend.close()
-        finally:
-            process.terminate()
-            process.wait(timeout=10)
+                process.terminate()
+                process.wait(timeout=10)
 
     def test_unpicklable_reducer_surfaces_as_task_error_not_retry(self, tmp_path):
         # A reducer whose module exists only coordinator-side (here: this
@@ -210,13 +235,17 @@ class TestWorkerDaemonSubprocess:
             with DistributedBackend(addresses) as backend:
                 with pytest.raises(WorkerTaskError, match="unpickling the reducer"):
                     backend.run_reducers(summing_reducer, {0: [1, 2]})
-                assignments, _ = backend.take_round_accounting()
+                assignments, shipped = backend.take_round_accounting()
+                assert assignments
                 assert all(len(attempts) == 1 for attempts in assignments.values())
+                assert shipped > 0
+                assert backend.bytes_shipped == shipped
         finally:
             for process in daemons:
                 process.terminate()
             for process in daemons:
                 process.wait(timeout=10)
+                process.stdout.close()
 
     def test_sigterm_cleans_owned_spill_dir(self):
         import repro
@@ -224,28 +253,28 @@ class TestWorkerDaemonSubprocess:
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
-        process = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0"],
             stdout=subprocess.PIPE, text=True, env=env,
-        )
-        try:
-            line = process.stdout.readline()
-            address = line.strip().rsplit(" ", 1)[-1]
-            backend = DistributedBackend([address])
+        ) as process:
             try:
-                send_frame_sock = socket.create_connection(
-                    tuple([address.rsplit(":", 1)[0], int(address.rsplit(":", 1)[1])])
-                )
-                send_frame(send_frame_sock, OP_HELLO)
-                opcode, payload = recv_frame(send_frame_sock)
-                spill_dir = pickle.loads(payload)["spill_dir"]
-                send_frame_sock.close()
+                line = process.stdout.readline()
+                address = line.strip().rsplit(" ", 1)[-1]
+                backend = DistributedBackend([address])
+                try:
+                    send_frame_sock = socket.create_connection(
+                        tuple([address.rsplit(":", 1)[0], int(address.rsplit(":", 1)[1])])
+                    )
+                    send_frame(send_frame_sock, OP_HELLO)
+                    opcode, payload = recv_frame(send_frame_sock)
+                    spill_dir = pickle.loads(payload)["spill_dir"]
+                    send_frame_sock.close()
+                finally:
+                    backend.close()
+                assert os.path.isdir(spill_dir)
             finally:
-                backend.close()
-            assert os.path.isdir(spill_dir)
-        finally:
-            process.terminate()
-            exit_code = process.wait(timeout=10)
+                process.terminate()
+                exit_code = process.wait(timeout=10)
         # SIGTERM must run the shutdown path: owned spill dir removed,
         # clean exit status (not -SIGTERM).
         assert exit_code == 0
@@ -379,9 +408,14 @@ class TestFailureInjection:
             with cluster.backend() as backend:
                 with pytest.raises(WorkerTaskError, match="deterministic failure"):
                     backend.run_reducers(failing_reducer, {0: [1], 1: [2]})
-                assignments, _ = backend.take_round_accounting()
-                # One attempt only: application errors must not fail over.
+                assignments, shipped = backend.take_round_accounting()
+                # The failed round is accounted: each key with one attempt
+                # only (application errors must not fail over), and the
+                # bytes it shipped.
+                assert assignments
                 assert all(len(attempts) == 1 for attempts in assignments.values())
+                assert shipped > 0
+                assert backend.bytes_shipped == shipped
                 # The backend (and its workers) stay usable afterwards.
                 results = backend.run_reducers(summing_reducer, {0: [7]})
                 assert results[0][0] == [(0, 7)]
@@ -391,6 +425,33 @@ class TestFailureInjection:
             with cluster.backend() as backend:
                 with pytest.raises(WorkerTaskError, match="remote traceback"):
                     backend.run_reducers(failing_reducer, {0: [1]})
+
+
+class TestWorkerCopy:
+    def test_reducer_maps_the_worker_copy_not_the_coordinator_file(self, tmp_path):
+        # Coordinator and workers share one host here, so a reducer that
+        # opened the coordinator's file would still compute the right
+        # answer: check which file each reducer's handle actually maps.
+        from repro.mapreduce.backends import DiskPartitionStore
+
+        handles = []
+        for seed in range(2):
+            store = DiskPartitionStore(3, np.dtype(np.float64), str(tmp_path))
+            store.append(np.random.default_rng(seed).normal(size=(50, 3)))
+            handles.append(store.finalize())
+        try:
+            with LocalCluster(2) as cluster:
+                with cluster.backend() as backend:
+                    results = backend.run_reducers(mapped_file_reducer, dict(enumerate(handles)))
+                    for key, worker in enumerate(cluster.workers):
+                        [(_, mapped)] = results[key][0]
+                        assert os.path.dirname(mapped) == worker.spill_dir
+                        with open(mapped, "rb") as copy, \
+                                open(handles[key].array.filename, "rb") as origin:
+                            assert copy.read() == origin.read()
+        finally:
+            for handle in handles:
+                handle.close()
 
 
 class TestNoOrphans:
@@ -447,52 +508,73 @@ class TestNoOrphans:
         from repro.mapreduce import cluster as cluster_module
         from repro.mapreduce.backends import _NPY_HEADER_SIZE
 
-        puts, frames, scanned = [], [], {}
+        # Each link's frames in the order they crossed its socket (one
+        # thread per link, so the per-peer order is the wire order).
+        events: dict[tuple, list[tuple]] = {}
         real_put = cluster_module.send_put
         real_frame = cluster_module.send_frame
-        real_scan = cluster_module._dumps_scanning_spills
+        real_recv = cluster_module.recv_frame
 
         def spy_put(sock, path):
             body = real_put(sock, path)
-            puts.append((sock.getpeername(), path, os.path.getsize(path), body))
+            events.setdefault(sock.getpeername(), []).append(
+                ("put", path, os.path.getsize(path), body)
+            )
             return body
 
         def spy_frame(sock, opcode, payload=b""):
-            frames.append((sock.getpeername(), opcode, bytes(payload)))
+            events.setdefault(sock.getpeername(), []).append(
+                ("send", opcode, bytes(payload))
+            )
             real_frame(sock, opcode, payload)
 
-        def spy_scan(payload):
-            data, spill_paths = real_scan(payload)
-            scanned[data] = list(spill_paths)
-            return data, spill_paths
+        def spy_recv(sock):
+            opcode, payload = real_recv(sock)
+            events.setdefault(sock.getpeername(), []).append(
+                ("recv", opcode, bytes(payload))
+            )
+            return opcode, payload
 
         monkeypatch.setattr(cluster_module, "send_put", spy_put)
         monkeypatch.setattr(cluster_module, "send_frame", spy_frame)
-        monkeypatch.setattr(cluster_module, "_dumps_scanning_spills", spy_scan)
+        monkeypatch.setattr(cluster_module, "recv_frame", spy_recv)
         with LocalCluster(2) as cluster:
+            spill_dirs = {
+                (worker.host, worker.port): worker.spill_dir for worker in cluster.workers
+            }
             result = self._fit_stream_disk(cluster.addresses, medium_blobs)
+        puts, copies, needed, frame_bodies = [], {}, set(), 0
+        for peer, sequence in events.items():
+            for position, event in enumerate(sequence):
+                if event[0] == "put":
+                    _, path, size, body = event
+                    reply_kind, opcode, reply = sequence[position + 1]
+                    assert (reply_kind, opcode) == ("recv", OP_OK)
+                    puts.append((peer, path, size, body))
+                    copies[(peer, path)] = reply.decode()
+                elif event[0] == "send":
+                    frame_bodies += len(event[2])
+                    if event[1] == OP_TASK:
+                        needed |= {(peer, copy) for copy in _spill_paths_named(event[2])}
         pushed = [(peer, path) for peer, path, _, _ in puts]
-        needed = {
-            (peer, path)
-            for peer, opcode, payload in frames if opcode == OP_TASK
-            for path in scanned[payload]
-        }
-        # Once per worker that needs the file, and never to one that does not.
+        # Once per worker that needs the file, and never to one that does not:
+        # a worker's TASK frames name exactly the copies pushed to it, and
+        # every copy lies in that worker's own spill directory.
         assert len(pushed) == len(set(pushed))
-        assert set(pushed) == needed
-        # Every spilled byte crossed the wire, each body being the
-        # length-prefixed origin path followed by the whole .npy file.
+        assert {(peer, copies[(peer, path)]) for peer, path in pushed} == needed
+        for peer, copy in needed:
+            assert os.path.dirname(copy) == spill_dirs[peer]
+        # Every spilled byte crossed the wire, each PUT body being exactly
+        # the whole .npy file.
         sizes = {path: size for _, path, size, _ in puts}
         assert sum(size - _NPY_HEADER_SIZE for size in sizes.values()) == (
             result.stats.spilled_bytes
         )
-        for _, path, size, body in puts:
-            assert body == 4 + len(os.fsencode(path)) + size
+        for _, _, size, body in puts:
+            assert body == size
         # bytes_shipped is exactly the bodies of the PUT, REDUCER and TASK
         # frames (HELLO and QUIT carry none).
-        assert result.stats.bytes_shipped == sum(body for *_, body in puts) + sum(
-            len(payload) for _, _, payload in frames
-        )
+        assert result.stats.bytes_shipped == sum(body for *_, body in puts) + frame_bodies
 
     def test_backend_close_shuts_sockets(self):
         with LocalCluster(1) as cluster:

@@ -79,10 +79,8 @@ def _npy_bytes(array: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
-def _put_frame(origin: str, body_tail: bytes, *, announce: int | None = None) -> bytes:
-    """A raw PUT frame: header, length-prefixed origin path, then ``body_tail``."""
-    encoded = origin.encode()
-    body = struct.pack("!I", len(encoded)) + encoded + body_tail
+def _put_frame(body: bytes, *, announce: int | None = None) -> bytes:
+    """A raw PUT frame: the header, then ``body`` (announced as its length by default)."""
     length = len(body) if announce is None else announce
     return struct.pack("!cQ", OP_PUT, length) + body
 
@@ -198,7 +196,7 @@ class TestStreamedPut:
         array = np.arange(3000, dtype=np.float64).reshape(1000, 3)
         np.save(path, array)
         body = send_put(connection, str(path))
-        assert body == 4 + len(os.fsencode(str(path))) + path.stat().st_size
+        assert body == path.stat().st_size
         opcode, reply = recv_frame(connection)
         assert opcode == OP_OK
         local_path = reply.decode()
@@ -253,7 +251,7 @@ class TestStreamedPut:
         ids=["short", "long", "object", "version", "garbage", "cut-magic"],
     )
     def test_refused_body_is_drained_and_answered_with_error(self, server, connection, tail):
-        connection.sendall(_put_frame("/coordinator/part.npy", tail))
+        connection.sendall(_put_frame(tail))
         opcode, reply = recv_frame(connection)
         assert opcode == OP_ERROR
         exc_type, message, _ = pickle.loads(reply)
@@ -264,7 +262,7 @@ class TestStreamedPut:
 
     def test_put_cut_off_mid_body_drops_the_connection_and_its_file(self, server, connection):
         data = _npy_bytes(np.zeros((100_000, 3)))
-        frame = _put_frame("/coordinator/part.npy", data)
+        frame = _put_frame(data)
         connection.sendall(frame[: len(frame) // 2])
         assert _wait_for(lambda: len(os.listdir(server.spill_dir)) == 1)
         connection.shutdown(socket.SHUT_WR)
@@ -299,7 +297,7 @@ class TestHostileFrames:
 
     def test_huge_announced_put_then_eof_drops_the_connection(self, server, connection):
         head = _npy_bytes(np.zeros((10, 3)))[:128]
-        connection.sendall(_put_frame("/coordinator/part.npy", head, announce=1 << 40))
+        connection.sendall(_put_frame(head, announce=1 << 40))
         connection.shutdown(socket.SHUT_WR)
         assert connection.recv(1) == b""
         assert _wait_for(lambda: os.listdir(server.spill_dir) == [])

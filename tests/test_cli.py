@@ -108,6 +108,22 @@ class TestMain:
         # Spill files are cleaned up after the run.
         assert list(tmp_path.glob("*.npy")) == []
 
+    def test_solve_mr_kcenter_in_memory_honours_storage_flags(self, capsys, tmp_path):
+        # Without --from-stream the dataset is built in memory, but the
+        # storage flags still reach the shuffle rather than being ignored.
+        spill_dir = tmp_path / "spill"
+        exit_code = main([
+            "solve", "mr-kcenter", "--dataset", "power",
+            "--n-points", "600", "--k", "5", "--ell", "2", "--mu", "2",
+            "--chunk-size", "128", "--storage", "disk", "--spill-dir", str(spill_dir),
+        ])
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "streamed" not in output
+        assert "disk" in output
+        assert spill_dir.is_dir()
+        assert list(spill_dir.glob("*.npy")) == []
+
     def test_solve_mr_outliers_from_stream_auto_spills_over_budget(self, capsys):
         exit_code = main([
             "solve", "mr-outliers", "--dataset", "higgs",
