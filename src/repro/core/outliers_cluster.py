@@ -28,23 +28,29 @@ A probe takes its selection balls from one of two places:
 
 * **The selection graph.** When every weight is an integer and the total
   is below ``2**53``, the solver keeps the entries ``D[row, col] <= bound``
-  in row-major order (int32 indices, float64 distances). ``bound`` is the
-  largest selection radius probed so far whose balls hold at most
-  ``m * m // 32`` entries. A probe at or below ``bound`` filters the
-  graph once and reads ``D`` only for the rows of its at most ``k``
+  in row-major order (int32 indices, float64 distances). ``bound`` is
+  counted, not discovered: while :meth:`candidate_radii` holds the sorted
+  distances it reads off the largest distinct distance ``v`` whose
+  ``m + 2 * searchsorted(upper, v, "right")`` entries fit under
+  ``m * m // 32`` (none when ``m < 32``: the diagonal alone overflows).
+  The first probe at or below ``bound`` builds the graph in one pass into
+  arrays of exactly that size; it and every later such probe filter the
+  graph once and read ``D`` only for the rows of their at most ``k``
   centers. Integer sums below ``2**53`` are exact in any order, so such a
-  probe returns, bit for bit, what the dense pass returns, whichever
-  probes ran before.
-* **The dense pass.** Any other probe thresholds ``D`` in row blocks.
-  Under the same weight condition it first collects the blocks' entries
-  through a one-byte mask; if all of them fit under the cap they become
-  the new graph. From the block that overflows the cap on, and for any
-  other weights, it reads ``D`` by contiguous or gathered rows through a
-  fixed ``(_BLOCK_ROWS, m)`` float64 buffer.
+  probe returns, bit for bit, what the dense pass returns.
+* **The dense pass.** Any other probe, including those that run before
+  the candidates exist such as radius 0, thresholds ``D`` in row blocks.
+  Under the same weight condition it reads only the upper triangle, in
+  blocks of ``_TRIANGLE_ROWS`` rows whose float64 mask stays in L2, and
+  adds each block's products to both its own rows and, by symmetry, the
+  rows below it. For any other weights it thresholds whole rows,
+  ``_BLOCK_ROWS`` at a time.
 
-On top of the cached matrix a probe holds ``O(_BLOCK_ROWS * m)`` bytes
-and the graph, whose at most ``m * m / 32`` entries of 16 bytes each take
-at most 1/16 of the matrix's bytes; never another ``(m, m)`` array.
+On top of the cached matrix a probe holds one ``(_BLOCK_ROWS, m)`` float64
+buffer, which the upper-triangle pass also reuses, and the graph, whose at
+most ``m * m / 32`` entries of 16 bytes each take at most 1/16 of the
+matrix's bytes; building it adds one row block's masks and indices, never
+another ``(m, m)`` array.
 """
 
 from __future__ import annotations
@@ -63,6 +69,10 @@ __all__ = ["OutliersClusterResult", "OutliersClusterSolver", "outliers_cluster"]
 # Rows of the pairwise matrix thresholded at once by a probe; the probe
 # buffer holds ``_BLOCK_ROWS * m`` float64 values.
 _BLOCK_ROWS = 256
+
+# Rows of the upper-triangle dense pass: its float64 mask of at most
+# ``_TRIANGLE_ROWS * m`` values stays in L2 between its two products.
+_TRIANGLE_ROWS = 32
 
 # The selection graph holds at most ``m * m // _GRAPH_FILL`` entries of 16
 # bytes each, so at most 1/16 of the bytes of the pairwise matrix.
@@ -143,9 +153,9 @@ class OutliersClusterSolver:
             float(weights.sum()) < 2.0**53
         )
         self._graph: _SelectionGraph | None = None
-        # The smallest selection radius whose balls overflowed the graph's
-        # cap; a probe at or above it does not try to build a graph.
-        self._dense_floor = np.inf
+        # The graph's bound and entry count, counted by candidate_radii; a
+        # bound of -inf builds no graph.
+        self._graph_bound, self._graph_size = -np.inf, 0
 
     # -- read-only properties ---------------------------------------------------------
 
@@ -177,7 +187,8 @@ class OutliersClusterSolver:
         upper triangle is copied row by row into one array and sorted in
         place, and each value unequal to its predecessor is moved forward
         over the duplicates, ``_COMPACT_BLOCK`` entries at a time. The
-        result is a view of the front of that array.
+        result is a view of the front of that array. Before compacting,
+        it counts the selection graph's bound off the sorted distances.
         """
         m = self._pairwise.shape[0]
         upper = np.empty(m * (m - 1) // 2, dtype=np.float64)
@@ -187,6 +198,8 @@ class OutliersClusterSolver:
             upper[start:stop] = self._pairwise[row, row + 1 :]
             start = stop
         upper.sort()
+        if self._graph_allowed:
+            self._graph_bound, self._graph_size = _counted_bound(upper, m)
         write = 0
         distinct = np.empty(min(_COMPACT_BLOCK, upper.shape[0]), dtype=bool)
         for start in range(0, upper.shape[0], _COMPACT_BLOCK):
@@ -255,42 +268,30 @@ class OutliersClusterSolver:
     ) -> tuple[_DenseBalls | _GraphBalls, np.ndarray]:
         """The balls one probe reads, and the weight inside each of them.
 
-        A probe at or below the graph's bound reads the graph. Any other
-        probe thresholds ``D`` in row blocks. While the ball entries seen so
-        far fit under the graph's cap, it collects them through a 1-byte
-        mask and sums their weights per row; those integer sums equal the
-        block ``matmul``, bit for bit, and skip the float64 buffer. When
-        every block fits, the entries become the new graph. Once a block
-        overflows the cap, the rest of the pass is dense.
+        The first probe at or below the counted bound builds the graph at
+        that bound; it and every later such probe read the graph. Any other
+        probe thresholds ``D`` in row blocks: only its upper triangle under
+        the graph's weight condition, whole rows for any other weights.
         """
         pairwise, weights = self._pairwise, self._weights
+        if self._graph is None and selection_radius <= self._graph_bound:
+            self._graph = _build_graph(pairwise, self._graph_bound, self._graph_size)
         graph = self._graph
         if graph is not None and selection_radius <= graph.bound:
             balls = _GraphBalls(graph, selection_radius, weights)
             return balls, balls.weights_of_all()
 
         n = pairwise.shape[0]
-        collector = None
-        if self._graph_allowed and selection_radius < self._dense_floor:
-            collector = _GraphCollector(n, selection_radius)
-        buffer = None
-        ball_weights = np.empty(n, dtype=np.float64)
-        for start in range(0, n, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n)
-            if collector is not None:
-                if collector.add(start, pairwise[start:stop], weights, ball_weights[start:stop]):
-                    continue
-                collector = None
-                self._dense_floor = selection_radius
-            if buffer is None:
-                buffer = np.empty((min(_BLOCK_ROWS, n), n), dtype=np.float64)
-            block = buffer[: stop - start]
-            np.less_equal(pairwise[start:stop], selection_radius, out=block)
-            np.matmul(block, weights, out=ball_weights[start:stop])
-        if collector is None:
-            return _DenseBalls(pairwise, weights, selection_radius, buffer), ball_weights
-        self._graph = collector.graph()
-        return _GraphBalls(self._graph, selection_radius, weights), ball_weights
+        buffer = np.empty((min(_BLOCK_ROWS, n), n), dtype=np.float64)
+        if self._graph_allowed:
+            ball_weights = _upper_triangle_weights(pairwise, weights, selection_radius, buffer)
+        else:
+            ball_weights = np.empty(n, dtype=np.float64)
+            for start in range(0, n, _BLOCK_ROWS):
+                block = buffer[: min(_BLOCK_ROWS, n - start)]
+                np.less_equal(pairwise[start : start + _BLOCK_ROWS], selection_radius, out=block)
+                np.matmul(block, weights, out=ball_weights[start : start + _BLOCK_ROWS])
+        return _DenseBalls(pairwise, weights, selection_radius, buffer), ball_weights
 
     def uncovered_weight(self, radius: float) -> float:
         """Total uncovered weight after a run with radius ``radius``."""
@@ -307,52 +308,70 @@ class _SelectionGraph:
     distances: np.ndarray  # float64
 
 
-class _GraphCollector:
-    """Collects the entries of one threshold pass while they fit under the cap."""
+def _counted_bound(upper: np.ndarray, m: int) -> tuple[float, int]:
+    """The graph's bound and entry count, read off the sorted distances.
 
-    def __init__(self, n: int, bound: float) -> None:
-        capacity = n * n // _GRAPH_FILL
-        self._bound = bound
-        self._rows = np.empty(capacity, dtype=np.int32)
-        self._cols = np.empty(capacity, dtype=np.int32)
-        self._distances = np.empty(capacity, dtype=np.float64)
-        self._size = 0
-        self._inside = np.empty((min(_BLOCK_ROWS, n), n), dtype=bool)
+    ``upper`` is the sorted strict upper triangle of ``D``. ``D`` is exactly
+    symmetric with a zero diagonal, so ``m + 2 * searchsorted(upper, v,
+    "right")`` of its entries are at most ``v``. The bound is the largest
+    distinct distance whose count fits under ``m * m // _GRAPH_FILL``, or
+    ``-inf`` (no graph) when none does, as always when ``m < _GRAPH_FILL``.
+    """
+    # NaN distances sort last and lie in no ball, so they never count.
+    fits = min((m * m // _GRAPH_FILL - m) // 2, int(np.searchsorted(upper, np.nan)))
+    if 0 < fits < upper.size and upper[fits] == upper[fits - 1]:
+        # A run of ties crosses the cap: step down to the previous distinct value.
+        fits = int(np.searchsorted(upper, upper[fits], "left"))
+    if fits <= 0:
+        return -np.inf, 0
+    return float(upper[fits - 1]), m + 2 * fits
 
-    def add(
-        self, start: int, block: np.ndarray, weights: np.ndarray, ball_weights: np.ndarray
-    ) -> bool:
-        """Collect the rows ``start:start + len(block)`` of ``D``.
 
-        Writes their ball weights into ``ball_weights`` and returns True, or
-        returns False, collecting nothing, when the entries overflow the cap.
-        """
-        inside = self._inside[: block.shape[0]]
-        np.less_equal(block, self._bound, out=inside)
-        stop = self._size + int(np.count_nonzero(inside))
-        if stop > self._rows.size:
-            return False
+def _build_graph(pairwise: np.ndarray, bound: float, size: int) -> _SelectionGraph:
+    """The entries ``D <= bound``, row-major, in one pass into arrays of ``size``."""
+    n = pairwise.shape[0]
+    rows = np.empty(size, dtype=np.int32)
+    cols = np.empty(size, dtype=np.int32)
+    distances = np.empty(size, dtype=np.float64)
+    inside = np.empty((min(_BLOCK_ROWS, n), n), dtype=bool)
+    stop = 0
+    for start in range(0, n, _BLOCK_ROWS):
+        block = pairwise[start : start + _BLOCK_ROWS]
+        mask = inside[: block.shape[0]]
+        np.less_equal(block, bound, out=mask)
         # flatnonzero on the 1-byte mask is several times faster than a
         # two-dimensional nonzero or any scan of the float64 block.
-        flat = np.flatnonzero(inside)
-        rows = flat // block.shape[1]
-        cols = self._cols[self._size : stop]
-        np.subtract(flat, rows * block.shape[1], out=cols, casting="unsafe")
-        np.add(rows, start, out=self._rows[self._size : stop], casting="unsafe")
-        np.take(block, flat, out=self._distances[self._size : stop], mode="clip")
-        self._size = stop
-        ball_weights[:] = np.bincount(rows, weights=weights[cols], minlength=block.shape[0])
-        return True
+        flat = np.flatnonzero(mask)
+        begin, stop = stop, stop + flat.size
+        block_rows = flat // n
+        np.subtract(flat, block_rows * n, out=cols[begin:stop], casting="unsafe")
+        np.add(block_rows, start, out=rows[begin:stop], casting="unsafe")
+        np.take(block, flat, out=distances[begin:stop], mode="clip")
+    return _SelectionGraph(bound, rows, cols, distances)
 
-    def graph(self) -> _SelectionGraph:
-        """The collected entries as a graph, copied out of the capacity arrays."""
-        size = self._size
-        return _SelectionGraph(
-            self._bound,
-            self._rows[:size].copy(),
-            self._cols[:size].copy(),
-            self._distances[:size].copy(),
-        )
+
+def _upper_triangle_weights(
+    pairwise: np.ndarray, weights: np.ndarray, selection_radius: float, buffer: np.ndarray
+) -> np.ndarray:
+    """The dense pass's ball weights, reading each pair of ``D`` once.
+
+    Row block ``s:e`` thresholds ``D[s:e, s:]`` into ``buffer``: the block
+    times ``w[s:]`` adds to rows ``s:e``, and, ``D`` being symmetric,
+    ``w[s:e]`` times the block's columns from ``e`` on adds to the rows from
+    ``e`` on. With integer weights summing below ``2**53`` every partial
+    sum is exact in any order, so the result equals the full-row pass bit
+    for bit.
+    """
+    n = pairwise.shape[0]
+    flat = buffer.reshape(-1)
+    ball_weights = np.zeros(n, dtype=np.float64)
+    for start in range(0, n, _TRIANGLE_ROWS):
+        stop = min(start + _TRIANGLE_ROWS, n)
+        block = flat[: (stop - start) * (n - start)].reshape(stop - start, n - start)
+        np.less_equal(pairwise[start:stop, start:], selection_radius, out=block)
+        ball_weights[start:stop] += block @ weights[start:]
+        ball_weights[stop:] += weights[start:stop] @ block[:, stop - start :]
+    return ball_weights
 
 
 class _DenseBalls:
@@ -398,7 +417,7 @@ class _GraphBalls:
     ) -> None:
         rows, cols = graph.rows, graph.cols
         if selection_radius < graph.bound:
-            keep = graph.distances <= selection_radius
+            keep = np.flatnonzero(graph.distances <= selection_radius)
             rows, cols = rows[keep], cols[keep]
         self._rows, self._cols = rows, cols
         self._weights = weights

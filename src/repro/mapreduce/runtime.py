@@ -269,10 +269,10 @@ class JobStats:
     #: Bytes of partition data written to spill files (0 unless the
     #: ``"disk"`` tier ran).
     spilled_bytes: int = 0
-    #: One dict per round executed on the distributed backend, mapping
-    #: each reduce key to the worker addresses attempted in order (a
-    #: list longer than one records a retry after a worker failure).
-    #: Empty for the single-host backends.
+    #: One dict per round executed on the distributed backend, a failed
+    #: round included, mapping each reduce key to the worker addresses
+    #: attempted in order (a list longer than one records a retry after a
+    #: worker failure). Empty for the single-host backends.
     worker_assignments: list = field(default_factory=list)
     #: Total payload bytes shipped to distributed workers (reducers,
     #: pushed spill files and task payloads); 0 for single-host backends.
@@ -756,21 +756,23 @@ class MapReduceRuntime:
 
         self._account_groups(stats, groups)
 
-        results = self._backend.run_reducers(reducer, groups)
+        try:
+            results = self._backend.run_reducers(reducer, groups)
+        finally:
+            self._stats.worker_blas_threads = getattr(self._backend, "worker_blas_threads", None)
+            # Distributed rounds additionally report where each group ran and
+            # how many payload bytes crossed the wire, a failed round too;
+            # see JobStats.
+            take_accounting = getattr(self._backend, "take_round_accounting", None)
+            if take_accounting is not None:
+                assignments, shipped = take_accounting()
+                self._stats.worker_assignments.append(assignments)
+                self._stats.bytes_shipped += shipped
         outputs: list[KeyValue] = []
         for key in groups:
             produced, elapsed = results[key]
             outputs.extend(produced)
             stats.reducer_times[key] = elapsed
-
-        self._stats.worker_blas_threads = getattr(self._backend, "worker_blas_threads", None)
-        # Distributed rounds additionally report where each group ran and
-        # how many payload bytes crossed the wire; see JobStats.
-        take_accounting = getattr(self._backend, "take_round_accounting", None)
-        if take_accounting is not None:
-            assignments, shipped = take_accounting()
-            self._stats.worker_assignments.append(assignments)
-            self._stats.bytes_shipped += shipped
 
         self._stats.rounds.append(stats)
         return outputs

@@ -35,11 +35,12 @@ round-2 matrix of the MapReduce outlier solver) takes
 :func:`_euclidean_pairwise`: it keeps :func:`euclidean`'s one
 ``a @ b.T`` product, on the same C-ordered float64 copy of ``points``
 that the reference path reads, and then overwrites the product in one pass over
-pairs of 192-row tiles with the distances, symmetrised as
-``(D + D.T) * 0.5``, each step element-wise and in the reference's
-order. The result is bit for bit the reference's; the memory is one
-``(m, m)`` matrix and two tiles instead of the reference's full-size
-temporaries. Smaller inputs keep the reference: glibc may keep a freed
+pairs of 192-row tiles with the distances, each step element-wise and in
+the reference's order. That product comes from ``syrk`` and is exactly
+symmetric, so each off-diagonal tile is evaluated once and mirrored: the
+reference's ``(D + D.T) * 0.5`` would return it unchanged. The result is
+bit for bit the reference's; the memory is one ``(m, m)`` matrix and one
+tile instead of the reference's full-size temporaries. Smaller inputs keep the reference: glibc may keep a freed
 matrix below 32 MiB on its heap, and there the fused path raised the
 peak RSS of a streaming run (see ``_PAIRWISE_MIN_ROWS``).
 
@@ -333,7 +334,7 @@ def _euclidean_nearest(
 
 
 #: Side of the square tiles :func:`_euclidean_pairwise` evaluates at once:
-#: its two scratch tiles take 288 KiB each.
+#: its scratch tile takes 288 KiB.
 _PAIRWISE_TILE = 192
 
 #: :meth:`Metric.pairwise` takes :func:`_euclidean_pairwise` from this
@@ -355,40 +356,37 @@ def _euclidean_pairwise(points: np.ndarray, tile: int = _PAIRWISE_TILE) -> np.nd
     C-ordered float64 array (what :meth:`Metric.pairwise` passes), so the
     one ``points @ points.T`` call takes the BLAS routine (``syrk``) that
     :func:`euclidean` takes on that array; the product is never split into
-    row blocks, which may change its bits. The rest is element-wise:
-    for each pair of ``tile``-sided tiles ``I <= J``, ``x`` evaluates
-    ``sqrt(max((aa + bb) - 2 g, 0))`` on ``g[I, J]`` and ``y`` on
-    ``g[J, I]``, with :func:`euclidean`'s steps in its order, and
-    ``(x + y.T) * 0.5`` overwrites both tiles of the product. Memory is
-    the one ``(m, m)`` matrix plus two scratch tiles.
+    row blocks, which may change its bits. ``syrk`` computes one triangle
+    and NumPy copies it to the other, so the product ``g`` is exactly
+    symmetric. The rest is element-wise, with :func:`euclidean`'s steps
+    in its order: for each pair of ``tile``-sided tiles ``I <= J``, ``x``
+    evaluates ``sqrt(max((aa + bb) - 2 g, 0))`` on ``g[I, J]``. Off the
+    diagonal, the reference's ``y`` on ``g[J, I]`` would equal ``x.T`` bit
+    for bit (the sum ``aa + bb`` commutes), and ``(x + x) * 0.5 == x``
+    because a finite distance, at most the square root of the largest
+    float, never overflows when doubled; so ``x`` overwrites both tiles of
+    the product without ``y``. A diagonal tile is
+    symmetrised as ``(x + x.T) * 0.5``. Memory is the one ``(m, m)``
+    matrix plus a scratch tile.
     """
     points = np.atleast_2d(np.ascontiguousarray(points, dtype=np.float64))
     aa = np.einsum("ij,ij->i", points, points)
     matrix = points @ points.T
     m = matrix.shape[0]
     x_buffer = np.empty((min(tile, m), min(tile, m)), dtype=np.float64)
-    y_buffer = np.empty_like(x_buffer)
-
-    def evaluate(rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
-        g = matrix[rows, cols]
-        g *= 2.0
-        np.add(aa[rows, None], aa[None, cols], out=out)
-        out -= g
-        np.maximum(out, 0.0, out=out)
-        return np.sqrt(out, out=out)
-
     tiles = [slice(start, min(start + tile, m)) for start in range(0, m, tile)]
     for i, rows in enumerate(tiles):
         for cols in tiles[i:]:
-            height, width = rows.stop - rows.start, cols.stop - cols.start
-            x = evaluate(rows, cols, x_buffer[:height, :width])
-            y = y_buffer[:width, :height]
+            x = x_buffer[: rows.stop - rows.start, : cols.stop - cols.start]
+            g = matrix[rows, cols]
+            g *= 2.0
+            np.add(aa[rows, None], aa[None, cols], out=x)
+            x -= g
+            np.maximum(x, 0.0, out=x)
+            np.sqrt(x, out=x)
             if cols is rows:
-                np.copyto(y, x)  # g[J, I] is g[I, I]: y equals x
-            else:
-                evaluate(cols, rows, y)
-            x += y.T
-            x *= 0.5
+                x += x.T  # NumPy buffers the overlapping transpose
+                x *= 0.5
             matrix[rows, cols] = x
             matrix[cols, rows] = x.T
     np.fill_diagonal(matrix, 0.0)
@@ -496,7 +494,7 @@ class Metric:
         ``_PAIRWISE_MIN_ROWS`` (2048) rows up: it makes the one ``a @ b.T``
         product :func:`euclidean` makes and overwrites it tile by tile with
         the symmetrised distances, so it holds one ``(m, m)`` float64
-        matrix and two small tiles instead of the full-size temporaries of
+        matrix and one small tile instead of the full-size temporaries of
         the path below, and returns the same bits. Smaller inputs, the other metrics and any
         :class:`DistanceCounter`-wrapped metric (whose count stays
         ``m * m``) evaluate :attr:`cross` on the whole set, then

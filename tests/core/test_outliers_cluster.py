@@ -167,20 +167,42 @@ class TestIncrementalBallWeights:
             monkeypatch.setattr(balls, "weights_of", spy)
         return calls
 
-    # "dense" thresholds D as fractional weights would; "build" collects a
-    # graph the whole pass fits into; "graph" filters a graph already built
-    # at the largest pairwise distance.
-    PATHS = ("dense", "build", "graph")
+    @staticmethod
+    def _spy_on_passes(monkeypatch) -> list[str]:
+        """Record each upper-triangle dense pass and each graph build."""
+        calls = []
+        for name in ("_upper_triangle_weights", "_build_graph"):
+
+            def spy(*args, _original=getattr(solver_module, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(solver_module, name, spy)
+        return calls
+
+    # "dense" thresholds whole rows of D as fractional weights would;
+    # "triangle" thresholds its upper triangle, as a probe above the counted
+    # bound does; "build" builds the graph at a bound every pair fits under;
+    # "graph" filters that graph, built by an earlier probe.
+    PATHS = ("dense", "triangle", "build", "graph")
+    PASSES = {"dense": [], "triangle": ["_upper_triangle_weights"], "build": ["_build_graph"],
+              "graph": []}
 
     @staticmethod
     def _use_path(solver: OutliersClusterSolver, path: str, monkeypatch) -> str:
         """Make the next probe of ``solver`` take ``path``; return its balls class."""
-        if path == "dense":
-            monkeypatch.setattr(solver, "_graph_allowed", False)
+        if path in ("dense", "triangle"):
+            monkeypatch.setattr(solver, "_graph_bound", -np.inf)
+            monkeypatch.setattr(solver, "_graph_allowed", path == "triangle")
             return "_DenseBalls"
+        # With a cap of m * m entries every pair fits: the counted bound is
+        # the largest distance.
         monkeypatch.setattr(solver_module, "_GRAPH_FILL", 1)
+        solver.candidate_radii()
+        assert solver._graph_bound == float(solver.pairwise_distances.max())
+        assert solver._graph is None
         if path == "graph":
-            solver.run(float(solver.pairwise_distances.max()))
+            solver.run(0.0)
             assert solver._graph is not None
         return "_GraphBalls"
 
@@ -205,8 +227,10 @@ class TestIncrementalBallWeights:
                 solver = OutliersClusterSolver(coreset, k=6, eps_hat=eps_hat)
                 balls = self._use_path(solver, path, patch)
                 calls = self._spy_on_updates(patch)
+                passes = self._spy_on_passes(patch)
                 self._assert_matches_naive(solver, radius=1.5)
-            assert (solver._graph is None) == (path == "dense"), path
+            assert (solver._graph is None) == (path in ("dense", "triangle")), path
+            assert passes == self.PASSES[path], path
             # Every update reads the path's balls, and the first passes the
             # 40-odd uncovered rows, not the ~300 newly covered ones.
             assert calls and {name for name, _ in calls} == {balls}, path
@@ -221,8 +245,10 @@ class TestIncrementalBallWeights:
                 radius = float(np.quantile(solver.candidate_radii(), 0.01))
                 balls = self._use_path(solver, path, patch)
                 calls = self._spy_on_updates(patch)
+                passes = self._spy_on_passes(patch)
                 result = self._assert_matches_naive(solver, radius)
-            assert (solver._graph is None) == (path == "dense"), path
+            assert (solver._graph is None) == (path in ("dense", "triangle")), path
+            assert passes == self.PASSES[path], path
             assert result.n_centers == k, path
             # One update between consecutive centers, none after the k-th.
             assert [name for name, _ in calls] == [balls] * (k - 1), path
@@ -367,21 +393,40 @@ class TestProbeMemory:
 
     def test_graph_build_and_graph_probe_peaks(self):
         solver = self._new_solver()
-        # At 2.5% of the pairs the balls fit under the m*m/32 cap; at 30%
-        # they do not.
+        candidates = solver.candidate_radii()
+        # The counted bound's balls fit under the m*m/32 cap; those of the
+        # next distinct distance do not.
+        bound = solver._graph_bound
+        assert solver._graph_size <= self.M * self.M // 32
+        following = float(candidates[np.searchsorted(candidates, bound, "right")])
+        pairwise = solver.pairwise_distances
+        assert np.count_nonzero(pairwise <= following) > self.M * self.M // 32
+        # The first probe under the bound builds the graph at the bound.
         build_radius, graph_radius, dense_radius = (
-            float(radius) for radius in np.quantile(solver.candidate_radii(), (0.025, 0.01, 0.3))
+            float(radius) for radius in np.quantile(candidates, (0.025, 0.01, 0.3))
         )
+        assert graph_radius < build_radius < bound < dense_radius
         build_peak = self._traced_peak(lambda: solver.run(build_radius))
         graph = solver._graph
-        assert graph is not None and graph.bound == build_radius
+        assert graph is not None and graph.bound == bound
+        assert graph.rows.size == solver._graph_size == np.count_nonzero(pairwise <= bound)
         graph_peak = self._traced_peak(lambda: solver.run(graph_radius))
         assert solver._graph is graph
-        # A dense probe above the cap runs next to the graph it keeps.
+        # A dense probe above the bound runs next to the graph it keeps.
         dense_peak = self._traced_peak(lambda: solver.run(dense_radius))
         assert solver._graph is graph
         for peak in (build_peak, graph_peak, dense_peak):
             assert peak < self.M * self.M * 8 / 4, (build_peak, graph_peak, dense_peak)
+
+    def test_probes_before_the_candidates_build_no_graph(self, rng):
+        points = rng.normal(size=(300, 5))
+        solver = OutliersClusterSolver(_unit_coreset(points), k=5)
+        solver.run(0.0)
+        solver.run(float(np.quantile(solver.pairwise_distances, 0.001)))
+        assert solver._graph is None
+        solver.candidate_radii()
+        solver.run(0.0)
+        assert solver._graph is not None
 
     @pytest.mark.parametrize("weights", ("fractional", "total_at_2_53"))
     def test_inexact_weight_sums_never_build_a_graph(self, rng, weights):

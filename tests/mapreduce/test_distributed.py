@@ -341,6 +341,22 @@ class TestRunReducers:
         assert sorted(stats.worker_assignments[0]) == [0, 1, 2]
         assert stats.bytes_shipped > 0
 
+    def test_jobstats_records_a_failed_round(self):
+        # The round's accounting is read even when a reducer raises, so the
+        # bytes the failed round shipped reach JobStats.
+        with LocalCluster(2) as cluster:
+            with MapReduceRuntime(workers=cluster.addresses) as runtime:
+                backend = runtime.backend
+                with pytest.raises(WorkerTaskError, match="deterministic failure"):
+                    runtime.execute_round(
+                        [(None, list(range(9)))], modulo_mapper, failing_reducer
+                    )
+                stats = runtime.stats
+                assert backend.bytes_shipped > 0
+                assert stats.bytes_shipped == backend.bytes_shipped
+                assert stats.worker_assignments and stats.worker_assignments[0]
+                assert stats.rounds == []
+
     def test_backend_reusable_after_close(self):
         with LocalCluster(1) as cluster:
             backend = cluster.backend()

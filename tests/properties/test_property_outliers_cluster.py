@@ -3,8 +3,9 @@
 With integer weights every probe must return, bit for bit, what the
 reference in ``_reference_outliers_cluster.py`` returns, whichever order
 the radii come in: a probe may read the selection graph an earlier probe
-built, build a new one, or threshold the whole pairwise matrix. The
-graph's cap is drawn too, so these small coresets take every path.
+built, build it at the bound ``candidate_radii`` counted, or threshold
+the upper triangle of the pairwise matrix. The graph's cap is drawn too,
+so these small coresets take every path.
 """
 
 from __future__ import annotations
@@ -64,9 +65,14 @@ def test_probes_in_any_order_match_reference(coreset, k, eps_hat, graph_fill, z,
         radii = [0.0, *(float(radius) for radius in reference_candidates(solver))]
         expected = {radius: naive_run(solver, radius) for radius in radii}
         shuffled = [radii[i] for i in np.random.default_rng(order_seed).permutation(len(radii))]
-        # One solver probes every radius three times over, so each probe
-        # meets whatever graph the previous ones left behind.
-        for radius in (*radii, *reversed(radii), *shuffled):
+        # One solver probes every radius three times over: first before the
+        # candidates exist (dense passes only), then after candidate_radii
+        # has counted the graph's bound, so each probe meets whatever graph
+        # the previous ones left behind.
+        for radius in (*radii, None, *reversed(radii), *shuffled):
+            if radius is None:
+                assert solver.candidate_radii().tobytes() == reference_candidates(solver).tobytes()
+                continue
             result = solver.run(radius)
             centers, uncovered = expected[radius]
             assert result.center_indices.tolist() == centers

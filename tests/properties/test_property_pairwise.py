@@ -1,8 +1,11 @@
 """The Euclidean ``Metric.pairwise`` equals the reference matrix bit for bit.
 
 From 2048 points up the Euclidean metric keeps the reference's one
-``a @ b.T`` product and overwrites it tile by tile with the symmetrised
-distances. These suites pin that path to
+``a @ b.T`` product and overwrites it tile by tile with the distances,
+evaluating each off-diagonal tile once and mirroring it. That equals the
+reference's ``(D + D.T) * 0.5`` only while the product is exactly
+symmetric, which ``syrk`` guarantees; a guard below fails loudly if
+NumPy ever stops taking it. These suites pin that path to
 :func:`_reference_pairwise.reference_pairwise` (``euclidean(p, p)``,
 then ``(D + D.T) * 0.5`` and a zero diagonal) at every tile size, on
 inputs where the steps round, clip or overflow: duplicate and 1-ulp-apart
@@ -116,6 +119,23 @@ def test_pairwise_matches_reference_at_round_two_sizes(m):
     got = get_metric("euclidean").pairwise(points)
     expected = reference_pairwise(points)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [2048, 2049, 3000, 4097, 5440])
+def test_gram_matrix_is_exactly_symmetric(m):
+    # The once-per-pair tile pass mirrors x where the reference averages x
+    # with y.T; the two agree only if ``P @ P.T`` is symmetric bit for bit.
+    points = np.ascontiguousarray(higgs_like(m, random_state=m), dtype=np.float64)
+    gram = points @ points.T
+    assert np.array_equal(gram.view(np.uint64), gram.T.view(np.uint64))
+
+
+@pytest.mark.parametrize("form", ["list", "array", "fortran"])
+@pytest.mark.parametrize("m", [2049, 3000])
+def test_once_per_pair_path_matches_reference(form, m):
+    points = _as_form(_points("gaussian", m, 7, seed=m), form)
+    got = get_metric("euclidean").pairwise(points)
+    assert got.tobytes() == reference_pairwise(points).tobytes()
 
 
 def test_pairwise_dispatch_by_size(monkeypatch):
