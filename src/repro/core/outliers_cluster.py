@@ -46,22 +46,45 @@ A probe takes its selection balls from one of two places:
   rows below it. For any other weights it thresholds whole rows,
   ``_BLOCK_ROWS`` at a time.
 
+A probe at or above the largest distance, under the same weight
+condition and with no distance NaN, has a closed form and reads neither:
+every ball holds all the weight, so it returns center 0 and nothing
+uncovered.
+
+From ``_SPLIT_MIN_ROWS`` (2048) rows up, the upper-triangle pass and the
+graph build split their row blocks over the process's BLAS thread count
+(:func:`~repro._openblas.blas_threads`): 2 in a default coordinator on two
+cores, 1 in pool workers and worker daemons, 1 when the count cannot be
+read. Round 2 is one reducer, so on the serial backend the other cores
+would otherwise sit idle. The pass cuts the triangle into runs of about
+equal area, one per thread, each with its own block buffer and partial
+ball weights; under the weight condition the partials sum exactly. The
+graph build runs the first half of the row blocks in the calling thread,
+filling the arrays from the front, and the second half in one helper
+thread, filling them from the back; the counted size is exact, so the
+halves meet in row-major order. Helper threads end with their pass, and
+an error in one reaches the caller.
+
 On top of the cached matrix a probe holds one ``(_BLOCK_ROWS, m)`` float64
 buffer, which the upper-triangle pass also reuses, and the graph, whose at
 most ``m * m / 32`` entries of 16 bytes each take at most 1/16 of the
-matrix's bytes; building it adds one row block's masks and indices, never
-another ``(m, m)`` array.
+matrix's bytes; building it adds one row block's masks and indices per
+thread, never another ``(m, m)`` array. Each helper thread of the
+upper-triangle pass adds one ``(_TRIANGLE_ROWS, m)`` buffer and one
+length-``m`` partial.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .._openblas import blas_threads
 from .._validation import check_non_negative_float, check_positive_int
 from ..exceptions import InvalidParameterError
-from ..metricspace.distance import Metric, get_metric
+from ..metricspace.distance import _PAIRWISE_MIN_ROWS, Metric, get_metric
 from ..metricspace.points import WeightedPoints
 
 __all__ = ["OutliersClusterResult", "OutliersClusterSolver", "outliers_cluster"]
@@ -81,6 +104,11 @@ _GRAPH_FILL = 32
 # Sorted candidates deduplicated at once by ``candidate_radii``; the boolean
 # indexing holds an 8-byte index and an 8-byte value per kept entry of a block.
 _COMPACT_BLOCK = 2**16
+
+# The dense pass and the graph build split their row blocks over the
+# process's BLAS threads from this many rows up, the size from which the
+# Euclidean matrix comes from one ``syrk``; smaller solves run in one thread.
+_SPLIT_MIN_ROWS = _PAIRWISE_MIN_ROWS
 
 
 @dataclass(frozen=True)
@@ -156,6 +184,9 @@ class OutliersClusterSolver:
         # The graph's bound and entry count, counted by candidate_radii; a
         # bound of -inf builds no graph.
         self._graph_bound, self._graph_size = -np.inf, 0
+        # The largest entry of D, NaN if any entry is NaN; read off the
+        # sorted distances by candidate_radii, unknown (NaN) until then.
+        self._largest = np.nan
 
     # -- read-only properties ---------------------------------------------------------
 
@@ -198,6 +229,8 @@ class OutliersClusterSolver:
             upper[start:stop] = self._pairwise[row, row + 1 :]
             start = stop
         upper.sort()
+        # NaN sorts last; the diagonal is zero.
+        self._largest = float(upper[-1]) if upper.size else 0.0
         if self._graph_allowed:
             self._graph_bound, self._graph_size = _counted_bound(upper, m)
         write = 0
@@ -223,13 +256,26 @@ class OutliersClusterSolver:
         ``(1 + 2*eps_hat) * radius``, coverage balls of radius
         ``(3 + 4*eps_hat) * radius``, stop when ``k`` centers are chosen or
         nothing is left uncovered.
+
+        A radius at or above every distance has a closed form under the
+        graph's weight condition: every selection ball holds all the
+        weight, summed exactly, so the balls tie and ``argmax`` picks row 0,
+        whose coverage ball holds every point (no distance is NaN). The
+        probe then returns that result without a pass over ``D``.
         """
         if not radius >= 0:  # also rejects NaN
             raise InvalidParameterError(f"radius must be non-negative; got {radius!r}")
+        n = len(self._coreset)
+        if self._graph_allowed and radius >= self._largest:
+            return OutliersClusterResult(
+                center_indices=np.zeros(1, dtype=np.intp),
+                uncovered_mask=np.zeros(n, dtype=bool),
+                uncovered_weight=0.0,
+                radius=float(radius),
+            )
         selection_radius = (1.0 + 2.0 * self._eps_hat) * radius
         coverage_radius = (3.0 + 4.0 * self._eps_hat) * radius
 
-        n = len(self._coreset)
         pairwise = self._pairwise
         uncovered = np.ones(n, dtype=bool)
         remaining = n
@@ -328,25 +374,41 @@ def _counted_bound(upper: np.ndarray, m: int) -> tuple[float, int]:
 
 
 def _build_graph(pairwise: np.ndarray, bound: float, size: int) -> _SelectionGraph:
-    """The entries ``D <= bound``, row-major, in one pass into arrays of ``size``."""
+    """The entries ``D <= bound``, row-major, in one pass into arrays of ``size``.
+
+    From ``_SPLIT_MIN_ROWS`` rows up with two or more BLAS threads, the
+    calling thread fills the first half of the row blocks from the front
+    of the arrays and a helper thread the second half from the back,
+    block by block downwards. ``size`` is the exact count, so the two
+    meet with the entries still in row-major order.
+    """
     n = pairwise.shape[0]
     rows = np.empty(size, dtype=np.int32)
     cols = np.empty(size, dtype=np.int32)
     distances = np.empty(size, dtype=np.float64)
-    inside = np.empty((min(_BLOCK_ROWS, n), n), dtype=bool)
-    stop = 0
-    for start in range(0, n, _BLOCK_ROWS):
-        block = pairwise[start : start + _BLOCK_ROWS]
-        mask = inside[: block.shape[0]]
-        np.less_equal(block, bound, out=mask)
-        # flatnonzero on the 1-byte mask is several times faster than a
-        # two-dimensional nonzero or any scan of the float64 block.
-        flat = np.flatnonzero(mask)
-        begin, stop = stop, stop + flat.size
-        block_rows = flat // n
-        np.subtract(flat, block_rows * n, out=cols[begin:stop], casting="unsafe")
-        np.add(block_rows, start, out=rows[begin:stop], casting="unsafe")
-        np.take(block, flat, out=distances[begin:stop], mode="clip")
+    starts = np.arange(0, n, _BLOCK_ROWS)
+
+    def fill(first: int, last: int, backward: bool) -> None:
+        inside = np.empty((min(_BLOCK_ROWS, n), n), dtype=bool)
+        position = size if backward else 0
+        for start in (starts[first:last][::-1] if backward else starts[first:last]).tolist():
+            block = pairwise[start : start + _BLOCK_ROWS]
+            mask = inside[: block.shape[0]]
+            np.less_equal(block, bound, out=mask)
+            # flatnonzero on the 1-byte mask is several times faster than a
+            # two-dimensional nonzero or any scan of the float64 block.
+            flat = np.flatnonzero(mask)
+            begin = position - flat.size if backward else position
+            stop = begin + flat.size
+            position = begin if backward else stop
+            block_rows = flat // n
+            np.subtract(flat, block_rows * n, out=cols[begin:stop], casting="unsafe")
+            np.add(block_rows, start, out=rows[begin:stop], casting="unsafe")
+            np.take(block, flat, out=distances[begin:stop], mode="clip")
+
+    heights = np.minimum(starts + _BLOCK_ROWS, n) - starts
+    parts = _split(heights, min(2, _pass_threads(n)))
+    _in_threads(fill, [(first, last, index > 0) for index, (first, last) in enumerate(parts)])
     return _SelectionGraph(bound, rows, cols, distances)
 
 
@@ -360,18 +422,68 @@ def _upper_triangle_weights(
     ``w[s:e]`` times the block's columns from ``e`` on adds to the rows from
     ``e`` on. With integer weights summing below ``2**53`` every partial
     sum is exact in any order, so the result equals the full-row pass bit
-    for bit.
+    for bit. From ``_SPLIT_MIN_ROWS`` rows up the blocks are cut into one
+    run of about equal area per BLAS thread; each helper thread has its
+    own block buffer and its own partial weights, and the partials are
+    summed, exactly too.
     """
     n = pairwise.shape[0]
-    flat = buffer.reshape(-1)
-    ball_weights = np.zeros(n, dtype=np.float64)
-    for start in range(0, n, _TRIANGLE_ROWS):
-        stop = min(start + _TRIANGLE_ROWS, n)
-        block = flat[: (stop - start) * (n - start)].reshape(stop - start, n - start)
-        np.less_equal(pairwise[start:stop, start:], selection_radius, out=block)
-        ball_weights[start:stop] += block @ weights[start:]
-        ball_weights[stop:] += weights[start:stop] @ block[:, stop - start :]
+    starts = np.arange(0, n, _TRIANGLE_ROWS)
+
+    def weigh(first: int, last: int, flat: np.ndarray) -> np.ndarray:
+        ball_weights = np.zeros(n, dtype=np.float64)
+        for start in starts[first:last].tolist():
+            stop = min(start + _TRIANGLE_ROWS, n)
+            block = flat[: (stop - start) * (n - start)].reshape(stop - start, n - start)
+            np.less_equal(pairwise[start:stop, start:], selection_radius, out=block)
+            ball_weights[start:stop] += block @ weights[start:]
+            ball_weights[stop:] += weights[start:stop] @ block[:, stop - start :]
+        return ball_weights
+
+    # A block reads its rows from its first row's diagonal on.
+    areas = (np.minimum(starts + _TRIANGLE_ROWS, n) - starts) * (n - starts)
+    parts = _split(areas, _pass_threads(n))
+    flats = [buffer.reshape(-1)] + [np.empty(_TRIANGLE_ROWS * n) for _ in parts[1:]]
+    partials = _in_threads(weigh, [(*part, flat) for part, flat in zip(parts, flats)])
+    ball_weights = partials[0]
+    for partial in partials[1:]:
+        ball_weights += partial
     return ball_weights
+
+
+def _pass_threads(n: int) -> int:
+    """Threads a pass over ``n`` rows splits its blocks over: the BLAS count from
+    ``_SPLIT_MIN_ROWS`` rows up, 1 below it or when the count cannot be read."""
+    return (blas_threads() or 1) if n >= _SPLIT_MIN_ROWS else 1
+
+
+def _split(costs: np.ndarray, parts: int) -> list[tuple[int, int]]:
+    """Cut the blocks of ``costs`` into at most ``parts`` runs of about equal cost.
+
+    A run ends before the block whose middle reaches its share, so for
+    ``parts >= 2`` two or more blocks always give two or more runs.
+    Returns the non-empty runs as ``(first, last)`` block ranges, in order.
+    """
+    total = np.cumsum(costs)
+    middles = total - costs / 2
+    cuts = np.searchsorted(middles, total[-1] * np.arange(1, parts) / parts).tolist()
+    bounds = [0, *cuts, len(costs)]
+    return [(first, last) for first, last in zip(bounds, bounds[1:]) if first < last]
+
+
+def _in_threads(task, arguments: list[tuple]) -> list:
+    """``[task(*args) for args in arguments]``, one thread per entry.
+
+    The first entry runs in the calling thread, each other in a helper
+    thread that ends with the call. An error in any call reaches the
+    caller, after every helper has ended.
+    """
+    if len(arguments) == 1:
+        return [task(*arguments[0])]
+    with ThreadPoolExecutor(len(arguments) - 1) as pool:
+        futures = [pool.submit(task, *args) for args in arguments[1:]]
+        first = task(*arguments[0])
+        return [first] + [future.result() for future in futures]
 
 
 class _DenseBalls:

@@ -45,8 +45,6 @@ functions over picklable arguments. The k-center drivers in
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import os
 import struct
 import time
@@ -56,6 +54,7 @@ from typing import Hashable, Protocol, runtime_checkable
 
 import numpy as np
 
+from .._openblas import blas_threads, limit_blas_threads
 from ..exceptions import InvalidParameterError
 
 __all__ = [
@@ -87,62 +86,6 @@ def _timed_reduce(reducer, key, values):
     start = time.perf_counter()
     produced = list(reducer(key, values))
     return produced, time.perf_counter() - start
-
-
-# -- BLAS threads in worker processes --------------------------------------------------
-
-
-_OPENBLAS_PATTERN = os.path.join(
-    glob.escape(os.path.dirname(os.path.dirname(np.__file__))),
-    "numpy.libs",
-    "libscipy_openblas*",
-)
-"""Glob for the scipy-openblas library that numpy wheels bundle and load."""
-
-
-def _openblas_threading():
-    """``(get, set)`` thread-count calls of numpy's scipy-openblas, or ``None``.
-
-    ``ctypes.CDLL`` on the path numpy already loaded returns that same
-    library, so the calls act on the BLAS numpy uses. ``None`` when no
-    such library or symbol exists (another BLAS, another wheel layout).
-    """
-    for path in sorted(glob.glob(_OPENBLAS_PATTERN)):
-        try:
-            library = ctypes.CDLL(path)
-            get_threads = library.scipy_openblas_get_num_threads64_
-            set_threads = library.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        return get_threads, set_threads
-    return None
-
-
-def blas_threads() -> int | None:
-    """This process's BLAS thread count, or ``None`` when it cannot be read."""
-    calls = _openblas_threading()
-    return None if calls is None else calls[0]()
-
-
-def limit_blas_threads() -> int | None:
-    """Cap this process's BLAS at one thread; returns the count now in force.
-
-    Run in every process that executes reducers for a coordinator (pool
-    workers, worker daemons), never in the coordinator itself. Such a
-    process is one of ``ell`` reducers sharing the host's cores, and its
-    GMM steps are ``(1, d) @ (d, block)`` products too small for BLAS
-    threads to help: left at the default, each worker starts a full
-    OpenBLAS pool and the pools oversubscribe the cores. Returns ``None``,
-    and changes nothing, when numpy's BLAS is not scipy-openblas.
-    """
-    calls = _openblas_threading()
-    if calls is None:
-        return None
-    get_threads, set_threads = calls
-    set_threads(1)
-    return get_threads()
 
 
 # -- shared arrays ---------------------------------------------------------------------
@@ -702,7 +645,7 @@ class ProcessBackend:
             )
             # Workers load the same library, so the cap applies there
             # exactly when the coordinator finds its thread calls.
-            self._worker_blas_threads = 1 if _openblas_threading() is not None else None
+            self._worker_blas_threads = 1 if blas_threads() is not None else None
         return self._pool
 
     def run_reducers(self, reducer, groups):

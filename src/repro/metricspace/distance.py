@@ -32,17 +32,20 @@ place in the slice buffer. The slack is derived in
 
 The Euclidean :meth:`Metric.pairwise` of 2048 or more points (the
 round-2 matrix of the MapReduce outlier solver) takes
-:func:`_euclidean_pairwise`: it keeps :func:`euclidean`'s one
+:func:`_euclidean_pairwise`: it computes :func:`euclidean`'s one
 ``a @ b.T`` product, on the same C-ordered float64 copy of ``points``
-that the reference path reads, and then overwrites the product in one pass over
-pairs of 192-row tiles with the distances, each step element-wise and in
-the reference's order. That product comes from ``syrk`` and is exactly
-symmetric, so each off-diagonal tile is evaluated once and mirrored: the
-reference's ``(D + D.T) * 0.5`` would return it unchanged. The result is
-bit for bit the reference's; the memory is one ``(m, m)`` matrix and one
-tile instead of the reference's full-size temporaries. Smaller inputs keep the reference: glibc may keep a freed
-matrix below 32 MiB on its heap, and there the fused path raised the
-peak RSS of a streaming run (see ``_PAIRWISE_MIN_ROWS``).
+that the reference path reads, with the same ``dsyrk`` call NumPy makes
+but without NumPy's copy of the upper triangle into the lower one. It
+then overwrites the product in one pass over pairs of 192-row tiles with
+the distances, each step element-wise and in the reference's order. The
+reference's product is exactly symmetric, so each off-diagonal tile is
+evaluated once, from the upper triangle, and mirrored: the reference's
+``(D + D.T) * 0.5`` would return it unchanged. The result is bit for bit
+the reference's; the memory is one ``(m, m)`` matrix and one tile
+instead of the reference's full-size temporaries. Smaller inputs keep
+the reference: glibc may keep a freed matrix below 32 MiB on its heap,
+and there the fused path raised the peak RSS of a streaming run (see
+``_PAIRWISE_MIN_ROWS``).
 
 For the incremental GMM traversal, :meth:`Metric.distances_from` binds a
 one-to-many evaluator to a fixed point matrix: ``f(i)`` returns the
@@ -66,6 +69,7 @@ from typing import Callable, Dict
 
 import numpy as np
 
+from .._openblas import syrk_upper
 from ..exceptions import InvalidParameterError
 
 __all__ = [
@@ -349,29 +353,37 @@ _PAIRWISE_MIN_ROWS = 2048
 
 
 def _euclidean_pairwise(points: np.ndarray, tile: int = _PAIRWISE_TILE) -> np.ndarray:
-    """The Euclidean :meth:`Metric.pairwise`: one GEMM, then one tile pass.
+    """The Euclidean :meth:`Metric.pairwise`: one ``syrk``, then one tile pass.
 
     Bit for bit ``euclidean(points, points)`` symmetrised as
     ``(D + D.T) * 0.5`` with a zero diagonal. ``points`` is read as one
-    C-ordered float64 array (what :meth:`Metric.pairwise` passes), so the
-    one ``points @ points.T`` call takes the BLAS routine (``syrk``) that
-    :func:`euclidean` takes on that array; the product is never split into
-    row blocks, which may change its bits. ``syrk`` computes one triangle
-    and NumPy copies it to the other, so the product ``g`` is exactly
-    symmetric. The rest is element-wise, with :func:`euclidean`'s steps
-    in its order: for each pair of ``tile``-sided tiles ``I <= J``, ``x``
-    evaluates ``sqrt(max((aa + bb) - 2 g, 0))`` on ``g[I, J]``. Off the
-    diagonal, the reference's ``y`` on ``g[J, I]`` would equal ``x.T`` bit
-    for bit (the sum ``aa + bb`` commutes), and ``(x + x) * 0.5 == x``
-    because a finite distance, at most the square root of the largest
-    float, never overflows when doubled; so ``x`` overwrites both tiles of
-    the product without ``y``. A diagonal tile is
+    C-ordered float64 array (what :meth:`Metric.pairwise` passes), on which
+    :func:`euclidean`'s ``points @ points.T`` takes NumPy's ``syrk`` path:
+    one ``cblas_dsyrk`` call for the upper triangle, then a copy of that
+    triangle into the lower one. Here :func:`~repro._openblas.syrk_upper`
+    makes the same call directly and skips the copy, which costs more than
+    the product itself; without scipy-openblas the product is NumPy's.
+    Either way the product ``g`` is never split into row blocks, which may
+    change its bits, and its upper triangle is the reference's. The rest is
+    element-wise, with :func:`euclidean`'s steps in its order: for each
+    pair of ``tile``-sided tiles ``I <= J``, ``x`` evaluates
+    ``sqrt(max((aa + bb) - 2 g, 0))`` on ``g[I, J]``, which lies in the
+    upper triangle when ``I < J``. There the reference's ``y`` on
+    ``g[J, I]`` would equal ``x.T`` bit for bit (the reference's ``g`` is
+    exactly symmetric and the sum ``aa + bb`` commutes), and
+    ``(x + x) * 0.5 == x`` because a finite distance, at most the square
+    root of the largest float, never overflows when doubled; so ``x``
+    overwrites both tiles of the product without ``y``, and the lower tile
+    is never read. A diagonal tile first mirrors its own upper triangle
+    into its lower one, which ``syrk`` leaves unwritten, and is then
     symmetrised as ``(x + x.T) * 0.5``. Memory is the one ``(m, m)``
     matrix plus a scratch tile.
     """
     points = np.atleast_2d(np.ascontiguousarray(points, dtype=np.float64))
     aa = np.einsum("ij,ij->i", points, points)
-    matrix = points @ points.T
+    matrix = syrk_upper(points)
+    if matrix is None:
+        matrix = points @ points.T
     m = matrix.shape[0]
     x_buffer = np.empty((min(tile, m), min(tile, m)), dtype=np.float64)
     tiles = [slice(start, min(start + tile, m)) for start in range(0, m, tile)]
@@ -379,6 +391,9 @@ def _euclidean_pairwise(points: np.ndarray, tile: int = _PAIRWISE_TILE) -> np.nd
         for cols in tiles[i:]:
             x = x_buffer[: rows.stop - rows.start, : cols.stop - cols.start]
             g = matrix[rows, cols]
+            if cols is rows:
+                lower = np.tril_indices(g.shape[0], -1)
+                g[lower] = g.T[lower]
             g *= 2.0
             np.add(aa[rows, None], aa[None, cols], out=x)
             x -= g

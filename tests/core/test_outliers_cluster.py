@@ -9,15 +9,18 @@ import numpy as np
 import pytest
 
 from repro.core import OutliersClusterSolver, outliers_cluster, search_radius
+from repro.core.mr_outliers import MapReduceKCenterOutliers
 from repro.core.outliers_cluster import OutliersClusterResult
+from repro.datasets import higgs_like
 from repro.evaluation import optimal_kcenter_with_outliers_radius
 from repro.exceptions import InvalidParameterError
 from repro.metricspace import WeightedPoints
 
 from _reference_outliers_cluster import ReferenceSolver, naive_run, reference_candidates
 
-# The module, not the ``outliers_cluster`` function that repro.core exports.
+# The modules, not the functions and classes that repro.core exports.
 solver_module = importlib.import_module("repro.core.outliers_cluster")
+mr_outliers_module = importlib.import_module("repro.core.mr_outliers")
 
 
 def _unit_coreset(points: np.ndarray) -> WeightedPoints:
@@ -310,6 +313,121 @@ class TestIncrementalBallWeights:
         assert result.probes == expected.probes
         assert np.array_equal(result.solution.center_indices, expected.solution.center_indices)
         assert np.array_equal(result.solution.uncovered_mask, expected.solution.uncovered_mask)
+
+
+class TestLargestDistanceClosedForm:
+    """A probe at or above the largest distance returns center 0 without a pass.
+
+    It must equal the probe the pass gives (forced by forgetting the
+    largest distance) and the literal Algorithm 1, and it must not be
+    taken where the pass could pick another center or cover less.
+    """
+
+    @staticmethod
+    def _spy_on_passes(monkeypatch) -> list[float]:
+        calls = []
+        select = OutliersClusterSolver._selection_balls
+
+        def spy(self, selection_radius):
+            calls.append(selection_radius)
+            return select(self, selection_radius)
+
+        monkeypatch.setattr(OutliersClusterSolver, "_selection_balls", spy)
+        return calls
+
+    def _assert_closed_form(self, solver, radius, monkeypatch, naive=True):
+        with monkeypatch.context() as patch:
+            passes = self._spy_on_passes(patch)
+            result = solver.run(radius)
+            assert passes == []
+            patch.setattr(solver, "_largest", np.nan)
+            by_pass = solver.run(radius)
+            assert len(passes) == 1
+        assert result.center_indices.tolist() == by_pass.center_indices.tolist() == [0]
+        assert result.center_indices.dtype == by_pass.center_indices.dtype
+        assert np.array_equal(result.uncovered_mask, by_pass.uncovered_mask)
+        assert not result.uncovered_mask.any()
+        assert result.uncovered_weight == by_pass.uncovered_weight == 0.0
+        assert result.radius == by_pass.radius == radius
+        if naive:
+            centers, uncovered = naive_run(solver, radius)
+            assert centers == [0] and not uncovered.any()
+
+    @pytest.mark.parametrize("eps_hat", (0.0, 1 / 6))
+    @pytest.mark.parametrize("m", (1, 2, 50))
+    def test_all_coincident(self, monkeypatch, m, eps_hat):
+        coreset = WeightedPoints(points=np.full((m, 2), 3.0), weights=_integer_weights(m))
+        solver = OutliersClusterSolver(coreset, k=3, eps_hat=eps_hat)
+        solver.candidate_radii()
+        for radius in (0.0, 1.0):
+            self._assert_closed_form(solver, radius, monkeypatch)
+
+    @pytest.mark.parametrize("eps_hat", (0.0, 1 / 6))
+    @pytest.mark.parametrize("m", (1, 2))
+    def test_one_and_two_points(self, rng, monkeypatch, m, eps_hat):
+        coreset = WeightedPoints(points=rng.normal(size=(m, 3)), weights=_integer_weights(m))
+        solver = OutliersClusterSolver(coreset, k=2, eps_hat=eps_hat)
+        candidates = solver.candidate_radii()
+        largest = float(candidates[-1]) if m > 1 else 0.0
+        for radius in (largest, 2.0 * largest + 1.0):
+            self._assert_closed_form(solver, radius, monkeypatch)
+
+    def test_seed_7_union(self, monkeypatch):
+        # The round-2 union of the MapReduce outlier benchmark at seed 7.
+        captured = []
+        solve = mr_outliers_module._outliers_solve
+
+        def capture(union, **kwargs):
+            captured.append((union, kwargs))
+            return solve(union, **kwargs)
+
+        monkeypatch.setattr(mr_outliers_module, "_outliers_solve", capture)
+        MapReduceKCenterOutliers(
+            k=20, z=200, ell=8, coreset_multiplier=4, randomized=True,
+            include_log_term=False, random_state=7,
+        ).fit(higgs_like(200_000, random_state=7))
+        ((union, kwargs),) = captured
+        assert len(union) == 5440
+        solver = OutliersClusterSolver(
+            union, kwargs["k"], eps_hat=kwargs["eps_hat"], metric=kwargs["metric"]
+        )
+        largest = float(solver.candidate_radii()[-1])
+        self._assert_closed_form(solver, largest, monkeypatch, naive=False)
+
+    def test_not_before_the_candidates(self, monkeypatch):
+        coreset = WeightedPoints(points=np.full((5, 2), 3.0), weights=_integer_weights(5))
+        solver = OutliersClusterSolver(coreset, k=2)
+        passes = self._spy_on_passes(monkeypatch)
+        solver.run(0.0)
+        assert passes == [0.0]
+
+    def test_not_for_fractional_weights(self, rng, monkeypatch):
+        points = rng.normal(size=(40, 2))
+        weights = _integer_weights(40) + 0.25
+        solver = OutliersClusterSolver(WeightedPoints(points=points, weights=weights), k=3)
+        largest = float(solver.candidate_radii()[-1])
+        passes = self._spy_on_passes(monkeypatch)
+        result = solver.run(largest)
+        assert passes == [largest]
+        centers, uncovered = naive_run(solver, largest)
+        assert result.center_indices.tolist() == centers
+        assert np.array_equal(result.uncovered_mask, uncovered)
+
+    def test_not_with_a_nan_distance(self, monkeypatch):
+        # Squared norms near 1e400 overflow: the two far points are a NaN
+        # apart, and row 0 covers neither of them.
+        points = np.array([[0.0, 0.0], [1e200, 0.0], [1e200, 1.0], [1.0, 0.0]])
+        solver = OutliersClusterSolver(WeightedPoints(points=points, weights=np.ones(4)), k=2)
+        assert np.isnan(solver.pairwise_distances).any()
+        candidates = solver.candidate_radii()
+        assert np.isnan(solver._largest)
+        passes = self._spy_on_passes(monkeypatch)
+        for radius in (float(np.nanmax(candidates)), 1e300):
+            result = solver.run(radius)
+            centers, uncovered = naive_run(solver, radius)
+            assert result.center_indices.tolist() == centers
+            assert np.array_equal(result.uncovered_mask, uncovered)
+        assert len(passes) == 2
 
 
 class TestCandidateRadii:

@@ -6,7 +6,9 @@ the serial and thread backends, and the in-process servers of a
 :class:`~repro.mapreduce.LocalCluster`, share the coordinator's BLAS and
 leave it alone. The test process reads the thread count through its own
 ``ctypes`` handle on the library it has mapped, so the checks do not go
-through the helper under test.
+through the helper under test. Without the library, the helpers return
+``None``, the Euclidean ``Metric.pairwise`` takes NumPy's product and the
+round-2 solver runs its passes in one thread.
 """
 
 from __future__ import annotations
@@ -19,14 +21,21 @@ import socket
 import subprocess
 import sys
 
+import importlib
+
 import numpy as np
 import pytest
 
+from repro import _openblas as openblas_module
+from repro.core import OutliersClusterSolver
+from repro.datasets import higgs_like
 from repro.mapreduce import LocalCluster, MapReduceRuntime
-from repro.mapreduce import backends as backends_module
 from repro.mapreduce.backends import blas_threads, limit_blas_threads
+from repro.metricspace import WeightedPoints, get_metric
 from repro.mapreduce.runtime import identity_mapper
 from repro.mapreduce.worker import OP_HELLO, OP_OK, recv_frame, send_frame
+
+solver_module = importlib.import_module("repro.core.outliers_cluster")
 
 
 def _loaded_openblas() -> ctypes.CDLL | None:
@@ -123,23 +132,50 @@ class TestLocalClusterLeavesCoordinatorAlone:
 class TestHelperWithoutOpenblas:
     def test_missing_library(self, monkeypatch, tmp_path):
         monkeypatch.setattr(
-            backends_module, "_OPENBLAS_PATTERN", str(tmp_path / "libscipy_openblas*")
+            openblas_module, "_OPENBLAS_PATTERN", str(tmp_path / "libscipy_openblas*")
         )
         assert limit_blas_threads() is None
         assert blas_threads() is None
 
     def test_library_without_the_symbol(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "_OPENBLAS_PATTERN", _ctypes.__file__)
+        monkeypatch.setattr(openblas_module, "_OPENBLAS_PATTERN", _ctypes.__file__)
         assert limit_blas_threads() is None
         assert blas_threads() is None
 
     def test_pool_runs_uncapped_and_says_so(self, monkeypatch, tmp_path):
         monkeypatch.setattr(
-            backends_module, "_OPENBLAS_PATTERN", str(tmp_path / "libscipy_openblas*")
+            openblas_module, "_OPENBLAS_PATTERN", str(tmp_path / "libscipy_openblas*")
         )
         with MapReduceRuntime(backend="processes", max_workers=1) as runtime:
             runtime.execute_round([(0, 1)], identity_mapper, identity_mapper)
             assert runtime.stats.worker_blas_threads is None
+
+    def test_pairwise_and_round_two_fall_back(self, monkeypatch, tmp_path):
+        points = higgs_like(2049, random_state=5)
+        metric = get_metric("euclidean")
+        expected = metric.pairwise(points)
+        coreset = WeightedPoints(points=points, weights=np.ones(points.shape[0]))
+        monkeypatch.setattr(
+            openblas_module, "_OPENBLAS_PATTERN", str(tmp_path / "libscipy_openblas*")
+        )
+        assert openblas_module.syrk_upper(points) is None
+        # NumPy's ``points @ points.T`` carries the same upper triangle.
+        assert metric.pairwise(points).tobytes() == expected.tobytes()
+        thread_counts = []
+        in_threads = solver_module._in_threads
+
+        def spy(task, arguments):
+            thread_counts.append(len(arguments))
+            return in_threads(task, arguments)
+
+        monkeypatch.setattr(solver_module, "_in_threads", spy)
+        solver = OutliersClusterSolver(coreset, k=5)
+        solver.run(0.0)
+        radius = float(np.quantile(solver.candidate_radii(), 0.01))
+        assert radius <= solver._graph_bound
+        solver.run(radius)
+        # One upper-triangle pass and one graph build, each on one thread.
+        assert thread_counts == [1, 1]
 
 
 @needs_openblas

@@ -1,7 +1,8 @@
 """The Euclidean ``Metric.pairwise`` equals the reference matrix bit for bit.
 
-From 2048 points up the Euclidean metric keeps the reference's one
-``a @ b.T`` product and overwrites it tile by tile with the distances,
+From 2048 points up the Euclidean metric makes the reference's one
+``a @ b.T`` product, through the ``dsyrk`` call NumPy makes for it, and
+overwrites it tile by tile with the distances,
 evaluating each off-diagonal tile once and mirroring it. That equals the
 reference's ``(D + D.T) * 0.5`` only while the product is exactly
 symmetric, which ``syrk`` guarantees; a guard below fails loudly if
@@ -14,6 +15,9 @@ norms overflow to inf and NaN, and inputs that are not C-ordered float64
 arrays. ``Metric.pairwise`` reads every input as one C-ordered float64
 copy, so a list, a C-ordered and a Fortran-ordered array of the same
 points take the same BLAS routine (``syrk``) and give the same bits.
+The fused path makes that ``syrk`` call itself and reads only the upper
+triangle, which must equal NumPy's product under 1 and under 2 BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _openblas as openblas
 from repro.datasets import higgs_like
 from repro.metricspace import DistanceCounter
 from repro.metricspace import distance
@@ -121,13 +126,33 @@ def test_pairwise_matches_reference_at_round_two_sizes(m):
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.fixture(params=[1, 2], ids=["1-blas-thread", "2-blas-threads"])
+def blas_thread_count(request):
+    """Run the test under 1 and under 2 OpenBLAS threads, then restore the count."""
+    calls = openblas._openblas_threading()
+    if calls is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    get_threads, set_threads = calls
+    original = get_threads()
+    set_threads(request.param)
+    try:
+        yield request.param
+    finally:
+        set_threads(original)
+
+
 @pytest.mark.parametrize("m", [2048, 2049, 3000, 4097, 5440])
-def test_gram_matrix_is_exactly_symmetric(m):
-    # The once-per-pair tile pass mirrors x where the reference averages x
-    # with y.T; the two agree only if ``P @ P.T`` is symmetric bit for bit.
+def test_gram_matrix_is_exactly_symmetric(m, blas_thread_count):
+    # The once-per-pair tile pass reads the upper triangle of the direct
+    # ``dsyrk`` product and mirrors x where the reference averages x with
+    # y.T. That equals the reference only if the direct triangle is
+    # NumPy's, bit for bit, and NumPy's ``P @ P.T`` is exactly symmetric.
     points = np.ascontiguousarray(higgs_like(m, random_state=m), dtype=np.float64)
     gram = points @ points.T
     assert np.array_equal(gram.view(np.uint64), gram.T.view(np.uint64))
+    direct = openblas.syrk_upper(points)
+    for row in range(m):
+        assert direct[row, row:].tobytes() == gram[row, row:].tobytes(), row
 
 
 @pytest.mark.parametrize("form", ["list", "array", "fortran"])

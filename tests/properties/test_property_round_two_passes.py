@@ -10,11 +10,20 @@ what a plain reading of the whole matrix ``D`` gives:
   entries;
 * the bound ``candidate_radii`` counts is the largest distinct distance
   whose entries fit under the graph's cap, ties included.
+
+From 2048 rows up the first two split their row blocks over the BLAS
+threads. Patching the threshold and the thread count splits them at the
+small sizes below too, where the split pass and the split graph must
+equal the one-thread ones, and an error in a helper thread must reach the
+caller with no thread left behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -99,7 +108,10 @@ def test_graph_is_the_row_major_threshold(kind, m, graph_fill, seed):
     with mock.patch.object(solver_module, "_GRAPH_FILL", graph_fill):
         solver.candidate_radii()
     bound = solver._graph_bound
-    solver.run(0.0)
+    # A probe at radius 0 builds the graph. Through ``run`` it would not on
+    # an all-coincident set, where radius 0 is the largest distance and the
+    # probe takes its closed form.
+    solver._selection_balls(0.0)
     if bound == -np.inf:
         assert solver._graph is None
         return
@@ -112,6 +124,116 @@ def test_graph_is_the_row_major_threshold(kind, m, graph_fill, seed):
     assert np.array_equal(graph.cols, cols)
     assert graph.distances.tobytes() == pairwise[rows, cols].tobytes()
     assert solver._graph_size == rows.size <= m * m // graph_fill
+
+
+@contextlib.contextmanager
+def _split_over(threads: int):
+    """Split every pass over ``threads`` threads; yields the thread count of each pass.
+
+    The interpreter switches threads every microsecond meanwhile, so the
+    threads of a pass interleave as finely as they can.
+    """
+    counts = []
+    run = solver_module._in_threads
+
+    def spy(task, arguments):
+        counts.append(len(arguments))
+        return run(task, arguments)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(solver_module, "_SPLIT_MIN_ROWS", 1), mock.patch.object(
+            solver_module, "blas_threads", lambda: threads
+        ), mock.patch.object(solver_module, "_in_threads", spy):
+            yield counts
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@given(
+    kind=st.sampled_from(KINDS),
+    rows_and_m=_ROWS_AND_M,
+    heavy=st.booleans(),
+    threads=st.sampled_from((2, 3)),
+    quantile=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_split_upper_triangle_pass_matches_one_thread(
+    kind, rows_and_m, heavy, threads, quantile, seed
+):
+    rows, m = rows_and_m
+    solver = _solver(kind, m, heavy, seed)
+    pairwise = solver.pairwise_distances
+    blocks = -(-m // rows)
+    for radius in (0.0, float(np.quantile(pairwise, quantile)), float(pairwise.max()) + 1.0):
+        with mock.patch.object(solver_module, "_TRIANGLE_ROWS", rows):
+            _, expected = solver._selection_balls(radius)
+            with _split_over(threads) as counts:
+                _, got = solver._selection_balls(radius)
+        # Two or more blocks run on two or more threads, never more than asked.
+        assert len(counts) == 1 and counts[0] <= threads
+        assert (counts[0] > 1) == (blocks > 1)
+        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == ((pairwise <= radius) @ solver.coreset.weights).tobytes()
+
+
+@given(
+    kind=st.sampled_from(KINDS),
+    rows_and_m=_ROWS_AND_M,
+    graph_fill=st.sampled_from((1, 4)),
+    threads=st.sampled_from((2, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_split_graph_is_the_row_major_threshold(kind, rows_and_m, graph_fill, threads, seed):
+    rows, m = rows_and_m
+    solver = _solver(kind, m, False, seed)
+    with mock.patch.object(solver_module, "_GRAPH_FILL", graph_fill):
+        solver.candidate_radii()
+    bound, size = solver._graph_bound, solver._graph_size
+    if bound == -np.inf:
+        return
+    pairwise = solver.pairwise_distances
+    with mock.patch.object(solver_module, "_BLOCK_ROWS", rows), _split_over(threads) as counts:
+        graph = solver_module._build_graph(pairwise, bound, size)
+    # One thread from the front, one from the back, whatever the thread count.
+    assert counts == [2 if m > rows else 1]
+    expected_rows, expected_cols = np.nonzero(pairwise <= bound)
+    assert np.array_equal(graph.rows, expected_rows)
+    assert np.array_equal(graph.cols, expected_cols)
+    assert graph.distances.tobytes() == pairwise[expected_rows, expected_cols].tobytes()
+
+
+@pytest.mark.parametrize("pass_name", ["upper_triangle", "graph"])
+def test_helper_thread_error_reaches_the_caller(pass_name):
+    solver = _solver("gaussian", 200, False, seed=3)
+    pairwise = solver.pairwise_distances
+    with mock.patch.object(solver_module, "_GRAPH_FILL", 1):
+        solver.candidate_radii()
+    caller = threading.get_ident()
+    less_equal = np.less_equal
+
+    def fails_in_helpers(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raise RuntimeError("helper block failed")
+        return less_equal(*args, **kwargs)
+
+    before = threading.active_count()
+    # 64-row graph blocks, so the 200 rows make four of them.
+    with _split_over(2) as counts, mock.patch.object(solver_module, "_BLOCK_ROWS", 64), \
+            mock.patch.object(np, "less_equal", fails_in_helpers):
+        with pytest.raises(RuntimeError, match="helper block failed"):
+            if pass_name == "graph":
+                solver_module._build_graph(pairwise, solver._graph_bound, solver._graph_size)
+            else:
+                buffer = np.empty((solver_module._BLOCK_ROWS, 200))
+                solver_module._upper_triangle_weights(
+                    pairwise, solver.coreset.weights, 1.0, buffer
+                )
+    assert counts == [2]
+    assert threading.active_count() == before
 
 
 def _expected_bound(pairwise: np.ndarray, candidates: np.ndarray, cap: int) -> tuple[float, int]:
