@@ -13,12 +13,16 @@ same library, so the calls here act on the BLAS numpy uses:
   copy of that triangle into the lower one.
 
 Each returns ``None`` when numpy's BLAS is not scipy-openblas (another
-BLAS, another wheel layout); callers then keep NumPy's own path.
+BLAS, another wheel layout); callers then keep NumPy's own path. The
+library and its functions are looked up once per value of
+``_OPENBLAS_PATTERN``, so a call costs one foreign call, not a ``glob``
+and a ``dlopen``.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import os
 
@@ -36,27 +40,42 @@ _OPENBLAS_PATTERN = os.path.join(
 # CBLAS enumerators: CblasRowMajor, CblasUpper, CblasNoTrans.
 _ROW_MAJOR, _UPPER, _NO_TRANS = 101, 121, 111
 
+_SIZE, _SCALAR, _POINTER = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
-def _symbols(*names: str) -> list | None:
+# ``(argtypes, restype)`` of each function looked up here.
+_SIGNATURES = {
+    "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
+    "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
+    "scipy_cblas_dsyrk64_": (
+        [ctypes.c_int] * 3 + [_SIZE, _SIZE, _SCALAR, _POINTER, _SIZE, _SCALAR, _POINTER, _SIZE],
+        None,
+    ),
+}
+
+
+def _symbols(*names: str) -> tuple | None:
     """The named functions of numpy's scipy-openblas, or ``None``."""
-    for path in sorted(glob.glob(_OPENBLAS_PATTERN)):
+    return _resolve(_OPENBLAS_PATTERN, names)
+
+
+@functools.lru_cache(maxsize=16)
+def _resolve(pattern: str, names: tuple[str, ...]) -> tuple | None:
+    """The named functions of the first library matching ``pattern``, typed."""
+    for path in sorted(glob.glob(pattern)):
         try:
             library = ctypes.CDLL(path)
-            return [getattr(library, name) for name in names]
+            calls = tuple(getattr(library, name) for name in names)
         except (OSError, AttributeError):
             continue
+        for name, call in zip(names, calls):
+            call.argtypes, call.restype = _SIGNATURES[name]
+        return calls
     return None
 
 
 def _openblas_threading():
     """``(get, set)`` thread-count calls of numpy's scipy-openblas, or ``None``."""
-    calls = _symbols("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
-    if calls is None:
-        return None
-    get_threads, set_threads = calls
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get_threads, set_threads
+    return _symbols("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
 
 def blas_threads() -> int | None:
@@ -101,9 +120,6 @@ def syrk_upper(points: np.ndarray) -> np.ndarray | None:
     if calls is None:
         return None
     (dsyrk,) = calls
-    size, scalar, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    dsyrk.argtypes = [ctypes.c_int] * 3 + [size, size, scalar, pointer, size, scalar, pointer, size]
-    dsyrk.restype = None
     gram = np.empty((m, m), dtype=np.float64)
     dsyrk(_ROW_MAJOR, _UPPER, _NO_TRANS, m, d, 1.0, points.ctypes.data, d, 0.0,
           gram.ctypes.data, m)

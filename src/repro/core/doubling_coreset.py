@@ -169,25 +169,25 @@ class StreamingCoreset:
     def _active_pairwise(self) -> np.ndarray:
         return self._metric.pairwise(self._centers[: self._size])
 
-    def _min_positive_pairwise(self) -> float:
+    @staticmethod
+    def _min_positive_pairwise(pairs: np.ndarray) -> float:
         # The matrix is symmetric with a zero diagonal, so its least positive
         # entry is the upper triangle's, found without gathering the triangle.
-        pairs = self._active_pairwise()
         positive = pairs > 0
         if not positive.any():
             return 0.0
         return float(np.min(pairs, where=positive, initial=np.inf))
 
-    def _merge_centers(self) -> None:
+    def _merge_centers(self, pairs: np.ndarray) -> None:
         """Enforce invariant (b): merge centers at distance <= 4 * phi.
 
-        A greedy sweep keeps the first center of every violating pair and
-        folds the discarded center's weight into the survivor closest to it,
-        which conceptually re-targets the proxy function as in the paper.
+        ``pairs`` is the pairwise matrix of the current centers. A greedy
+        sweep keeps the first center of every violating pair and folds the
+        discarded center's weight into the survivor closest to it, which
+        conceptually re-targets the proxy function as in the paper.
         """
         if self._size <= 1:
             return
-        pairs = self._active_pairwise()
         threshold = 4.0 * self._phi
         keep: list[int] = []
         merged_weights = np.array(self._weights[: self._size])
@@ -212,10 +212,16 @@ class StreamingCoreset:
         self._weights[:new_size] = merged_weights[kept_indices]
         self._size = new_size
 
-    def _apply_merge_rule(self) -> None:
-        """Double ``phi`` (handling the degenerate 0 case) and merge centers."""
+    def _apply_merge_rule(self, pairs: np.ndarray | None = None) -> None:
+        """Double ``phi`` (handling the degenerate 0 case) and merge centers.
+
+        ``pairs`` is the pairwise matrix of the current centers when the
+        caller already holds it; otherwise it is built here, once.
+        """
+        if pairs is None:
+            pairs = self._active_pairwise()
         if self._phi <= 0.0:
-            minimum = self._min_positive_pairwise()
+            minimum = self._min_positive_pairwise(pairs)
             if minimum == 0.0:
                 # All centers coincide: collapse them into one.
                 total = float(self._weights[: self._size].sum())
@@ -225,7 +231,7 @@ class StreamingCoreset:
             self._phi = minimum / 2.0
         else:
             self._phi *= 2.0
-        self._merge_centers()
+        self._merge_centers(pairs)
 
     def _initialize_from_buffer(self) -> None:
         points = np.vstack(self._buffer)
@@ -241,12 +247,16 @@ class StreamingCoreset:
 
         # phi starts at half the minimum pairwise distance; exact duplicates
         # are merged first so the minimum is taken over distinct points.
-        self._phi = self._min_positive_pairwise() / 2.0
+        # Either branch re-establishes invariant (a) on this one matrix.
+        pairs = self._active_pairwise()
+        self._phi = self._min_positive_pairwise(pairs) / 2.0
         if self._phi > 0.0:
-            self._merge_centers()
-        # Re-establish invariant (a) before processing further points.
-        while self._size > self._tau:
-            self._apply_merge_rule()
+            # The closest pair lies within 4 * phi, so at least one of the
+            # tau + 1 centers merges away.
+            self._merge_centers(pairs)
+        else:
+            # All tau + 1 buffered points coincide: the rule collapses them.
+            self._apply_merge_rule(pairs)
 
     # -- public protocol ---------------------------------------------------------------------
 

@@ -264,10 +264,16 @@ class GMM:
         """Extend until the radius drops to ``target_radius`` or below.
 
         Stops early when the traversal saturates or, if ``max_centers`` is
-        given, once it holds ``max_centers`` centers.
+        given, once it holds ``max_centers`` centers. A negative or NaN
+        ``target_radius`` and a ``max_centers`` below 1 raise
+        :class:`~repro.exceptions.InvalidParameterError`.
         """
-        if target_radius < 0:
-            raise InvalidParameterError("target_radius must be non-negative")
+        if not target_radius >= 0:
+            raise InvalidParameterError(
+                f"target_radius must be non-negative; got {target_radius!r}"
+            )
+        if max_centers is not None:
+            max_centers = check_positive_int(max_centers, name="max_centers")
         while self.radius > target_radius and (
             max_centers is None or self.n_centers < max_centers
         ):

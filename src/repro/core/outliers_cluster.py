@@ -20,9 +20,9 @@ float64 matrix) so that the radius search of
 :meth:`OutliersClusterSolver.candidate_radii` holds the ``m * (m - 1) / 2``
 upper-triangle distances once: it sorts them in place, moves the distinct
 values to the front in place and returns a view of that front. For the
-Euclidean metric from 2048 points up, :meth:`Metric.pairwise` builds ``D``
-in the buffer of its one matrix product, so building ``D`` holds one
-``(m, m)`` matrix, not several.
+Euclidean metric, :meth:`Metric.pairwise` builds ``D`` in the buffer of
+its one matrix product, so building ``D`` holds one ``(m, m)`` matrix, not
+several.
 
 A probe takes its selection balls from one of two places:
 
@@ -84,7 +84,7 @@ import numpy as np
 from .._openblas import blas_threads
 from .._validation import check_non_negative_float, check_positive_int
 from ..exceptions import InvalidParameterError
-from ..metricspace.distance import _PAIRWISE_MIN_ROWS, Metric, get_metric
+from ..metricspace.distance import Metric, get_metric
 from ..metricspace.points import WeightedPoints
 
 __all__ = ["OutliersClusterResult", "OutliersClusterSolver", "outliers_cluster"]
@@ -106,9 +106,12 @@ _GRAPH_FILL = 32
 _COMPACT_BLOCK = 2**16
 
 # The dense pass and the graph build split their row blocks over the
-# process's BLAS threads from this many rows up, the size from which the
-# Euclidean matrix comes from one ``syrk``; smaller solves run in one thread.
-_SPLIT_MIN_ROWS = _PAIRWISE_MIN_ROWS
+# process's BLAS threads from this many rows up; smaller solves run in one
+# thread, where starting a helper costs more than it saves. (Two threads on
+# 2 vCPUs, d = 7: at 1024 rows the dense pass took 1.1 ms against 0.8 ms
+# unsplit and the graph build 1.8 against 1.3 ms; at 2048 rows 2.7 against
+# 3.4 ms and 4.0 against 7.2 ms.)
+_SPLIT_MIN_ROWS = 2048
 
 
 @dataclass(frozen=True)

@@ -30,22 +30,30 @@ fewer than 64 candidates it evaluates each slice exactly instead, in
 place in the slice buffer. The slack is derived in
 :func:`_euclidean_nearest`.
 
-The Euclidean :meth:`Metric.pairwise` of 2048 or more points (the
-round-2 matrix of the MapReduce outlier solver) takes
-:func:`_euclidean_pairwise`: it computes :func:`euclidean`'s one
-``a @ b.T`` product, on the same C-ordered float64 copy of ``points``
-that the reference path reads, with the same ``dsyrk`` call NumPy makes
-but without NumPy's copy of the upper triangle into the lower one. It
-then overwrites the product in one pass over pairs of 192-row tiles with
-the distances, each step element-wise and in the reference's order. The
-reference's product is exactly symmetric, so each off-diagonal tile is
-evaluated once, from the upper triangle, and mirrored: the reference's
-``(D + D.T) * 0.5`` would return it unchanged. The result is bit for bit
-the reference's; the memory is one ``(m, m)`` matrix and one tile
-instead of the reference's full-size temporaries. Smaller inputs keep
-the reference: glibc may keep a freed matrix below 32 MiB on its heap,
-and there the fused path raised the peak RSS of a streaming run (see
-``_PAIRWISE_MIN_ROWS``).
+The Euclidean :meth:`Metric.pairwise` takes :func:`_euclidean_pairwise`
+at every size: it computes :func:`euclidean`'s one ``a @ b.T`` product,
+on the same C-ordered float64 copy of ``points`` that the reference path
+reads, with the same ``dsyrk`` call NumPy makes but without NumPy's copy
+of the upper triangle into the lower one. It then overwrites the product
+in one pass over pairs of 192-row tiles with the distances, each step
+element-wise and in the reference's order. The reference's product is
+exactly symmetric, so each off-diagonal tile is evaluated once, from the
+upper triangle, and mirrored: the reference's ``(D + D.T) * 0.5`` would
+return it unchanged. The result is bit for bit the reference's; the
+memory is one ``(m, m)`` matrix and one tile instead of the reference's
+full-size temporaries. The reference path (:attr:`Metric.cross` on the
+whole set, then an in-place symmetrisation) remains for the other
+metrics and for a :class:`DistanceCounter`.
+
+Fewer live bytes need not mean a lower peak RSS. Below 32 MiB (2048
+rows) glibc's dynamic mmap threshold may keep a freed matrix on its heap.
+With the streaming merge's 1761-row (24.8 MB) matrices on this path, the
+``stream-outliers`` benchmark's peak RSS, counted from after its set-up,
+rose from 287.4 to 311.0 MiB against the reference path, while over
+three solves the live bytes peaked at 26.8 MiB against 47.6 MiB and the
+process's whole-run peak RSS at 189.7 against 213.1 MiB: glibc kept one
+freed matrix at the top of the heap that set-up left (23.8 MiB free
+there against 11.6 MiB).
 
 For the incremental GMM traversal, :meth:`Metric.distances_from` binds a
 one-to-many evaluator to a fixed point matrix: ``f(i)`` returns the
@@ -341,17 +349,6 @@ def _euclidean_nearest(
 #: its scratch tile takes 288 KiB.
 _PAIRWISE_TILE = 192
 
-#: :meth:`Metric.pairwise` takes :func:`_euclidean_pairwise` from this
-#: many rows up, where one matrix takes at least 32 MiB: from that size
-#: glibc always maps and unmaps an allocation on its own. Below it, glibc's
-#: dynamic mmap threshold may keep a freed matrix on its heap. On the
-#: streaming merge's 1761-row (24.8 MB) matrices the fused path raised
-#: the peak RSS of the ``stream-outliers`` benchmark from 287 to 311 MiB;
-#: with ``MALLOC_MMAP_THRESHOLD_`` fixed it peaked lower than the
-#: reference path instead (178 against 199 MiB).
-_PAIRWISE_MIN_ROWS = 2048
-
-
 def _euclidean_pairwise(points: np.ndarray, tile: int = _PAIRWISE_TILE) -> np.ndarray:
     """The Euclidean :meth:`Metric.pairwise`: one ``syrk``, then one tile pass.
 
@@ -392,8 +389,8 @@ def _euclidean_pairwise(points: np.ndarray, tile: int = _PAIRWISE_TILE) -> np.nd
             x = x_buffer[: rows.stop - rows.start, : cols.stop - cols.start]
             g = matrix[rows, cols]
             if cols is rows:
-                lower = np.tril_indices(g.shape[0], -1)
-                g[lower] = g.T[lower]
+                # Writes only below the diagonal, reads only above it.
+                np.copyto(g, g.T, where=np.tri(g.shape[0], k=-1, dtype=bool))
             g *= 2.0
             np.add(aa[rows, None], aa[None, cols], out=x)
             x -= g
@@ -402,8 +399,9 @@ def _euclidean_pairwise(points: np.ndarray, tile: int = _PAIRWISE_TILE) -> np.nd
             if cols is rows:
                 x += x.T  # NumPy buffers the overlapping transpose
                 x *= 0.5
+            else:
+                matrix[cols, rows] = x.T
             matrix[rows, cols] = x
-            matrix[cols, rows] = x.T
     np.fill_diagonal(matrix, 0.0)
     return matrix
 
@@ -505,21 +503,22 @@ class Metric:
     def pairwise(self, points: np.ndarray) -> np.ndarray:
         """Full symmetric pairwise distance matrix of ``points``.
 
-        The Euclidean metric takes :func:`_euclidean_pairwise` from
-        ``_PAIRWISE_MIN_ROWS`` (2048) rows up: it makes the one ``a @ b.T``
-        product :func:`euclidean` makes and overwrites it tile by tile with
-        the symmetrised distances, so it holds one ``(m, m)`` float64
-        matrix and one small tile instead of the full-size temporaries of
-        the path below, and returns the same bits. Smaller inputs, the other metrics and any
-        :class:`DistanceCounter`-wrapped metric (whose count stays
-        ``m * m``) evaluate :attr:`cross` on the whole set, then
-        symmetrise in place. Both paths read one C-ordered float64 copy
-        of ``points``, so a list, a C-ordered and a Fortran-ordered array
-        of the same points take the same BLAS routine and give the same
-        bits.
+        The Euclidean metric takes :func:`_euclidean_pairwise` at every
+        size: it makes the one ``a @ b.T`` product :func:`euclidean` makes
+        and overwrites it tile by tile with the symmetrised distances, so it
+        holds one ``(m, m)`` float64 matrix and one small tile instead of
+        the full-size temporaries of the path below, and returns the same
+        bits. (The peak RSS may still rise below 2048 rows, where glibc can
+        keep a freed matrix on its heap; see the module docstring.) The
+        other metrics and any :class:`DistanceCounter`-wrapped metric
+        (whose count stays ``m * m``) evaluate :attr:`cross` on the whole
+        set, then symmetrise in place. Both paths read one C-ordered
+        float64 copy of ``points``, so a list, a C-ordered and a
+        Fortran-ordered array of the same points take the same BLAS
+        routine and give the same bits.
         """
         points = np.atleast_2d(np.ascontiguousarray(points, dtype=np.float64))
-        if self.cross is euclidean and points.shape[0] >= _PAIRWISE_MIN_ROWS:
+        if self.cross is euclidean:
             return _euclidean_pairwise(points)
         matrix = self.cross(points, points)
         if not self.exactly_symmetric:

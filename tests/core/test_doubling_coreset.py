@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import StreamingCoreset
 from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.metricspace import Metric
 
 
 def _feed(coreset: StreamingCoreset, points: np.ndarray) -> StreamingCoreset:
@@ -126,3 +127,46 @@ class TestDegenerateStreams:
         points = points[rng.permutation(points.shape[0])]
         coreset = _feed(StreamingCoreset(tau=12), points)
         assert coreset.weights.sum() == pytest.approx(400.0)
+
+
+class TestOneMatrixPerCenterSet:
+    """Each center set's pairwise matrix is built once, not once per use."""
+
+    @pytest.fixture
+    def pairwise_rows(self, monkeypatch):
+        rows = []
+        pairwise = Metric.pairwise
+
+        def spy(self, points):
+            rows.append(len(points))
+            return pairwise(self, points)
+
+        monkeypatch.setattr(Metric, "pairwise", spy)
+        return rows
+
+    def test_initialisation_builds_one_matrix(self, pairwise_rows):
+        tau = 16
+        points = np.random.default_rng(3).normal(size=(tau + 1, 4))
+        coreset = StreamingCoreset(tau=tau)
+        coreset.process_batch(points)
+        # phi and the first merge both read the matrix of the tau + 1 points.
+        assert pairwise_rows == [tau + 1]
+        assert coreset.phi > 0.0 and coreset.size <= tau
+
+    def test_coinciding_buffer_builds_one_matrix(self, pairwise_rows):
+        tau = 5
+        coreset = StreamingCoreset(tau=tau)
+        coreset.process_batch(np.ones((tau + 1, 2)))
+        assert pairwise_rows == [tau + 1]
+        assert coreset.size == 1 and coreset.phi == 0.0
+
+    def test_merge_rule_at_phi_zero_builds_one_matrix(self, pairwise_rows):
+        tau = 5
+        coreset = StreamingCoreset(tau=tau)
+        coreset.process_batch(np.zeros((tau + 1, 2)))
+        # Five new distinct centers overflow the budget at phi == 0: the least
+        # positive distance and the merge read one matrix.
+        coreset.process_batch(np.arange(1.0, tau + 1).reshape(-1, 1) * [1.0, 2.0])
+        assert pairwise_rows == [tau + 1, tau + 1]
+        assert coreset.phi > 0.0 and coreset.size <= tau
+        assert coreset.weights.sum() == 2 * tau + 1

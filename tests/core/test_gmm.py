@@ -198,6 +198,24 @@ class TestGMMUntilRadius:
         with pytest.raises(InvalidParameterError):
             gmm_until_radius(small_blobs, -1.0)
 
+    def test_nan_target_raises(self, small_blobs):
+        # A NaN compares false with every radius, which used to stop the
+        # traversal at one center.
+        traversal = GMM(small_blobs)
+        with pytest.raises(InvalidParameterError):
+            traversal.extend_until_radius(float("nan"))
+        with pytest.raises(InvalidParameterError):
+            gmm_until_radius(small_blobs, float("nan"))
+        assert traversal.n_centers == 1
+
+    @pytest.mark.parametrize("max_centers", [0, -3, 2.5, True])
+    def test_bad_max_centers_raises(self, small_blobs, max_centers):
+        traversal = GMM(small_blobs)
+        with pytest.raises(InvalidParameterError):
+            traversal.extend_until_radius(0.0, max_centers=max_centers)
+        with pytest.raises(InvalidParameterError):
+            gmm_until_radius(small_blobs, 0.0, max_centers=max_centers)
+
 
 class TestGMMAdaptive:
     def test_stopping_condition(self, small_blobs):

@@ -1,6 +1,6 @@
 """The Euclidean ``Metric.pairwise`` equals the reference matrix bit for bit.
 
-From 2048 points up the Euclidean metric makes the reference's one
+At every size the Euclidean metric makes the reference's one
 ``a @ b.T`` product, through the ``dsyrk`` call NumPy makes for it, and
 overwrites it tile by tile with the distances,
 evaluating each off-diagonal tile once and mirroring it. That equals the
@@ -109,7 +109,7 @@ def test_gemm_and_syrk_inputs_match_reference(form, m, tile):
 @pytest.mark.parametrize("m", [256, 257, 300, 2048])
 def test_pairwise_bits_do_not_depend_on_input_layout(m):
     # 257 and 300 rows took gemm for a list and a Fortran-ordered array
-    # and syrk for a C-ordered one; 2048 takes the fused path.
+    # and syrk for a C-ordered one.
     points = _points("gaussian", m, 7, seed=m)
     metric = get_metric("euclidean")
     expected = metric.pairwise(points).tobytes()
@@ -163,7 +163,22 @@ def test_once_per_pair_path_matches_reference(form, m):
     assert got.tobytes() == reference_pairwise(points).tobytes()
 
 
-def test_pairwise_dispatch_by_size(monkeypatch):
+def _sized_points(kind: str, m: int, d: int) -> np.ndarray:
+    points = np.random.default_rng(m * 16 + d).normal(size=(m, d))
+    if kind == "duplicates":
+        points = points[np.random.default_rng(m).integers(0, max(1, m // 3), size=m)]
+    elif kind == "grid":
+        points = np.round(points * 4.0) / 4.0
+    elif kind == "offset":
+        points = points + 1e6
+    return points
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "duplicates", "grid", "offset"])
+@pytest.mark.parametrize("m", [1, 2, 3, 191, 192, 193, 1377, 1761, 2047])
+def test_pairwise_takes_fused_path_at_every_size(monkeypatch, kind, m, blas_thread_count):
+    # 1761 rows is the streaming merge's matrix at tau = 1760; 191-193
+    # straddle the tile edge, 1-3 the smallest products.
     calls = []
     fused = distance._euclidean_pairwise
 
@@ -172,16 +187,14 @@ def test_pairwise_dispatch_by_size(monkeypatch):
         return fused(points, *args)
 
     monkeypatch.setattr(distance, "_euclidean_pairwise", spy)
-    metric = get_metric("euclidean")
-    points = higgs_like(distance._PAIRWISE_MIN_ROWS, random_state=1)
-    metric.pairwise(points[:-1])
-    assert calls == []
-    metric.pairwise(points)
-    assert calls == [distance._PAIRWISE_MIN_ROWS]
+    points = _sized_points(kind, m, d=m % 15 + 1)
+    got = get_metric("euclidean").pairwise(points)
+    assert calls == [m]
+    assert got.tobytes() == reference_pairwise(points).tobytes()
 
 
 def test_counted_pairwise_counts_every_pair():
-    points = higgs_like(distance._PAIRWISE_MIN_ROWS, random_state=2)
+    points = higgs_like(300, random_state=2)
     counter = DistanceCounter("euclidean")
     matrix = counter.metric.pairwise(points)
     m = points.shape[0]
