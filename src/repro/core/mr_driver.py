@@ -344,12 +344,11 @@ class MapReduceDriver:
 
             # Partitions the routing left empty are dropped: that lowers the
             # effective parallelism, never correctness.
-            partition_pairs = [
-                (partition_id, part) for partition_id, part in enumerate(parts) if len(part)
-            ]
+            partitions = {
+                partition_id: part for partition_id, part in enumerate(parts) if len(part)
+            }
             coresets = runtime.execute_round(
-                partition_pairs,
-                mr_runtime.identity_mapper,
+                {partition_id: [part] for partition_id, part in partitions.items()},
                 partial(
                     _coreset_reducer,
                     spec=spec,
@@ -359,19 +358,17 @@ class MapReduceDriver:
                 ),
             )
             solution: Solution = runtime.execute_round(
-                [(0, output.points) for _, output in coresets],
-                mr_runtime.identity_mapper,
+                {0: [output.points for _, output in coresets]},
                 partial(_solve_reducer, solve=solver),
             )[0][1]
             # The union of the coresets passed through the coordinator
             # between rounds 1 and 2: charge it to the coordinator's peak.
             runtime.note_coordinator_items(solution.coreset_size)
             summaries = runtime.execute_round(
-                [
-                    (partition_id, _EvaluationTask(part, solution.centers))
-                    for partition_id, part in partition_pairs
-                ],
-                mr_runtime.identity_mapper,
+                {
+                    partition_id: [_EvaluationTask(part, solution.centers)]
+                    for partition_id, part in partitions.items()
+                },
                 partial(_evaluation_reducer, metric=self.metric, z=self.z),
             )
             stats = runtime.stats
@@ -380,7 +377,7 @@ class MapReduceDriver:
             centers=solution.centers,
             center_indices=solution.center_indices,
             coreset_size=solution.coreset_size,
-            ell=len(partition_pairs),
+            ell=len(partitions),
             stats=stats,
             coreset_time=sum(output.elapsed for _, output in coresets),
             solve_time=solution.elapsed,

@@ -28,7 +28,6 @@ from .runtime import (
     KeyValue,
     MapReduceRuntime,
     RoundStats,
-    StreamShuffleResult,
     default_sizeof,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "RoundStats",
     "SerialBackend",
     "SharedArray",
-    "StreamShuffleResult",
     "ThreadBackend",
     "WorkerServer",
     "available_backends",

@@ -4,17 +4,24 @@ The paper's algorithms are 2-round MapReduce computations; what their
 analysis actually constrains is (a) the number of rounds, (b) the local
 memory ``M_L`` any single reducer needs, and (c) the aggregate memory
 ``M_A`` across reducers. This module provides a small, deterministic
-MapReduce engine that executes arbitrary mapper/reducer functions while
-*faithfully tracking those three quantities*, plus per-reducer wall-clock
-time so that the parallel running time of a round can be reported as the
-maximum reducer time (the quantity a real cluster would exhibit).
+MapReduce engine that runs those rounds while *faithfully tracking those
+three quantities*, plus per-reducer wall-clock time so that the parallel
+running time of a round can be reported as the maximum reducer time (the
+quantity a real cluster would exhibit).
 
 Execution model
 ---------------
-The map and shuffle phases always run in the coordinating process, as
-does all accounting: reduce groups are formed, sized with ``sizeof``, and
-checked against the local memory limit *before* any reducer runs. Only
-then is the reduce phase handed to an
+A job is the paper's fixed sequence of rounds. The shuffle routes the
+input into ``ell`` partitions; round 1 builds one coreset per partition,
+round 2 solves on their union and round 3 scores each partition against
+the solution (:mod:`repro.core.mr_driver`). Each round's reduce groups
+are therefore known before it starts, and
+:meth:`MapReduceRuntime.execute_round` takes them already keyed: a
+``dict`` from reduce key to the list of values that reducer receives.
+There is no map phase. The shuffle and all accounting run in the
+coordinating process: every group is sized with :func:`default_sizeof`
+and checked against the local memory limit *before* any reducer runs.
+Only then is the reduce phase handed to an
 :class:`~repro.mapreduce.backends.ExecutorBackend`:
 
 * ``backend="serial"`` — reducers run one after the other in the calling
@@ -79,7 +86,7 @@ partition handles instead of partition rows.
 Out-of-core shuffle
 -------------------
 The paper's analysis bounds the *reducers'* memory at ``O(n / ell)``
-per partition; a map/shuffle that first materialised the full ``(n, d)``
+per partition; a shuffle that first materialised the full ``(n, d)``
 matrix in the coordinator would add an ``O(n)`` coordinator bound and
 make the coordinator, not the reducers, the limit on dataset size.
 :meth:`MapReduceRuntime.shuffle_stream` avoids it: it consumes the input
@@ -88,7 +95,8 @@ as a sequence of ``(m, d)`` chunks (from a
 or a memory-mapped array), routes each chunk's rows directly into
 per-partition :class:`~repro.mapreduce.backends.PartitionBuffer`
 storage via a :class:`~repro.mapreduce.partitioner.ChunkRouter`, and
-returns the sealed partitions as
+returns one :class:`StreamedPartition` per partition: its rows and their
+global stream indices, as sealed
 :class:`~repro.mapreduce.backends.SharedArray` handles. The
 coordinator's own working set during the shuffle is ``O(chunk)``:
 routing metadata plus one chunk in flight.
@@ -107,10 +115,10 @@ coordinator working set (in points).
 Storage tiers
 -------------
 *Where the sealed partitions live* is a knob orthogonal to the executor
-backend: ``storage=`` on the runtime (and on
-:meth:`MapReduceRuntime.shuffle_stream`, both drivers' ``fit_stream``,
-and the CLI ``mr-*`` commands) selects a
-:class:`~repro.mapreduce.backends.PartitionStore` tier:
+backend: ``storage=`` on the runtime (set through both drivers'
+``fit_stream`` and the CLI ``mr-*`` commands) selects the
+:class:`~repro.mapreduce.backends.PartitionStore` tier that
+:meth:`MapReduceRuntime.shuffle_stream` writes:
 
 * ``"memory"`` — plain per-partition arrays in the coordinator's
   address space, handed to other processes by value.
@@ -134,15 +142,10 @@ footprints up front.
 
 Accounting is backend-agnostic by construction: every backend returns the
 same per-group outputs and in-reducer timings, the runtime collects them
-in deterministic (insertion) key order, and the recorded
+in the groups' insertion order, and the recorded
 :class:`RoundStats` are therefore identical across backends modulo the
 timing values themselves. The cross-backend equivalence suite in
 ``tests/mapreduce/test_backends.py`` enforces this.
-
-The engine is intentionally general (key-value pairs, one mapper and one
-reducer per round) so that other algorithms can be expressed on it; the
-k-center drivers (:mod:`repro.core.mr_driver`) run a shuffle plus three
-rounds: coresets, solve, evaluation.
 """
 
 from __future__ import annotations
@@ -150,9 +153,8 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -176,19 +178,16 @@ __all__ = [
     "KeyValue",
     "RoundStats",
     "JobStats",
-    "StreamShuffleResult",
     "StreamedPartition",
     "MapReduceRuntime",
     "default_sizeof",
-    "identity_mapper",
     "shuffle_point_stream",
 ]
 
 
 KeyValue = tuple[Hashable, object]
-"""A key-value pair as consumed and produced by mappers and reducers."""
+"""A key-value pair as produced by reducers."""
 
-Mapper = Callable[[Hashable, object], Iterable[KeyValue]]
 Reducer = Callable[[Hashable, list], Iterable[KeyValue]]
 
 
@@ -221,15 +220,12 @@ class RoundStats:
         reducer, keyed by reduce key.
     reducer_times:
         Wall-clock seconds spent inside each reducer.
-    map_time:
-        Wall-clock seconds spent in the map + shuffle phase.
     """
 
     round_index: int
     n_reducers: int = 0
     reducer_input_sizes: dict = field(default_factory=dict)
     reducer_times: dict = field(default_factory=dict)
-    map_time: float = 0.0
 
     @property
     def max_local_memory(self) -> int:
@@ -313,13 +309,13 @@ class JobStats:
 
     @property
     def parallel_time(self) -> float:
-        """Parallel time estimate: per round, map time plus slowest reducer."""
-        return sum(r.map_time + r.parallel_time for r in self.rounds)
+        """Parallel time estimate: the slowest reducer of each round, summed."""
+        return sum(r.parallel_time for r in self.rounds)
 
     @property
     def sequential_time(self) -> float:
-        """Time the job would take with a single processor."""
-        return sum(r.map_time + r.sequential_time for r in self.rounds)
+        """Reduce time the job would take with a single processor."""
+        return sum(r.sequential_time for r in self.rounds)
 
 
 @dataclass(frozen=True)
@@ -339,46 +335,6 @@ class StreamedPartition:
         return len(self.points)
 
 
-def identity_mapper(key, value):
-    """Pass pre-keyed pairs straight into the reduce groups."""
-    yield (key, value)
-
-
-@dataclass(frozen=True)
-class StreamShuffleResult:
-    """Outcome of an out-of-core map/shuffle pass.
-
-    Attributes
-    ----------
-    parts:
-        One sealed ``(n_i, d)`` :class:`SharedArray` per partition
-        (possibly zero-row for partitions the routing left empty).
-    index_parts:
-        Matching ``(n_i,)`` arrays of global stream indices, so reducers
-        can report solutions in terms of the original data. ``None`` when
-        the shuffle was run with ``with_indices=False``.
-    n_points:
-        Total number of stream points routed.
-    dimension:
-        Point dimensionality observed on the stream.
-    chunk_peak:
-        Largest single chunk (in points) the coordinator held in flight.
-    storage_tier:
-        Partition-storage tier the shuffle used (``"memory"``/``"disk"``).
-    spilled_bytes:
-        Bytes of partition data written to spill files (0 unless the
-        ``"disk"`` tier ran).
-    """
-
-    parts: list
-    index_parts: list | None
-    n_points: int
-    dimension: int
-    chunk_peak: int
-    storage_tier: str = "memory"
-    spilled_bytes: int = 0
-
-
 class MapReduceRuntime:
     """MapReduce engine with memory accounting and a pluggable reduce executor.
 
@@ -389,9 +345,6 @@ class MapReduceRuntime:
         receive; exceeding it raises
         :class:`~repro.exceptions.MemoryBudgetExceededError`. ``None``
         disables enforcement (accounting still happens).
-    sizeof:
-        Item-size function used for memory accounting; defaults to
-        :func:`default_sizeof`.
     max_workers:
         Worker count for the pooled backends. ``None`` means 1 for the
         default (backend-less) configuration and one worker per CPU when
@@ -431,21 +384,16 @@ class MapReduceRuntime:
     Examples
     --------
     >>> runtime = MapReduceRuntime()
-    >>> pairs = [(None, [1, 2, 3, 4])]
-    >>> def mapper(key, values):
-    ...     for v in values:
-    ...         yield (v % 2, v)
     >>> def reducer(key, values):
     ...     yield (key, sum(values))
-    >>> sorted(runtime.execute_round(pairs, mapper, reducer))
-    [(0, 6), (1, 4)]
+    >>> runtime.execute_round({3: [1, 2], 1: [4]}, reducer)
+    [(3, 3), (1, 4)]
     """
 
     def __init__(
         self,
         *,
         local_memory_limit: int | None = None,
-        sizeof: Callable[[object], int] = default_sizeof,
         max_workers: int | None = None,
         backend: str | ExecutorBackend | None = None,
         workers=None,
@@ -461,7 +409,6 @@ class MapReduceRuntime:
         if memory_budget_bytes is not None and memory_budget_bytes < 1:
             raise InvalidParameterError("memory_budget_bytes must be >= 1 or None")
         self._local_memory_limit = local_memory_limit
-        self._sizeof = sizeof
         # Backends named by string (or defaulted) are created, and therefore
         # owned and closed, by this runtime; instances passed in belong to
         # the caller, whose pool must survive (and be reusable after) close().
@@ -487,12 +434,11 @@ class MapReduceRuntime:
             self._stats.coordinator_peak_items, int(items)
         )
 
-    def _ensure_spill_dir(self, override: str | None = None) -> str:
+    def _ensure_spill_dir(self) -> str:
         """The directory disk-tier spill files go to (created on first use)."""
-        caller_dir = override if override is not None else self._spill_dir
-        if caller_dir is not None:
-            os.makedirs(caller_dir, exist_ok=True)
-            return caller_dir
+        if self._spill_dir is not None:
+            os.makedirs(self._spill_dir, exist_ok=True)
+            return self._spill_dir
         if self._own_spill_dir is None:
             self._own_spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
         return self._own_spill_dir
@@ -502,61 +448,47 @@ class MapReduceRuntime:
         chunks: Iterable[np.ndarray],
         router: ChunkRouter,
         *,
-        with_indices: bool = True,
-        dtype=np.float64,
-        partition_size_hint: int | None = None,
         max_chunk_rows: int | None = None,
-        storage: str | None = None,
-        spill_dir: str | None = None,
-    ) -> StreamShuffleResult:
+    ) -> list[StreamedPartition]:
         """Route a chunked point stream into per-partition buffers (out of core).
 
         ``chunks`` yields ``(m, d)`` arrays in stream order (e.g. from
         :meth:`repro.streaming.stream.PointStream.iterate_batches`);
         ``router`` decides each row's partition from its global stream
-        index alone. Rows are scattered into per-partition
-        :class:`~repro.mapreduce.backends.PartitionBuffer` storage on
-        the tier ``storage`` selects (``None`` defers to the runtime's
-        ``storage=`` default; see the "Storage tiers" section of the
-        module docstring) — so the coordinator never assembles the full
-        ``(n, d)`` matrix; its working set is one chunk plus routing
+        index alone. Rows and their global indices are scattered into
+        per-partition :class:`~repro.mapreduce.backends.PartitionBuffer`
+        storage on the runtime's tier (see the "Storage tiers" section
+        of the module docstring), so the coordinator never assembles the
+        full ``(n, d)`` matrix; its working set is one chunk plus routing
         metadata, recorded in :attr:`JobStats.coordinator_peak_items`.
         The tier that ran and the bytes it spilled are recorded in
-        :attr:`JobStats.storage_tier` / :attr:`JobStats.spilled_bytes`.
+        :attr:`JobStats.storage_tier` / :attr:`JobStats.spilled_bytes`;
+        ``router.points_routed`` counts the points routed.
 
-        The sealed partitions are registered with the runtime and
-        released by :meth:`close`; on a mid-stream failure every
+        Returns one :class:`StreamedPartition` per partition, in
+        partition order (zero-row for partitions the routing left
+        empty). The sealed partitions are registered with the runtime
+        and released by :meth:`close`; on a mid-stream failure every
         partially-filled buffer (and its spill file) is closed and
         unlinked before the exception propagates. ``max_chunk_rows``
         re-splits oversized incoming chunks (sources with native
         batching, such as
         :class:`~repro.streaming.stream.GeneratorStream`, may deliver
         chunks larger than the requested size) so the coordinator's
-        in-flight working set — and the recorded ``chunk_peak`` — stays
-        bounded regardless of the source's granularity.
+        in-flight working set stays bounded regardless of the source's
+        granularity.
         """
         if max_chunk_rows is not None and max_chunk_rows < 1:
             raise InvalidParameterError("max_chunk_rows must be >= 1 (or None)")
-        # Validated before any chunk is consumed: a typo'd tier must not
-        # cost a single-pass stream its first chunk.
-        storage = self._storage if storage is None else check_storage_tier(storage)
-        dtype = np.dtype(dtype)
-        hint = partition_size_hint
-        if hint is None and router.n_total is not None:
-            hint = max(1, -(-router.n_total // router.ell))  # ceil division
-        # The partition footprint can only be estimated once the first chunk
-        # reveals the dimension; until then the tier is undecided.
-        estimated_bytes: int | None = None
-        buffers: list[PartitionBuffer] | None = None
-        index_buffers: list[PartitionBuffer] | None = None
+        buffers: list[PartitionBuffer] = []
+        index_buffers: list[PartitionBuffer] = []
         sealed: list[SharedArray] = []
         dimension: int | None = None
-        tier: str | None = None
         chunk_peak = 0
 
         def bounded_chunks():
             for chunk in chunks:
-                chunk = np.asarray(chunk, dtype=dtype)
+                chunk = np.asarray(chunk, dtype=np.float64)
                 if chunk.ndim != 2:
                     raise InvalidParameterError(
                         f"shuffle chunks must be (m, d) arrays; got ndim={chunk.ndim}"
@@ -572,44 +504,37 @@ class MapReduceRuntime:
                 m = chunk.shape[0]
                 if m == 0:
                     continue
-                if buffers is None:
+                if dimension is None:
+                    # The partition footprint can only be estimated once the
+                    # first chunk reveals the dimension.
                     dimension = int(chunk.shape[1])
+                    estimated_bytes = capacity = None
                     if router.n_total is not None:
-                        row_bytes = dimension * dtype.itemsize
-                        if with_indices:
-                            row_bytes += np.dtype(np.intp).itemsize
+                        row_bytes = dimension * chunk.itemsize + np.dtype(np.intp).itemsize
                         estimated_bytes = router.n_total * row_bytes
+                        capacity = max(1, -(-router.n_total // router.ell))  # ceil division
                     tier = resolve_storage(
-                        storage,
+                        self._storage,
                         backend=self._backend,
                         estimated_bytes=estimated_bytes,
                         memory_budget_bytes=self._memory_budget_bytes,
                     )
-                    tier_spill_dir = (
-                        self._ensure_spill_dir(spill_dir) if tier == "disk" else None
-                    )
-                    capacity = hint or max(1, m)
-                    buffers = [
-                        PartitionBuffer(
-                            dimension,
-                            dtype=dtype,
-                            storage=tier,
-                            initial_capacity=capacity,
-                            spill_dir=tier_spill_dir,
-                        )
-                        for _ in range(router.ell)
-                    ]
-                    if with_indices:
-                        index_buffers = [
+                    spill_dir = self._ensure_spill_dir() if tier == "disk" else None
+
+                    def new_buffers(row_dimension, dtype) -> list[PartitionBuffer]:
+                        return [
                             PartitionBuffer(
-                                None,
-                                dtype=np.intp,
+                                row_dimension,
+                                dtype=dtype,
                                 storage=tier,
-                                initial_capacity=capacity,
-                                spill_dir=tier_spill_dir,
+                                initial_capacity=capacity or m,
+                                spill_dir=spill_dir,
                             )
                             for _ in range(router.ell)
                         ]
+
+                    buffers = new_buffers(dimension, np.float64)
+                    index_buffers = new_buffers(None, np.intp)
                 elif chunk.shape[1] != dimension:
                     raise InvalidParameterError(
                         f"chunk has dimension {chunk.shape[1]}, expected {dimension}"
@@ -628,11 +553,10 @@ class MapReduceRuntime:
                     stop = start + int(count)
                     if stop > start:
                         buffers[partition_id].append(sorted_rows[start:stop])
-                        if index_buffers is not None:
-                            index_buffers[partition_id].append(sorted_indices[start:stop])
+                        index_buffers[partition_id].append(sorted_indices[start:stop])
                     start = stop
 
-            if buffers is None:
+            if dimension is None:
                 raise EmptyStreamError("the stream delivered no points to shuffle")
             if router.n_total is not None and router.points_routed != router.n_total:
                 raise InvalidParameterError(
@@ -640,25 +564,16 @@ class MapReduceRuntime:
                     f"declared {router.n_total}"
                 )
 
-            spilled = sum(buffer.spilled_bytes for buffer in buffers)
-            parts = []
-            for buffer in buffers:
-                parts.append(buffer.finalize())
-                sealed.append(parts[-1])
-            index_parts: list | None = None
-            if index_buffers is not None:
-                spilled += sum(buffer.spilled_bytes for buffer in index_buffers)
-                index_parts = []
-                for buffer in index_buffers:
-                    index_parts.append(buffer.finalize())
-                    sealed.append(index_parts[-1])
+            spilled = sum(buffer.spilled_bytes for buffer in buffers + index_buffers)
+            for buffer in buffers + index_buffers:
+                sealed.append(buffer.finalize())
         except BaseException:
             # A failure (or interrupt) mid-shuffle must not strand the
             # partially-filled spill files — nor any partition already
             # sealed when a later finalize fails — until process exit.
             for handle in sealed:
                 handle.close()
-            for buffer in (buffers or []) + (index_buffers or []):
+            for buffer in buffers + index_buffers:
                 buffer.close()
             raise
 
@@ -666,15 +581,10 @@ class MapReduceRuntime:
         self.note_coordinator_items(chunk_peak)
         self._stats.storage_tier = tier
         self._stats.spilled_bytes += spilled
-        return StreamShuffleResult(
-            parts=parts,
-            index_parts=index_parts,
-            n_points=router.points_routed,
-            dimension=dimension,
-            chunk_peak=chunk_peak,
-            storage_tier=tier,
-            spilled_bytes=spilled,
-        )
+        return [
+            StreamedPartition(points, indices)
+            for points, indices in zip(sealed[: router.ell], sealed[router.ell :])
+        ]
 
     def close(self) -> None:
         """Release resources this runtime owns. Idempotent.
@@ -720,7 +630,7 @@ class MapReduceRuntime:
         """
         stats.n_reducers = len(groups)
         for key, values in groups.items():
-            size = sum(self._sizeof(v) for v in values)
+            size = sum(default_sizeof(v) for v in values)
             stats.reducer_input_sizes[key] = size
             if self._local_memory_limit is not None and size > self._local_memory_limit:
                 raise MemoryBudgetExceededError(
@@ -731,29 +641,15 @@ class MapReduceRuntime:
     # -- execution ---------------------------------------------------------------------
 
     def execute_round(
-        self,
-        pairs: Sequence[KeyValue],
-        mapper: Mapper,
-        reducer: Reducer,
+        self, groups: dict[Hashable, list], reducer: Reducer
     ) -> list[KeyValue]:
-        """Execute one map-shuffle-reduce round and return the output pairs.
+        """Run ``reducer`` on every keyed group and return the output pairs.
 
-        ``mapper`` is applied to every input pair and must yield zero or
-        more ``(key, value)`` pairs; values with equal keys are grouped and
-        handed to ``reducer`` as a list (in emission order, making the
-        engine deterministic); the concatenation of all reducer outputs is
-        returned, in the deterministic insertion order of the reduce keys
-        regardless of the backend.
+        ``groups`` maps each reduce key to the list of values its reducer
+        receives. The concatenation of all reducer outputs is returned in
+        the dict's insertion order, whatever the backend.
         """
         stats = RoundStats(round_index=self._stats.n_rounds)
-
-        map_start = time.perf_counter()
-        groups: dict[Hashable, list] = {}
-        for key, value in pairs:
-            for out_key, out_value in mapper(key, value):
-                groups.setdefault(out_key, []).append(out_value)
-        stats.map_time = time.perf_counter() - map_start
-
         self._account_groups(stats, groups)
 
         try:
@@ -835,13 +731,7 @@ def shuffle_point_stream(
         )
     else:
         router = ChunkRouter(ell_used, partitioning, n_total=n_hint)
-    shuffled = runtime.shuffle_stream(
-        stream.iterate_batches(chunk_size),
-        router,
-        max_chunk_rows=chunk_size,
+    parts = runtime.shuffle_stream(
+        stream.iterate_batches(chunk_size), router, max_chunk_rows=chunk_size
     )
-    parts = [
-        StreamedPartition(points, indices)
-        for points, indices in zip(shuffled.parts, shuffled.index_parts)
-    ]
-    return parts, shuffled.n_points, ell_used
+    return parts, router.points_routed, ell_used

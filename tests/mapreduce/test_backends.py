@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from _rounds import modulo_groups
 
 from repro.core import MapReduceKCenter, MapReduceKCenterOutliers
 from repro.exceptions import InvalidParameterError, MemoryBudgetExceededError
@@ -31,17 +32,8 @@ BACKENDS = ("serial", "threads", "processes")
 
 
 # Module-level so the rounds are picklable for the process backend.
-def modulo_mapper(_key, values):
-    for value in values:
-        yield (value % 4, value)
-
-
 def summing_reducer(key, values):
     yield (key, sum(values))
-
-
-def regroup_mapper(_key, value):
-    yield (0, value)
 
 
 def describing_reducer(key, values):
@@ -89,24 +81,27 @@ class TestResolveBackend:
 
 class TestRoundEquivalence:
     @pytest.fixture()
-    def pairs(self):
-        return [(None, list(range(40)))]
+    def groups(self):
+        # Keys in unsorted order: outputs must follow the dict's insertion
+        # order on every backend, not the keys' sort order.
+        return {key: list(range(key, 40, 4)) for key in (3, 1, 2, 0)}
 
-    def test_outputs_identical_across_backends(self, pairs):
+    def test_outputs_identical_across_backends(self, groups):
         reference = None
         for name in BACKENDS:
             with MapReduceRuntime(backend=name, max_workers=2) as runtime:
-                output = runtime.execute_round(pairs, modulo_mapper, summing_reducer)
+                output = runtime.execute_round(groups, summing_reducer)
+            assert [key for key, _ in output] == [3, 1, 2, 0]
             if reference is None:
                 reference = output
             else:
                 assert output == reference
 
-    def test_stats_identical_modulo_timings(self, pairs):
+    def test_stats_identical_modulo_timings(self, groups):
         recorded = {}
         for name in BACKENDS:
             with MapReduceRuntime(backend=name, max_workers=2) as runtime:
-                runtime.execute_round(pairs, modulo_mapper, summing_reducer)
+                runtime.execute_round(groups, summing_reducer)
                 stats = runtime.stats.rounds[0]
                 recorded[name] = (
                     stats.n_reducers,
@@ -116,11 +111,11 @@ class TestRoundEquivalence:
         assert recorded["threads"] == recorded["serial"]
         assert recorded["processes"] == recorded["serial"]
 
-    def test_memory_limit_enforced_on_every_backend(self, pairs):
+    def test_memory_limit_enforced_on_every_backend(self, groups):
         for name in BACKENDS:
             with MapReduceRuntime(backend=name, local_memory_limit=2) as runtime:
                 with pytest.raises(MemoryBudgetExceededError):
-                    runtime.execute_round(pairs, modulo_mapper, summing_reducer)
+                    runtime.execute_round(groups, summing_reducer)
 
 
 class TestSharedArray:
@@ -149,9 +144,7 @@ class TestSharedArray:
         sealed = buffer.finalize()
         try:
             with MapReduceRuntime(backend="processes", max_workers=1) as runtime:
-                output = runtime.execute_round(
-                    [(0, sealed)], regroup_mapper, describing_reducer
-                )
+                output = runtime.execute_round({0: [sealed]}, describing_reducer)
             assert output == [(0, (float(rows.sum()), True, False))]
         finally:
             sealed.close()
@@ -160,15 +153,17 @@ class TestSharedArray:
 class TestBackendLifecycle:
     def test_runtime_close_idempotent(self):
         runtime = MapReduceRuntime(backend="processes", max_workers=2)
-        runtime.execute_round([(None, [1, 2, 3])], modulo_mapper, summing_reducer)
+        runtime.execute_round(modulo_groups([1, 2, 3], 4), summing_reducer)
         runtime.close()
         runtime.close()
 
     def test_thread_backend_pool_reuse(self):
         backend = ThreadBackend(max_workers=2)
         with MapReduceRuntime(backend=backend) as runtime:
-            first = runtime.execute_round([(None, list(range(8)))], modulo_mapper, summing_reducer)
-            second = runtime.execute_round(first, regroup_mapper, summing_reducer)
+            first = runtime.execute_round(modulo_groups(range(8), 4), summing_reducer)
+            second = runtime.execute_round(
+                {0: [value for _, value in first]}, summing_reducer
+            )
         assert second == [(0, sum(range(8)))]
         backend.close()
 
@@ -176,11 +171,11 @@ class TestBackendLifecycle:
         backend = ProcessBackend(max_workers=2)
         try:
             with MapReduceRuntime(backend=backend) as runtime:
-                runtime.execute_round([(None, [1, 2, 3])], modulo_mapper, summing_reducer)
+                runtime.execute_round(modulo_groups([1, 2, 3], 4), summing_reducer)
             # The pool must still be usable after the runtime closed.
             assert backend._pool is not None
             with MapReduceRuntime(backend=backend) as runtime:
-                output = runtime.execute_round([(None, [4, 5, 6])], modulo_mapper, summing_reducer)
+                output = runtime.execute_round(modulo_groups([4, 5, 6], 4), summing_reducer)
             assert dict(output) == {0: 4, 1: 5, 2: 6}
         finally:
             backend.close()

@@ -25,6 +25,7 @@ import importlib
 
 import numpy as np
 import pytest
+from _rounds import echo_reducer
 
 from repro import _openblas as openblas_module
 from repro.core import OutliersClusterSolver
@@ -32,7 +33,6 @@ from repro.datasets import higgs_like
 from repro.mapreduce import LocalCluster, MapReduceRuntime
 from repro.mapreduce.backends import blas_threads, limit_blas_threads
 from repro.metricspace import WeightedPoints, get_metric
-from repro.mapreduce.runtime import identity_mapper
 from repro.mapreduce.worker import OP_HELLO, OP_OK, recv_frame, send_frame
 
 solver_module = importlib.import_module("repro.core.outliers_cluster")
@@ -89,8 +89,8 @@ def blas_threads_reducer(key, values):
 
 
 def _run_round(runtime: MapReduceRuntime, n_groups: int = 4) -> list:
-    pairs = [(key, None) for key in range(n_groups)]
-    return runtime.execute_round(pairs, identity_mapper, blas_threads_reducer)
+    groups = {key: [None] for key in range(n_groups)}
+    return runtime.execute_round(groups, blas_threads_reducer)
 
 
 @needs_openblas
@@ -147,7 +147,7 @@ class TestHelperWithoutOpenblas:
             openblas_module, "_OPENBLAS_PATTERN", str(tmp_path / "libscipy_openblas*")
         )
         with MapReduceRuntime(backend="processes", max_workers=1) as runtime:
-            runtime.execute_round([(0, 1)], identity_mapper, identity_mapper)
+            runtime.execute_round({0: [1]}, echo_reducer)
             assert runtime.stats.worker_blas_threads is None
 
     def test_pairwise_and_round_two_fall_back(self, monkeypatch, tmp_path):
@@ -184,7 +184,10 @@ def test_worker_daemon_reports_one_thread_in_hello(tmp_path):
 
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
-    env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+    # The daemon imports the test-only reducer from next to this file.
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root, os.path.dirname(os.path.abspath(__file__)), env.get("PYTHONPATH", "")]
+    )
     # The daemon would start with two threads; its start-up must cap them.
     env["OPENBLAS_NUM_THREADS"] = "2"
     with subprocess.Popen(
@@ -201,7 +204,7 @@ def test_worker_daemon_reports_one_thread_in_hello(tmp_path):
             assert opcode == OP_OK
             assert pickle.loads(payload)["blas_threads"] == 1
             with MapReduceRuntime(workers=[address]) as runtime:
-                runtime.execute_round([(0, 1)], identity_mapper, identity_mapper)
+                runtime.execute_round({0: [1]}, echo_reducer)
                 assert runtime.stats.worker_blas_threads == 1
         finally:
             process.terminate()

@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 import pytest
+from _rounds import echo_reducer, modulo_groups
 
 from repro.exceptions import (
     InvalidParameterError,
@@ -54,11 +55,6 @@ def summing_reducer(key, values):
 
 def failing_reducer(key, values):
     raise RuntimeError(f"deterministic failure for key {key}")
-
-
-def modulo_mapper(_key, values):
-    for value in values:
-        yield (value % 3, value)
 
 
 def mapped_file_reducer(key, values):
@@ -181,10 +177,13 @@ class TestWorkerDaemonSubprocess:
         import repro
 
         # Put the *same* repro package on the daemon's path, wherever the
-        # test is run from (src layout or installed).
+        # test is run from (src layout or installed), and the test-only
+        # reducers next to this file.
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
-        env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [package_root, os.path.dirname(os.path.abspath(__file__)), env.get("PYTHONPATH", "")]
+        )
         # The context manager closes the stdout pipe on the way out.
         with subprocess.Popen(
             [sys.executable, "-m", "repro", "worker",
@@ -198,11 +197,9 @@ class TestWorkerDaemonSubprocess:
                 backend = DistributedBackend([address])
                 try:
                     # The daemon process can only unpickle importable callables,
-                    # exactly like a remote host: use a library-level reducer.
-                    from repro.mapreduce.runtime import identity_mapper
-
+                    # exactly like a remote host: use one from its path.
                     results = backend.run_reducers(
-                        identity_mapper, {0: [1, 2, 3], 1: [10, 20]}
+                        echo_reducer, {0: [1, 2, 3], 1: [10, 20]}
                     )
                     assert results[0][0] == [(0, [1, 2, 3])]
                     assert results[1][0] == [(1, [10, 20])]
@@ -333,9 +330,7 @@ class TestRunReducers:
     def test_jobstats_records_assignments_and_bytes(self):
         with LocalCluster(2) as cluster:
             with MapReduceRuntime(workers=cluster.addresses) as runtime:
-                runtime.execute_round(
-                    [(None, list(range(9)))], modulo_mapper, summing_reducer
-                )
+                runtime.execute_round(modulo_groups(range(9), 3), summing_reducer)
                 stats = runtime.stats
         assert len(stats.worker_assignments) == 1
         assert sorted(stats.worker_assignments[0]) == [0, 1, 2]
@@ -348,9 +343,7 @@ class TestRunReducers:
             with MapReduceRuntime(workers=cluster.addresses) as runtime:
                 backend = runtime.backend
                 with pytest.raises(WorkerTaskError, match="deterministic failure"):
-                    runtime.execute_round(
-                        [(None, list(range(9)))], modulo_mapper, failing_reducer
-                    )
+                    runtime.execute_round(modulo_groups(range(9), 3), failing_reducer)
                 stats = runtime.stats
                 assert backend.bytes_shipped > 0
                 assert stats.bytes_shipped == backend.bytes_shipped
@@ -498,16 +491,15 @@ class TestNoOrphans:
                 workers=cluster.addresses, storage="disk", spill_dir=str(tmp_path)
             ) as runtime:
                 from repro.mapreduce.partitioner import ChunkRouter
-                from repro.mapreduce.runtime import identity_mapper
 
                 router = ChunkRouter(3, "round_robin", n_total=len(medium_blobs))
-                shuffled = runtime.shuffle_stream(
+                parts = runtime.shuffle_stream(
                     [medium_blobs[i : i + 100] for i in range(0, len(medium_blobs), 100)],
                     router,
                 )
-                pairs = [(i, part) for i, part in enumerate(shuffled.parts)]
+                groups = {i: [part.points] for i, part in enumerate(parts)}
                 with pytest.raises(WorkerTaskError):
-                    runtime.execute_round(pairs, identity_mapper, failing_reducer)
+                    runtime.execute_round(groups, failing_reducer)
             # Runtime closed: the coordinator's spill files are removed ...
             assert list(tmp_path.glob("*.npy")) == []
             # ... and so is every pushed copy on the workers.

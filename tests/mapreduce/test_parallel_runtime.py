@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from _rounds import modulo_groups
 
 from repro.core import MapReduceKCenter, MapReduceKCenterOutliers
 from repro.exceptions import InvalidParameterError
 from repro.mapreduce import MapReduceRuntime
-
-
-def splitter_mapper(_key, values):
-    for value in values:
-        yield (value % 4, value)
 
 
 def summing_reducer(key, values):
@@ -25,18 +21,14 @@ class TestParallelRuntime:
             MapReduceRuntime(max_workers=0)
 
     def test_same_output_as_sequential(self):
-        pairs = [(None, list(range(40)))]
-        sequential = MapReduceRuntime(max_workers=1).execute_round(
-            pairs, splitter_mapper, summing_reducer
-        )
-        parallel = MapReduceRuntime(max_workers=4).execute_round(
-            pairs, splitter_mapper, summing_reducer
-        )
+        groups = modulo_groups(range(40), 4)
+        sequential = MapReduceRuntime(max_workers=1).execute_round(groups, summing_reducer)
+        parallel = MapReduceRuntime(max_workers=4).execute_round(groups, summing_reducer)
         assert sequential == parallel
 
     def test_stats_recorded_for_every_reducer(self):
         runtime = MapReduceRuntime(max_workers=3)
-        runtime.execute_round([(None, list(range(20)))], splitter_mapper, summing_reducer)
+        runtime.execute_round(modulo_groups(range(20), 4), summing_reducer)
         round_stats = runtime.stats.rounds[0]
         assert round_stats.n_reducers == 4
         assert len(round_stats.reducer_times) == 4
@@ -46,7 +38,7 @@ class TestParallelRuntime:
 
         runtime = MapReduceRuntime(max_workers=2, local_memory_limit=2)
         with pytest.raises(MemoryBudgetExceededError):
-            runtime.execute_round([(None, list(range(20)))], splitter_mapper, summing_reducer)
+            runtime.execute_round(modulo_groups(range(20), 4), summing_reducer)
 
 
 class TestParallelSolvers:

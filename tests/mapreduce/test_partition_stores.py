@@ -166,6 +166,7 @@ class TestDiskTier:
         buffer.append(np.zeros((10, 4)))
         buffer.append(np.zeros((6, 4)))
         assert buffer.spilled_bytes == 16 * 4 * 8
+        buffer.close()
 
     def test_memory_tiers_report_zero_spill(self, tmp_path):
         buffer = _buffer("memory", tmp_path)

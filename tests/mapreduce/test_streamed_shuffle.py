@@ -1,4 +1,4 @@
-"""Unit tests for the out-of-core map/shuffle substrate.
+"""Unit tests for the out-of-core shuffle substrate.
 
 Covers the growable :class:`~repro.mapreduce.backends.PartitionBuffer`
 (on every storage tier), the
@@ -31,10 +31,6 @@ BACKENDS = ("serial", "threads", "processes")
 STORAGE_TIERS = ("memory", "disk")
 
 
-def _forward_mapper(key, value):
-    yield (key, value)
-
-
 def _spill_mapping_probe(key, values):
     """Reducer reporting how many deleted spill files the worker still maps."""
     del values
@@ -48,6 +44,14 @@ def _spill_mapping_probe(key, values):
 def _chunks(points, size):
     for start in range(0, points.shape[0], size):
         yield points[start : start + size]
+
+
+def _reconstruct(parts, like):
+    """Scatter every partition's rows back to their global indices."""
+    reconstructed = np.empty_like(like)
+    for part in parts:
+        reconstructed[part.indices.array] = part.points.array
+    return reconstructed
 
 
 def _tier_buffer(storage, tmp_path, dimension, **kwargs):
@@ -111,34 +115,29 @@ class TestShuffleStream:
     def test_partitions_reconstruct_input(self, backend, medium_blobs):
         with MapReduceRuntime(backend=backend, max_workers=2) as runtime:
             router = ChunkRouter(5, "round_robin")
-            result = runtime.shuffle_stream(_chunks(medium_blobs, 97), router)
-            assert result.n_points == medium_blobs.shape[0]
-            assert result.dimension == medium_blobs.shape[1]
-            reconstructed = np.empty_like(medium_blobs)
-            for part, indices in zip(result.parts, result.index_parts):
-                reconstructed[indices.array] = part.array
-            np.testing.assert_array_equal(reconstructed, medium_blobs)
+            parts = runtime.shuffle_stream(_chunks(medium_blobs, 97), router)
+            assert router.points_routed == medium_blobs.shape[0]
+            assert {part.points.array.shape[1] for part in parts} == {medium_blobs.shape[1]}
+            np.testing.assert_array_equal(_reconstruct(parts, medium_blobs), medium_blobs)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_whole_input_split(self, backend, medium_blobs):
-        parts = split_contiguous(medium_blobs.shape[0], 4)
+        splits = split_contiguous(medium_blobs.shape[0], 4)
         with MapReduceRuntime(backend=backend, max_workers=2) as runtime:
             router = ChunkRouter(4, "contiguous", n_total=medium_blobs.shape[0])
-            result = runtime.shuffle_stream(_chunks(medium_blobs, 128), router)
-            for part, indices, expected in zip(result.parts, result.index_parts, parts):
-                np.testing.assert_array_equal(indices.array, expected)
-                np.testing.assert_array_equal(part.array, medium_blobs[expected])
+            parts = runtime.shuffle_stream(_chunks(medium_blobs, 128), router)
+            assert len(parts) == len(splits)
+            for part, expected in zip(parts, splits):
+                np.testing.assert_array_equal(part.indices.array, expected)
+                np.testing.assert_array_equal(part.points.array, medium_blobs[expected])
 
     def test_oversized_native_batches_resplit(self, medium_blobs):
         # A source may deliver one giant native batch; max_chunk_rows must
         # keep the coordinator's in-flight working set bounded anyway.
         with MapReduceRuntime() as runtime:
             router = ChunkRouter(4, "round_robin")
-            result = runtime.shuffle_stream(
-                iter([medium_blobs]), router, max_chunk_rows=64
-            )
-            assert result.n_points == medium_blobs.shape[0]
-            assert result.chunk_peak == 64
+            runtime.shuffle_stream(iter([medium_blobs]), router, max_chunk_rows=64)
+            assert router.points_routed == medium_blobs.shape[0]
             assert runtime.stats.coordinator_peak_items == 64
 
     def test_fit_stream_bounds_native_batches(self, medium_blobs):
@@ -164,8 +163,7 @@ class TestShuffleStream:
     def test_coordinator_charged_one_chunk(self, medium_blobs):
         with MapReduceRuntime() as runtime:
             router = ChunkRouter(4, "round_robin")
-            result = runtime.shuffle_stream(_chunks(medium_blobs, 50), router)
-            assert result.chunk_peak == 50
+            runtime.shuffle_stream(_chunks(medium_blobs, 50), router)
             assert runtime.stats.coordinator_peak_items == 50
             # Far below a full materialisation of the input.
             assert runtime.stats.coordinator_peak_items < medium_blobs.shape[0]
@@ -208,9 +206,7 @@ class TestShuffleStream:
                     4, ell=4, coreset_multiplier=2, random_state=seed, backend=backend
                 ).fit_stream(ArrayStream(medium_blobs), chunk_size=128, storage="disk")
             with MapReduceRuntime(backend=backend) as runtime:
-                output = runtime.execute_round(
-                    [(0, [None])], _forward_mapper, _spill_mapping_probe
-                )
+                output = runtime.execute_round({0: [None]}, _spill_mapping_probe)
             return output[0][1]
 
         backend = ProcessBackend(max_workers=1)
@@ -228,25 +224,17 @@ class TestStorageTiers:
     def test_partitions_reconstruct_input_on_every_tier(
         self, storage, medium_blobs, tmp_path
     ):
-        with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
+        with MapReduceRuntime(storage=storage, spill_dir=str(tmp_path)) as runtime:
             router = ChunkRouter(5, "round_robin")
-            result = runtime.shuffle_stream(
-                _chunks(medium_blobs, 97), router, storage=storage
-            )
-            assert result.storage_tier == storage
-            reconstructed = np.empty_like(medium_blobs)
-            for part, indices in zip(result.parts, result.index_parts):
-                reconstructed[indices.array] = part.array
-            np.testing.assert_array_equal(reconstructed, medium_blobs)
+            parts = runtime.shuffle_stream(_chunks(medium_blobs, 97), router)
+            assert runtime.stats.storage_tier == storage
+            np.testing.assert_array_equal(_reconstruct(parts, medium_blobs), medium_blobs)
 
     def test_disk_tier_spills_and_accounts_bytes(self, medium_blobs, tmp_path):
-        with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
+        with MapReduceRuntime(storage="disk", spill_dir=str(tmp_path)) as runtime:
             router = ChunkRouter(4, "round_robin")
-            result = runtime.shuffle_stream(
-                _chunks(medium_blobs, 128), router, storage="disk"
-            )
+            runtime.shuffle_stream(_chunks(medium_blobs, 128), router)
             expected = medium_blobs.nbytes + medium_blobs.shape[0] * np.dtype(np.intp).itemsize
-            assert result.spilled_bytes == expected
             assert runtime.stats.storage_tier == "disk"
             assert runtime.stats.spilled_bytes == expected
             # One .npy spill file per partition per column family.
@@ -256,22 +244,15 @@ class TestStorageTiers:
         assert tmp_path.exists()
 
     def test_memory_tiers_record_zero_spill(self, medium_blobs):
-        with MapReduceRuntime() as runtime:
-            result = runtime.shuffle_stream(
-                _chunks(medium_blobs, 128), ChunkRouter(4, "round_robin"),
-                storage="memory",
-            )
-            assert result.spilled_bytes == 0
+        with MapReduceRuntime(storage="memory") as runtime:
+            runtime.shuffle_stream(_chunks(medium_blobs, 128), ChunkRouter(4, "round_robin"))
             assert runtime.stats.storage_tier == "memory"
             assert runtime.stats.spilled_bytes == 0
 
     def test_disk_partitions_pickle_by_path(self, medium_blobs, tmp_path):
-        with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
+        with MapReduceRuntime(storage="disk", spill_dir=str(tmp_path)) as runtime:
             router = ChunkRouter(3, "round_robin")
-            result = runtime.shuffle_stream(
-                _chunks(medium_blobs, 100), router, storage="disk"
-            )
-            part = result.parts[0]
+            part = runtime.shuffle_stream(_chunks(medium_blobs, 100), router)[0].points
             payload = pickle.dumps(part)
             # The handle is a path, not the rows.
             assert len(payload) < part.array.nbytes
@@ -285,40 +266,31 @@ class TestStorageTiers:
             spill_dir=str(tmp_path), memory_budget_bytes=medium_blobs.nbytes // 2
         ) as runtime:
             router = ChunkRouter(4, "contiguous", n_total=n)
-            result = runtime.shuffle_stream(_chunks(medium_blobs, 100), router)
-            assert result.storage_tier == "disk"
-            assert result.spilled_bytes > 0
+            runtime.shuffle_stream(_chunks(medium_blobs, 100), router)
+            assert runtime.stats.storage_tier == "disk"
+            assert runtime.stats.spilled_bytes > 0
 
     def test_auto_without_budget_keeps_backend_pairing(self, medium_blobs):
         with MapReduceRuntime(backend="serial") as runtime:
-            result = runtime.shuffle_stream(
-                _chunks(medium_blobs, 100), ChunkRouter(4, "round_robin")
-            )
-            assert result.storage_tier == "memory"
+            runtime.shuffle_stream(_chunks(medium_blobs, 100), ChunkRouter(4, "round_robin"))
+            assert runtime.stats.storage_tier == "memory"
         with MapReduceRuntime(backend="processes", max_workers=1) as runtime:
-            result = runtime.shuffle_stream(
-                _chunks(medium_blobs, 100), ChunkRouter(4, "round_robin")
-            )
-            assert result.storage_tier == "disk"
+            runtime.shuffle_stream(_chunks(medium_blobs, 100), ChunkRouter(4, "round_robin"))
+            assert runtime.stats.storage_tier == "disk"
 
     def test_auto_spills_for_unsized_stream_under_budget(self, medium_blobs, tmp_path):
         # No length declared -> the footprint cannot be estimated -> spill.
         with MapReduceRuntime(
             spill_dir=str(tmp_path), memory_budget_bytes=10**9
         ) as runtime:
-            result = runtime.shuffle_stream(
-                _chunks(medium_blobs, 100), ChunkRouter(4, "round_robin")
-            )
-            assert result.storage_tier == "disk"
+            runtime.shuffle_stream(_chunks(medium_blobs, 100), ChunkRouter(4, "round_robin"))
+            assert runtime.stats.storage_tier == "disk"
 
-    def test_per_call_spill_dir_created_if_missing(self, medium_blobs, tmp_path):
+    def test_runtime_spill_dir_created_if_missing(self, medium_blobs, tmp_path):
         target = tmp_path / "nested" / "spills"
-        with MapReduceRuntime() as runtime:
-            result = runtime.shuffle_stream(
-                _chunks(medium_blobs, 100), ChunkRouter(3, "round_robin"),
-                storage="disk", spill_dir=str(target),
-            )
-            assert result.storage_tier == "disk"
+        with MapReduceRuntime(storage="disk", spill_dir=str(target)) as runtime:
+            runtime.shuffle_stream(_chunks(medium_blobs, 100), ChunkRouter(3, "round_robin"))
+            assert runtime.stats.storage_tier == "disk"
             assert len(list(target.glob("*.npy"))) == 2 * 3
         assert list(target.glob("*.npy")) == []
 
@@ -330,25 +302,18 @@ class TestStorageTiers:
         for storage in ("tape", "shared"):
             with pytest.raises(InvalidParameterError, match="storage tier"):
                 MapReduceRuntime(storage=storage)
-            with MapReduceRuntime() as runtime:
-                with pytest.raises(InvalidParameterError, match="storage tier"):
-                    runtime.shuffle_stream(
-                        _chunks(np.zeros((4, 2)), 2), ChunkRouter(2, "round_robin"),
-                        storage=storage,
-                    )
             with pytest.raises(InvalidParameterError, match="storage tier"):
                 solver.fit_stream(ArrayStream(np.zeros((8, 2))), storage=storage)
 
     def test_unknown_tier_rejected_before_consuming_the_stream(self):
         # A typo'd (or retired) tier must not cost a single-pass source its
-        # first chunk.
+        # first chunk: the runtime rejects it when constructed, before any
+        # shuffle can start.
         for storage in ("dsik", "shared"):
             chunks = iter([np.ones((4, 2))])
-            with MapReduceRuntime() as runtime:
-                with pytest.raises(InvalidParameterError, match="storage tier"):
-                    runtime.shuffle_stream(
-                        chunks, ChunkRouter(2, "round_robin"), storage=storage
-                    )
+            with pytest.raises(InvalidParameterError, match="storage tier"):
+                with MapReduceRuntime(storage=storage) as runtime:
+                    runtime.shuffle_stream(chunks, ChunkRouter(2, "round_robin"))
             assert next(chunks).shape == (4, 2)
 
 
@@ -359,43 +324,35 @@ class TestShuffleEdgeCases:
     def test_final_chunk_smaller_than_batch(self, storage, medium_blobs, tmp_path):
         # 600 points in chunks of 97: the last chunk has 18 rows.
         assert medium_blobs.shape[0] % 97 != 0
-        with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
-            result = runtime.shuffle_stream(
-                _chunks(medium_blobs, 97), ChunkRouter(4, "contiguous",
-                n_total=medium_blobs.shape[0]), storage=storage,
-            )
-            assert result.n_points == medium_blobs.shape[0]
+        with MapReduceRuntime(storage=storage, spill_dir=str(tmp_path)) as runtime:
+            router = ChunkRouter(4, "contiguous", n_total=medium_blobs.shape[0])
+            parts = runtime.shuffle_stream(_chunks(medium_blobs, 97), router)
+            assert router.points_routed == medium_blobs.shape[0]
             np.testing.assert_array_equal(
-                np.concatenate([p.array for p in result.parts]), medium_blobs
+                np.concatenate([p.points.array for p in parts]), medium_blobs
             )
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_chunk_larger_than_initial_capacity_grows(
         self, storage, medium_blobs, tmp_path
     ):
-        # A tiny size hint forces every tier through its growth path on the
-        # very first append.
-        with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
-            result = runtime.shuffle_stream(
-                _chunks(medium_blobs, 500), ChunkRouter(2, "round_robin"),
-                storage=storage, partition_size_hint=4,
-            )
-            reconstructed = np.empty_like(medium_blobs)
-            for part, indices in zip(result.parts, result.index_parts):
-                reconstructed[indices.array] = part.array
-            np.testing.assert_array_equal(reconstructed, medium_blobs)
+        # An unsized router sizes the buffers by the first chunk: a 4-row
+        # first chunk then a 500-row one forces every tier through its
+        # growth path.
+        chunks = [medium_blobs[:4], medium_blobs[4:504], medium_blobs[504:]]
+        with MapReduceRuntime(storage=storage, spill_dir=str(tmp_path)) as runtime:
+            parts = runtime.shuffle_stream(iter(chunks), ChunkRouter(2, "round_robin"))
+            np.testing.assert_array_equal(_reconstruct(parts, medium_blobs), medium_blobs)
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_single_partition_ell_1(self, storage, medium_blobs, tmp_path):
-        with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
-            result = runtime.shuffle_stream(
-                _chunks(medium_blobs, 128), ChunkRouter(1, "round_robin"),
-                storage=storage,
+        with MapReduceRuntime(storage=storage, spill_dir=str(tmp_path)) as runtime:
+            (part,) = runtime.shuffle_stream(
+                _chunks(medium_blobs, 128), ChunkRouter(1, "round_robin")
             )
-            assert len(result.parts) == 1
-            np.testing.assert_array_equal(result.parts[0].array, medium_blobs)
+            np.testing.assert_array_equal(part.points.array, medium_blobs)
             np.testing.assert_array_equal(
-                result.index_parts[0].array, np.arange(medium_blobs.shape[0])
+                part.indices.array, np.arange(medium_blobs.shape[0])
             )
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
@@ -404,11 +361,9 @@ class TestShuffleEdgeCases:
             yield np.zeros((5, 3))
             yield np.zeros((5, 2))
 
-        with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
+        with MapReduceRuntime(storage=storage, spill_dir=str(tmp_path)) as runtime:
             with pytest.raises(InvalidParameterError, match="dimension 2, expected 3"):
-                runtime.shuffle_stream(
-                    chunks(), ChunkRouter(2, "round_robin"), storage=storage
-                )
+                runtime.shuffle_stream(chunks(), ChunkRouter(2, "round_robin"))
         # The failure released every partial buffer: no spill files remain.
         assert list(tmp_path.glob("*.npy")) == []
 
@@ -427,33 +382,27 @@ class TestNoOrphansOnFailure:
         return chunks()
 
     def test_disk_tier_failure_leaves_no_spill_files(self, medium_blobs, tmp_path):
-        with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
+        with MapReduceRuntime(storage="disk", spill_dir=str(tmp_path)) as runtime:
             with pytest.raises(InvalidParameterError):
                 runtime.shuffle_stream(
-                    self._failing_chunks(medium_blobs),
-                    ChunkRouter(3, "round_robin"),
-                    storage="disk",
+                    self._failing_chunks(medium_blobs), ChunkRouter(3, "round_robin")
                 )
             # Released immediately on failure, before the runtime closes.
             assert list(tmp_path.glob("*.npy")) == []
 
     def test_overdelivery_failure_leaves_no_orphans(self, medium_blobs, tmp_path):
         router = ChunkRouter(2, "contiguous", n_total=medium_blobs.shape[0] - 50)
-        with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
+        with MapReduceRuntime(storage="disk", spill_dir=str(tmp_path)) as runtime:
             with pytest.raises(InvalidParameterError, match="more than the declared"):
-                runtime.shuffle_stream(
-                    _chunks(medium_blobs, 100), router, storage="disk"
-                )
+                runtime.shuffle_stream(_chunks(medium_blobs, 100), router)
             # Released immediately on failure, before the runtime closes.
             assert list(tmp_path.glob("*.npy")) == []
 
     def test_underdelivery_failure_leaves_no_spill_files(self, tmp_path):
         router = ChunkRouter(2, "contiguous", n_total=100)
-        with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
+        with MapReduceRuntime(storage="disk", spill_dir=str(tmp_path)) as runtime:
             with pytest.raises(InvalidParameterError, match="declared"):
-                runtime.shuffle_stream(
-                    _chunks(np.zeros((60, 2)), 30), router, storage="disk"
-                )
+                runtime.shuffle_stream(_chunks(np.zeros((60, 2)), 30), router)
             assert list(tmp_path.glob("*.npy")) == []
 
     def test_driver_fit_stream_failure_leaves_no_orphans(self, medium_blobs, tmp_path):
