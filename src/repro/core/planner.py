@@ -92,8 +92,9 @@ class MapReducePlan:
         Partition-storage tier the plan selects for the shuffle
         (``"memory"`` or ``"disk"``): an explicit request is passed
         through; ``"auto"`` resolves as in the runtime — ``"disk"`` for
-        the process pool or when the predicted partition footprint
-        exceeds ``memory_budget_bytes``, ``"memory"`` otherwise.
+        the process pool, the distributed backend, or when the predicted
+        partition footprint exceeds ``memory_budget_bytes``,
+        ``"memory"`` otherwise.
     partition_tier_bytes:
         Predicted bytes held by the partition tier: the ``(n, d)``
         float64 rows plus the ``intp`` global-index column. ``0`` when
@@ -220,8 +221,11 @@ def plan_mapreduce(
         :func:`repro.mapreduce.available_storage_tiers`). ``None`` or
         ``"auto"`` asks the planner to *select* one with the runtime's
         own rule (:func:`repro.mapreduce.resolve_storage`): ``"disk"``
-        for ``"processes"`` or when the partition footprint is predicted
-        to exceed ``memory_budget_bytes``, in-process arrays otherwise.
+        for ``"processes"`` and ``"distributed"`` or when the partition
+        footprint is predicted to exceed ``memory_budget_bytes``,
+        in-process arrays otherwise. ``"memory"`` with ``"distributed"``
+        raises :class:`~repro.exceptions.InvalidParameterError`, as the
+        runtime does.
     memory_budget_bytes:
         Budget (bytes) for the in-memory partition tiers; only
         consulted when the tier is auto-selected.

@@ -4,11 +4,9 @@ from .backends import (
     DiskPartitionStore,
     ExecutorBackend,
     MemoryPartitionStore,
-    PartitionBuffer,
-    PartitionStore,
+    PartitionArray,
     ProcessBackend,
     SerialBackend,
-    SharedArray,
     ThreadBackend,
     available_backends,
     available_storage_tiers,
@@ -41,12 +39,10 @@ __all__ = [
     "LocalCluster",
     "MapReduceRuntime",
     "MemoryPartitionStore",
-    "PartitionBuffer",
-    "PartitionStore",
+    "PartitionArray",
     "ProcessBackend",
     "RoundStats",
     "SerialBackend",
-    "SharedArray",
     "ThreadBackend",
     "WorkerServer",
     "available_backends",

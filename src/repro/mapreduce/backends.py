@@ -1,9 +1,10 @@
 """Pluggable executor backends for the MapReduce runtime.
 
 The runtime in :mod:`repro.mapreduce.runtime` separates *what* a round
-computes (map, shuffle, memory accounting) from *how* the reduce phase is
-executed. The latter is delegated to an :class:`ExecutorBackend`, of
-which three implementations are provided:
+computes (the shuffle and memory accounting) from *how* the reduce phase
+is executed. The latter is delegated to an :class:`ExecutorBackend`, of
+which three implementations live here (the fourth, ``"distributed"``,
+lives in :mod:`repro.mapreduce.cluster`):
 
 * :class:`SerialBackend` (``"serial"``) — runs reducers one after the
   other in the calling process. Fully deterministic timing; the reference
@@ -19,23 +20,22 @@ which three implementations are provided:
   pickling the reducer callable and its per-group values for every task.
 
 Orthogonal to *where reducers run* is *where the shuffle's partition rows
-live* while they are being assembled. That is the :class:`PartitionStore`
-protocol, with two tiers (see :func:`resolve_storage`):
+live* while they are being assembled: one of two storage tiers, each a
+plain class that the runtime's shuffle builds directly (the tier is
+chosen by :func:`resolve_storage`):
 
 * :class:`MemoryPartitionStore` (``"memory"``) — plain NumPy arrays in
   the coordinator's address space; the natural tier for the serial and
-  thread backends (their reducers share that address space anyway), and
-  the by-value tier of the distributed one.
+  thread backends (their reducers share that address space anyway). A
+  process-pool worker receives the rows by value through the pool's pipe.
 * :class:`DiskPartitionStore` (``"disk"``) — per-partition ``.npy``
   spill files that chunks are appended to and that :meth:`finalize
   <DiskPartitionStore.finalize>` reopens as read-only
-  :class:`numpy.memmap` matrices; the natural tier for the process
-  backend. Worker processes open the file by *path* when they unpickle
-  a handle, so no row data is pickled, and a reducer's working set
-  stays ``O(n/ell)`` resident while the sealed partitions live on disk.
-
-:class:`PartitionBuffer` validates and appends rows and delegates the
-actual storage to one of these tiers.
+  :class:`numpy.memmap` matrices. Worker processes open the file by
+  *path* when they unpickle a handle, so no row data is pickled, and a
+  reducer's working set stays ``O(n/ell)`` resident while the sealed
+  partitions live on disk. The only tier of the distributed backend: a
+  partition reaches a TCP worker only as a file.
 
 Reducer callables handed to :class:`ProcessBackend` must be picklable:
 module-level functions, or :func:`functools.partial` of module-level
@@ -62,11 +62,9 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "SharedArray",
-    "PartitionStore",
+    "PartitionArray",
     "MemoryPartitionStore",
     "DiskPartitionStore",
-    "PartitionBuffer",
     "available_backends",
     "available_storage_tiers",
     "blas_threads",
@@ -88,11 +86,11 @@ def _timed_reduce(reducer, key, values):
     return produced, time.perf_counter() - start
 
 
-# -- shared arrays ---------------------------------------------------------------------
+# -- partition arrays ------------------------------------------------------------------
 
 
-def _attach_spilled_array(meta: tuple[str, tuple, str]) -> "SharedArray":
-    """Reconstruct a spilled :class:`SharedArray` in a worker process by path.
+def _attach_spilled_array(meta: tuple[str, tuple, str]) -> "PartitionArray":
+    """Reconstruct a spilled :class:`PartitionArray` in a worker process by path.
 
     The worker memory-maps the ``.npy`` spill file read-only; nothing is
     copied and the attached handle never owns (so never unlinks) the
@@ -100,26 +98,26 @@ def _attach_spilled_array(meta: tuple[str, tuple, str]) -> "SharedArray":
     coordinator's own file; a distributed worker gets ``meta`` naming its
     pushed copy instead (see :mod:`repro.mapreduce.cluster`).
     """
-    return SharedArray.from_spill_file(*meta)
+    return PartitionArray.from_spill_file(*meta)
 
 
-def _rebuild_by_value(array: np.ndarray) -> "SharedArray":
-    """Reconstruct a by-value :class:`SharedArray` from its pickled rows."""
+def _rebuild_by_value(array: np.ndarray) -> "PartitionArray":
+    """Reconstruct a by-value :class:`PartitionArray` from its pickled rows."""
     array = np.asarray(array)
     array.flags.writeable = False
-    return SharedArray(array)
+    return PartitionArray(array)
 
 
-class SharedArray:
-    """A read-only NumPy array that reducers can reference cheaply on any backend.
+class PartitionArray:
+    """A sealed shuffle partition: a read-only NumPy array that pickles cheaply.
 
     Instances are created by the partition stores' ``finalize``. In the
     coordinator the wrapper views the stored rows (zero copy). A handle
     on a disk-tier spill file pickles as ``(path, shape, dtype)``, which
     the receiving process memory-maps read-only (the distributed backend
     puts the path of the worker's pushed copy there); a handle on
-    in-process rows (the memory tier) pickles them by value, which is
-    correct on every backend but pays the copy.
+    in-process rows (the memory tier) pickles them by value, which a
+    process pool's pipe carries at the price of the copy.
     """
 
     __slots__ = ("_array", "_spill_meta", "_owns_spill")
@@ -138,7 +136,7 @@ class SharedArray:
     @classmethod
     def from_spill_file(
         cls, path: str, shape: tuple, dtype, *, owner: bool = False
-    ) -> "SharedArray":
+    ) -> "PartitionArray":
         """Memory-map an on-disk ``.npy`` spill file without copying it.
 
         Used by :class:`DiskPartitionStore` to hand off a partition it
@@ -210,46 +208,8 @@ class SharedArray:
 # -- partition storage tiers -----------------------------------------------------------
 
 
-@runtime_checkable
-class PartitionStore(Protocol):
-    """Where one shuffle partition's rows live while being assembled.
-
-    A store receives pre-validated row blocks through :meth:`append`,
-    seals itself exactly once through :meth:`finalize` (returning a
-    read-only :class:`SharedArray` whose pickled form is a cheap handle,
-    never the row data — except for the in-process memory tier, which
-    pickles by value), and releases any storage that was never handed
-    off through :meth:`close` (idempotent, also safe after finalize).
-    """
-
-    #: Tier name: ``"memory"`` or ``"disk"``.
-    tier: str
-
-    @property
-    def n_rows(self) -> int:
-        """Rows appended so far."""
-        ...
-
-    @property
-    def spilled_bytes(self) -> int:
-        """Bytes this store wrote to disk (0 for the memory tier)."""
-        ...
-
-    def append(self, rows: np.ndarray) -> None:
-        """Store a validated ``(m, d)`` (or ``(m,)``) block of rows."""
-        ...
-
-    def finalize(self) -> SharedArray:
-        """Seal the store and hand off its contents."""
-        ...
-
-    def close(self) -> None:
-        """Release storage that was never handed off. Idempotent."""
-        ...
-
-
 def _partition_shape(dimension: int | None, capacity) -> tuple:
-    """Row-block shape: ``(capacity, d)``, or ``(capacity,)`` for 1-d buffers."""
+    """Row-block shape: ``(capacity, d)``, or ``(capacity,)`` for 1-d rows."""
     if dimension is None:
         return (capacity,)
     return (capacity, dimension)
@@ -260,24 +220,23 @@ class MemoryPartitionStore:
 
     The right tier for the serial and thread backends, whose reducers
     share the coordinator's memory. The array grows geometrically
-    (amortised O(1) appends). The sealed handle pickles its rows *by
-    value*, so the tier stays usable (at a copy cost) on every backend.
+    (amortised O(1) appends; ``initial_capacity`` preallocates the
+    expected partition size). The sealed handle pickles its rows *by
+    value*, which the process pool's pipe carries; the distributed
+    backend refuses this tier (see :func:`check_storage_tier`).
+
+    A store takes row blocks the shuffle has already checked: ``(m, d)``
+    (or ``(m,)`` when ``dimension`` is ``None``, for the global-index
+    column) with ``m >= 1``. :meth:`finalize` seals it once;
+    :meth:`close` releases storage never handed off and is idempotent.
     """
 
-    tier = "memory"
+    spilled_bytes = 0
 
-    def __init__(self, dimension: int | None, dtype: np.dtype, initial_capacity: int) -> None:
+    def __init__(self, dimension: int | None, dtype, initial_capacity: int) -> None:
         self._dimension = dimension
         self._n = 0
         self._storage = np.empty(_partition_shape(dimension, initial_capacity), dtype=dtype)
-
-    @property
-    def n_rows(self) -> int:
-        return self._n
-
-    @property
-    def spilled_bytes(self) -> int:
-        return 0
 
     def append(self, rows: np.ndarray) -> None:
         needed = self._n + rows.shape[0]
@@ -292,10 +251,10 @@ class MemoryPartitionStore:
         self._storage[self._n : needed] = rows
         self._n = needed
 
-    def finalize(self) -> SharedArray:
+    def finalize(self) -> PartitionArray:
         view = self._storage[: self._n]
         view.flags.writeable = False
-        return SharedArray(view)
+        return PartitionArray(view)
 
     def close(self) -> None:
         pass
@@ -325,52 +284,44 @@ def _npy_header(shape: tuple, dtype: np.dtype) -> bytes:
 
 
 class DiskPartitionStore:
-    """Partition rows appended to an on-disk ``.npy`` spill file.
+    """Partition rows appended to an on-disk ``.npy`` spill file in ``spill_dir``.
 
     Chunks are written straight through to the file (the coordinator
     keeps no copy), a placeholder header is rewritten with the true
     shape at finalize time, and the sealed partition is reopened as a
     read-only :class:`numpy.memmap`. Worker processes unpickling the
     handle open the file by path, so no row data is ever pickled; the
-    tier is bounded by disk rather than by RAM.
+    tier is bounded by disk rather than by RAM. ``spilled_bytes`` counts
+    the row bytes written. The row, finalize and close contract is that
+    of :class:`MemoryPartitionStore`.
     """
 
-    tier = "disk"
-
-    def __init__(self, dimension: int | None, dtype: np.dtype, spill_dir: str) -> None:
+    def __init__(self, dimension: int | None, dtype, spill_dir: str) -> None:
         self._dimension = dimension
-        self._dtype = dtype
+        self._dtype = np.dtype(dtype)
         self._n = 0
-        self._spilled = 0
+        self.spilled_bytes = 0
         self._path = os.path.join(os.fspath(spill_dir), f"part-{uuid.uuid4().hex}.npy")
         self._file = open(self._path, "w+b")
         self._file.write(b"\0" * _NPY_HEADER_SIZE)
-
-    def _shape(self, capacity) -> tuple:
-        return _partition_shape(self._dimension, capacity)
-
-    @property
-    def n_rows(self) -> int:
-        return self._n
-
-    @property
-    def spilled_bytes(self) -> int:
-        return self._spilled
 
     def append(self, rows: np.ndarray) -> None:
         data = np.ascontiguousarray(rows)
         self._file.write(data.data)
         self._n += rows.shape[0]
-        self._spilled += data.nbytes
+        self.spilled_bytes += data.nbytes
 
-    def finalize(self) -> SharedArray:
-        shape = self._shape(self._n)
+    def finalize(self) -> PartitionArray:
+        shape = _partition_shape(self._dimension, self._n)
         self._file.seek(0)
         self._file.write(_npy_header(shape, self._dtype))
         self._file.close()
         self._file = None
-        path, self._path = self._path, None
-        return SharedArray.from_spill_file(path, shape, self._dtype, owner=True)
+        # The store keeps the file until the handle exists, so a failed
+        # attach (e.g. EMFILE from the memmap) leaves close() to unlink it.
+        sealed = PartitionArray.from_spill_file(self._path, shape, self._dtype, owner=True)
+        self._path = None
+        return sealed
 
     def close(self) -> None:
         if self._file is not None:
@@ -384,24 +335,31 @@ class DiskPartitionStore:
                 pass
 
 
-_STORAGE_TIERS = ("disk", "memory")
-
-
 def available_storage_tiers() -> tuple[str, ...]:
     """Names accepted by the ``storage=`` knobs (``"auto"`` plus the concrete tiers)."""
-    return ("auto",) + _STORAGE_TIERS
+    return ("auto", "disk", "memory")
 
 
-def check_storage_tier(storage: str, *, allow_auto: bool = True) -> str:
-    """Return ``storage`` if it names a tier, else raise :class:`InvalidParameterError`.
+def check_storage_tier(storage: str, backend: "ExecutorBackend | str | None" = None) -> str:
+    """Return ``storage`` if ``backend`` can run it, else raise :class:`InvalidParameterError`.
 
-    ``allow_auto=False`` also rejects ``"auto"``, for callers that need a
-    concrete tier (resolve ``"auto"`` with :func:`resolve_storage` first).
+    ``storage`` must name a tier or ``"auto"``. The distributed backend
+    takes no ``"memory"``: a partition reaches a TCP worker only as a
+    file, so the wire never carries partition rows by value. ``backend``
+    is a backend instance or a backend name; the rule reads only its
+    name. The runtime calls this when it is built, before any shuffle
+    reads a chunk; :func:`resolve_storage` (and so the planner) calls it
+    too.
     """
-    accepted = available_storage_tiers() if allow_auto else _STORAGE_TIERS
-    if storage not in accepted:
+    if storage not in available_storage_tiers():
         raise InvalidParameterError(
-            f"unknown storage tier {storage!r}; available: {', '.join(accepted)}"
+            f"unknown storage tier {storage!r}; "
+            f"available: {', '.join(available_storage_tiers())}"
+        )
+    if storage == "memory" and getattr(backend, "name", backend) == _DISTRIBUTED:
+        raise InvalidParameterError(
+            "the distributed backend takes no 'memory' storage tier: a partition "
+            "reaches a TCP worker only as a spill file; use storage='disk' or 'auto'"
         )
     return storage
 
@@ -415,125 +373,26 @@ def resolve_storage(
 ) -> str:
     """Turn a storage knob (``"auto"``/``"memory"``/``"disk"``) into a tier.
 
-    ``"auto"`` (or ``None``) picks ``"disk"`` when a
-    ``memory_budget_bytes`` is given and the shuffle's estimated
-    partition-tier footprint exceeds it (or is unknown, for unsized
-    streams), and ``"disk"`` under the process pool, whose workers then
-    memory-map the sealed partitions instead of unpickling their rows.
-    Every other backend (serial, threads, distributed) gets
-    ``"memory"``. ``backend`` is a backend instance or a backend name;
-    the rule reads only its name.
+    The knob is first checked against ``backend`` with
+    :func:`check_storage_tier`. ``"auto"`` (or ``None``) then picks
+    ``"disk"`` on the process pool and the distributed backend, whose
+    workers open the sealed partitions by path instead of unpickling
+    their rows, and ``"disk"`` when a ``memory_budget_bytes`` is given
+    and the shuffle's estimated partition-tier footprint exceeds it (or
+    is unknown, for unsized streams). The serial and thread backends
+    otherwise get ``"memory"``.
     """
     if storage is None:
         storage = "auto"
-    if check_storage_tier(storage) != "auto":
+    if check_storage_tier(storage, backend) != "auto":
         return storage
+    if getattr(backend, "name", backend) in ("processes", _DISTRIBUTED):
+        return "disk"
     if memory_budget_bytes is not None and (
         estimated_bytes is None or estimated_bytes > memory_budget_bytes
     ):
         return "disk"
-    return "disk" if getattr(backend, "name", backend) == "processes" else "memory"
-
-
-class PartitionBuffer:
-    """Append-only row buffer for one shuffle partition, on a pluggable storage tier.
-
-    The out-of-core shuffle routes each incoming chunk's rows directly
-    into per-partition buffers so the coordinator never assembles the
-    full ``(n, d)`` matrix. The buffer validates and counts rows and
-    delegates storage to a :class:`PartitionStore`:
-
-    * ``storage="memory"`` (default) — a plain NumPy array in the
-      current address space (:class:`MemoryPartitionStore`); it grows
-      geometrically (amortised O(1) appends; for unknown-length streams
-      the overshoot is at most 2x the partition size, and exact-size
-      preallocation is available through ``initial_capacity``);
-    * ``storage="disk"`` — an on-disk ``.npy`` spill file that rows are
-      appended straight to (:class:`DiskPartitionStore`; requires
-      ``spill_dir``).
-
-    ``dimension=None`` stores scalar rows (a 1-d buffer), which the
-    drivers use for the global-index column that rides along with each
-    partition's points.
-    """
-
-    def __init__(
-        self,
-        dimension: int | None,
-        *,
-        dtype=np.float64,
-        initial_capacity: int = 1024,
-        storage: str = "memory",
-        spill_dir: str | None = None,
-    ) -> None:
-        if dimension is not None and dimension < 1:
-            raise InvalidParameterError("dimension must be >= 1 (or None for 1-d rows)")
-        if initial_capacity < 1:
-            raise InvalidParameterError("initial_capacity must be >= 1")
-        check_storage_tier(storage, allow_auto=False)
-        self._dimension = None if dimension is None else int(dimension)
-        self._dtype = np.dtype(dtype)
-        self._finalized = False
-        if storage == "disk":
-            if spill_dir is None:
-                raise InvalidParameterError("disk partition storage requires a spill_dir")
-            self._store: PartitionStore = DiskPartitionStore(
-                self._dimension, self._dtype, spill_dir
-            )
-        else:
-            self._store = MemoryPartitionStore(
-                self._dimension, self._dtype, int(initial_capacity)
-            )
-
-    def _shape(self, capacity) -> tuple:
-        return _partition_shape(self._dimension, capacity)
-
-    @property
-    def n_rows(self) -> int:
-        """Rows appended so far."""
-        return self._store.n_rows
-
-    @property
-    def storage_tier(self) -> str:
-        """Name of the tier the rows live on (``"memory"`` or ``"disk"``)."""
-        return self._store.tier
-
-    @property
-    def spilled_bytes(self) -> int:
-        """Bytes this buffer wrote to disk (0 for the memory tier)."""
-        return self._store.spilled_bytes
-
-    def append(self, rows) -> None:
-        """Append a block of rows (``(m, d)``, or ``(m,)`` for 1-d buffers)."""
-        if self._finalized:
-            raise InvalidParameterError("cannot append to a finalized PartitionBuffer")
-        rows = np.asarray(rows, dtype=self._dtype)
-        expected_ndim = 1 if self._dimension is None else 2
-        if rows.ndim != expected_ndim or (
-            self._dimension is not None and rows.shape[1] != self._dimension
-        ):
-            raise InvalidParameterError(
-                f"rows must have shape {self._shape('m')}; got {rows.shape}"
-            )
-        if rows.shape[0] == 0:
-            return
-        self._store.append(rows)
-
-    def finalize(self) -> SharedArray:
-        """Seal the buffer and return its contents as a read-only :class:`SharedArray`.
-
-        Zero-copy: the returned wrapper views the buffer's own storage
-        (on the disk tier, the spill file transfers to it). The buffer
-        cannot be appended to afterwards.
-        """
-        if self._finalized:
-            raise InvalidParameterError("PartitionBuffer already finalized")
-        self._finalized = True
-        return self._store.finalize()
-
-    def close(self) -> None:
-        """Release storage that was never handed off. Idempotent."""
-        self._store.close()
+    return "memory"
 
 
 # -- backends --------------------------------------------------------------------------

@@ -17,21 +17,23 @@ Reduce groups are placed round-robin: the group at enumeration position
 worker ``i mod W``. Placement is therefore a pure function of the
 partition index and the worker list, matching the pure-function routing
 of the shuffle itself. The reducer callable is shipped once per round
-per worker, not once per task. Partition payloads travel by tier:
+per worker, not once per task.
 
-* memory-tier partitions (the default under this backend) pickle their
-  rows *by value* inside the TASK frame;
-* disk-tier spill files are pushed to a worker as PUT frames the first
-  time a task for that worker references them, and the worker's OK
-  reply names its copy. The task is pickled per worker, and each
-  disk-tier handle in it pickles with the path of that worker's copy,
-  which the reducer re-opens as a read-only memmap: no row data is
-  pickled, a file already pushed to a worker is never pushed twice, and
-  the worker opens only its own files. The file goes out with
-  :meth:`socket.socket.sendfile`, so the coordinator never reads it: a
-  push costs the coordinator no memory beyond the frame header, and the
-  worker writes the body into its own file through one fixed-size
-  buffer.
+A partition reaches a worker only as a file. The runtime gives this
+backend the disk tier alone (``storage="memory"`` is refused; see
+:func:`~repro.mapreduce.backends.check_storage_tier`). A spill file is
+pushed to a worker as a PUT frame the first time a task for that worker
+references it, and the worker's OK reply names its copy. The task is
+pickled per worker, and each disk-tier handle in it pickles with the
+path of that worker's copy, which the reducer re-opens as a read-only
+memmap: no row data is pickled, a file already pushed to a worker is
+never pushed twice, and the worker opens only its own files. The file
+goes out with :meth:`socket.socket.sendfile`, so the coordinator never
+reads it: a push costs the coordinator no memory beyond the frame
+header, and the worker writes the body into its own file through one
+fixed-size buffer. Every other frame is capped at
+:data:`~repro.mapreduce.worker.MAX_FRAME_BYTES`; the largest one left
+is the round-2 TASK, which carries the union of the coresets by value.
 
 Both ends of every connection set ``TCP_NODELAY``, and a frame's header
 leaves in one gather write with its payload, so no frame waits for the
@@ -48,7 +50,11 @@ are pure, so a retry is safe and bit-identical). When no worker
 survives, :class:`~repro.exceptions.WorkerUnavailableError` reports the
 last failure seen per worker. An exception raised *by the reducer* is
 deterministic and is not retried: it surfaces as
-:class:`~repro.exceptions.WorkerTaskError` with the remote traceback.
+:class:`~repro.exceptions.WorkerTaskError` with the remote traceback,
+as does a RESULT the worker refuses to send for being over the frame
+cap. A REDUCER or TASK frame over the cap raises
+:class:`~repro.mapreduce.worker.FrameTooLargeError` before a byte of it
+is sent, and is not retried either.
 Per-round attempts and shipped bytes are recorded in
 :attr:`~repro.mapreduce.runtime.JobStats.worker_assignments` and
 :attr:`~repro.mapreduce.runtime.JobStats.bytes_shipped`.
@@ -71,7 +77,7 @@ from ..exceptions import (
     WorkerTaskError,
     WorkerUnavailableError,
 )
-from .backends import SharedArray, _attach_spilled_array
+from .backends import PartitionArray, _attach_spilled_array
 from .worker import (
     OP_ERROR,
     OP_HELLO,
@@ -80,6 +86,7 @@ from .worker import (
     OP_REDUCER,
     OP_RESULT,
     OP_TASK,
+    FrameTooLargeError,
     WorkerServer,
     configure_socket,
     recv_frame,
@@ -118,7 +125,7 @@ def parse_worker_address(spec) -> tuple[str, int]:
 class _TaskPickler(pickle.Pickler):
     """Pickles a task for one worker, naming that worker's copy of each spill file.
 
-    A disk-tier :class:`SharedArray` handle pickles as ``(path, shape,
+    A disk-tier :class:`PartitionArray` handle pickles as ``(path, shape,
     dtype)`` with no row data. ``worker_path`` maps the coordinator's
     path to the worker's copy, pushing the file first if need be, so the
     discovery and the push ride on the one pickling pass the task needs
@@ -130,7 +137,7 @@ class _TaskPickler(pickle.Pickler):
         self._worker_path = worker_path
 
     def reducer_override(self, obj):
-        meta = obj._spill_meta if isinstance(obj, SharedArray) else None
+        meta = obj._spill_meta if isinstance(obj, PartitionArray) else None
         if meta is None:
             return NotImplemented
         path, shape, dtype = meta
@@ -308,7 +315,7 @@ class DistributedBackend:
         assignments: dict[Hashable, list[str]] = {key: [] for key in keys}
         self._last_assignments, self._last_bytes = assignments, 0
         results: dict[Hashable, tuple[list, float]] = {}
-        task_errors: list[WorkerTaskError] = []
+        task_errors: list[WorkerTaskError | FrameTooLargeError] = []
         abort = threading.Event()
 
         def drain(link: _WorkerLink, assigned: list[tuple[int, Hashable]],
@@ -359,10 +366,11 @@ class DistributedBackend:
                     # round keeping a full serialized copy of every partition.
                     send(OP_TASK, _dumps_task((key, groups[key]), worker_path))
                     results[key] = pickle.loads(reply(OP_RESULT, f"reducer for key {key!r}"))
-            except WorkerTaskError as exc:
+            except (WorkerTaskError, FrameTooLargeError) as exc:
                 # An application error (unpicklable reducer, refused spill
-                # file, raising reducer) is deterministic: abort instead of
-                # retrying the identical payload on every worker in turn.
+                # file, raising reducer, a frame over the cap) is
+                # deterministic: abort instead of retrying the identical
+                # payload on every worker in turn.
                 task_errors.append(exc)
                 abort.set()
             except (OSError, EOFError, pickle.PickleError, ProtocolViolation) as exc:

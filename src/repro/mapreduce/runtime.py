@@ -36,7 +36,7 @@ Only then is the reduce phase handed to an
   pickles the reducer callable and its group values, so reducers must be
   module-level functions (or partials of them); in exchange the GIL no
   longer serialises pure-Python reducer work. Shuffle partitions travel
-  as :class:`~repro.mapreduce.backends.SharedArray` handles (under the
+  as :class:`~repro.mapreduce.backends.PartitionArray` handles (under the
   default ``"auto"`` tier, a spill-file path), not as copies. Each
   pool worker runs one BLAS thread (the pool already has one process per
   core); the coordinator's BLAS keeps its default.
@@ -59,11 +59,12 @@ goes to worker ``i mod W`` — a pure function of the partition index, so
 which worker computes what is as deterministic as the shuffle routing
 itself.
 
-Partition payloads travel by storage tier: memory-tier partitions (the
-default under this backend) pickle their rows by value inside the task;
-disk-tier spill files are pushed once per worker as raw ``.npy`` bytes
-and re-opened remotely as read-only memmaps, so a file is shipped at
-most once per worker however many rounds reference it. A worker that
+A partition reaches a worker only as a file: this backend runs the
+``"disk"`` tier alone (``"auto"`` picks it, ``"memory"`` is refused when
+the runtime is built). Each spill file is pushed once per worker as raw
+``.npy`` bytes and re-opened remotely as a read-only memmap, so a file
+is shipped at most once per worker however many rounds reference it,
+and no TASK frame carries partition rows. A worker that
 dies mid-job (refused connection, reset, truncated frame) has its
 unfinished groups requeued round-robin onto the surviving workers —
 reducers are pure, so the retried job is bit-identical — and
@@ -93,11 +94,11 @@ make the coordinator, not the reducers, the limit on dataset size.
 as a sequence of ``(m, d)`` chunks (from a
 :class:`~repro.streaming.stream.PointStream`, a generator over a file,
 or a memory-mapped array), routes each chunk's rows directly into
-per-partition :class:`~repro.mapreduce.backends.PartitionBuffer`
-storage via a :class:`~repro.mapreduce.partitioner.ChunkRouter`, and
-returns one :class:`StreamedPartition` per partition: its rows and their
-global stream indices, as sealed
-:class:`~repro.mapreduce.backends.SharedArray` handles. The
+per-partition stores via a
+:class:`~repro.mapreduce.partitioner.ChunkRouter`, and returns one
+:class:`StreamedPartition` per partition: its rows and their global
+stream indices, as sealed
+:class:`~repro.mapreduce.backends.PartitionArray` handles. The
 coordinator's own working set during the shuffle is ``O(chunk)``:
 routing metadata plus one chunk in flight.
 
@@ -116,20 +117,23 @@ Storage tiers
 -------------
 *Where the sealed partitions live* is a knob orthogonal to the executor
 backend: ``storage=`` on the runtime (set through both drivers'
-``fit_stream`` and the CLI ``mr-*`` commands) selects the
-:class:`~repro.mapreduce.backends.PartitionStore` tier that
-:meth:`MapReduceRuntime.shuffle_stream` writes:
+``fit_stream`` and the CLI ``mr-*`` commands) selects the tier that
+:meth:`MapReduceRuntime.shuffle_stream` writes, one store class per
+tier:
 
 * ``"memory"`` — plain per-partition arrays in the coordinator's
-  address space, handed to other processes by value.
-* ``"disk"`` — per-partition ``.npy`` spill files, appended chunk by
-  chunk and finalized as read-only :class:`numpy.memmap` matrices that
-  workers open by *path*. Bounded by disk rather than RAM, so datasets
-  beyond the host's memory stay drivable while each reducer keeps only
-  its ``O(n/ell)`` partition resident.
-* ``"auto"`` (default) — ``"disk"`` on the process pool (a partition
-  crosses a process boundary only as a spill file), ``"memory"`` on the
-  serial, thread and distributed backends; either way ``"disk"`` when
+  address space (:class:`~repro.mapreduce.backends.MemoryPartitionStore`),
+  handed to process-pool workers by value. Refused on the distributed
+  backend, whose wire carries partitions only as files.
+* ``"disk"`` — per-partition ``.npy`` spill files
+  (:class:`~repro.mapreduce.backends.DiskPartitionStore`), appended
+  chunk by chunk and finalized as read-only :class:`numpy.memmap`
+  matrices that workers open by *path*. Bounded by disk rather than
+  RAM, so datasets beyond the host's memory stay drivable while each
+  reducer keeps only its ``O(n/ell)`` partition resident.
+* ``"auto"`` (default) — ``"disk"`` on the process pool and the
+  distributed backend (a partition crosses a process boundary only as a
+  spill file), ``"memory"`` on the serial and thread backends unless
   ``memory_budget_bytes`` is set and the estimated partition-tier
   footprint exceeds it (or the stream is unsized). See
   :func:`~repro.mapreduce.backends.resolve_storage`.
@@ -165,9 +169,10 @@ from ..exceptions import (
 )
 from ..streaming.stream import GeneratorStream, PointStream
 from .backends import (
+    DiskPartitionStore,
     ExecutorBackend,
-    PartitionBuffer,
-    SharedArray,
+    MemoryPartitionStore,
+    PartitionArray,
     check_storage_tier,
     resolve_backend,
     resolve_storage,
@@ -325,11 +330,11 @@ class StreamedPartition:
     ``__len__`` reports the number of *points*, so the runtime's memory
     accounting charges a reducer its partition size, the paper's unit
     (the index column is metadata). Picklable on every backend (the
-    members are :class:`SharedArray` handles).
+    members are :class:`~repro.mapreduce.backends.PartitionArray` handles).
     """
 
-    points: SharedArray
-    indices: SharedArray
+    points: PartitionArray
+    indices: PartitionArray
 
     def __len__(self) -> int:
         return len(self.points)
@@ -369,7 +374,9 @@ class MapReduceRuntime:
     storage:
         Partition-storage tier for :meth:`shuffle_stream`: ``"auto"``
         (default), ``"memory"`` or ``"disk"``. See the
-        "Storage tiers" section of the module docstring.
+        "Storage tiers" section of the module docstring. ``"memory"``
+        with the distributed backend raises
+        :class:`~repro.exceptions.InvalidParameterError` here.
     spill_dir:
         Directory for ``"disk"``-tier spill files. ``None`` (default)
         uses a runtime-owned temporary directory that :meth:`close`
@@ -405,7 +412,6 @@ class MapReduceRuntime:
             raise InvalidParameterError("local_memory_limit must be >= 1 or None")
         if max_workers is not None and max_workers < 1:
             raise InvalidParameterError("max_workers must be >= 1")
-        check_storage_tier(storage)
         if memory_budget_bytes is not None and memory_budget_bytes < 1:
             raise InvalidParameterError("memory_budget_bytes must be >= 1 or None")
         self._local_memory_limit = local_memory_limit
@@ -414,11 +420,13 @@ class MapReduceRuntime:
         # the caller, whose pool must survive (and be reusable after) close().
         self._owns_backend = backend is None or isinstance(backend, str)
         self._backend = resolve_backend(backend, max_workers=max_workers, workers=workers)
-        self._storage = storage
+        # Checked against the backend now, so a tier the backend cannot run
+        # fails before any shuffle reads a chunk from a single-pass source.
+        self._storage = check_storage_tier(storage, self._backend)
         self._spill_dir = spill_dir
         self._own_spill_dir: str | None = None
         self._memory_budget_bytes = memory_budget_bytes
-        self._shared_arrays: list[SharedArray] = []
+        self._sealed: list[PartitionArray] = []
         self._stats = JobStats()
 
     # -- lifecycle ---------------------------------------------------------------------
@@ -450,17 +458,17 @@ class MapReduceRuntime:
         *,
         max_chunk_rows: int | None = None,
     ) -> list[StreamedPartition]:
-        """Route a chunked point stream into per-partition buffers (out of core).
+        """Route a chunked point stream into per-partition stores (out of core).
 
         ``chunks`` yields ``(m, d)`` arrays in stream order (e.g. from
         :meth:`repro.streaming.stream.PointStream.iterate_batches`);
         ``router`` decides each row's partition from its global stream
         index alone. Rows and their global indices are scattered into
-        per-partition :class:`~repro.mapreduce.backends.PartitionBuffer`
-        storage on the runtime's tier (see the "Storage tiers" section
-        of the module docstring), so the coordinator never assembles the
-        full ``(n, d)`` matrix; its working set is one chunk plus routing
-        metadata, recorded in :attr:`JobStats.coordinator_peak_items`.
+        one store per partition and column on the runtime's tier (see
+        the "Storage tiers" section of the module docstring), so the
+        coordinator never assembles the full ``(n, d)`` matrix; its
+        working set is one chunk plus routing metadata, recorded in
+        :attr:`JobStats.coordinator_peak_items`.
         The tier that ran and the bytes it spilled are recorded in
         :attr:`JobStats.storage_tier` / :attr:`JobStats.spilled_bytes`;
         ``router.points_routed`` counts the points routed.
@@ -469,8 +477,8 @@ class MapReduceRuntime:
         partition order (zero-row for partitions the routing left
         empty). The sealed partitions are registered with the runtime
         and released by :meth:`close`; on a mid-stream failure every
-        partially-filled buffer (and its spill file) is closed and
-        unlinked before the exception propagates. ``max_chunk_rows``
+        store built so far (and its spill file) is closed and unlinked
+        before the exception propagates. ``max_chunk_rows``
         re-splits oversized incoming chunks (sources with native
         batching, such as
         :class:`~repro.streaming.stream.GeneratorStream`, may deliver
@@ -480,9 +488,11 @@ class MapReduceRuntime:
         """
         if max_chunk_rows is not None and max_chunk_rows < 1:
             raise InvalidParameterError("max_chunk_rows must be >= 1 (or None)")
-        buffers: list[PartitionBuffer] = []
-        index_buffers: list[PartitionBuffer] = []
-        sealed: list[SharedArray] = []
+        # The points stores of partitions 0..ell-1, then their index stores.
+        # Each store joins the list as soon as it exists, so a failure while
+        # building a later one still closes (and unlinks) the earlier ones.
+        stores: list[MemoryPartitionStore | DiskPartitionStore] = []
+        sealed: list[PartitionArray] = []
         dimension: int | None = None
         chunk_peak = 0
 
@@ -520,21 +530,13 @@ class MapReduceRuntime:
                         memory_budget_bytes=self._memory_budget_bytes,
                     )
                     spill_dir = self._ensure_spill_dir() if tier == "disk" else None
-
-                    def new_buffers(row_dimension, dtype) -> list[PartitionBuffer]:
-                        return [
-                            PartitionBuffer(
-                                row_dimension,
-                                dtype=dtype,
-                                storage=tier,
-                                initial_capacity=capacity or m,
-                                spill_dir=spill_dir,
+                    for row_dimension, dtype in ((dimension, np.float64), (None, np.intp)):
+                        for _ in range(router.ell):
+                            stores.append(
+                                DiskPartitionStore(row_dimension, dtype, spill_dir)
+                                if tier == "disk"
+                                else MemoryPartitionStore(row_dimension, dtype, capacity or m)
                             )
-                            for _ in range(router.ell)
-                        ]
-
-                    buffers = new_buffers(dimension, np.float64)
-                    index_buffers = new_buffers(None, np.intp)
                 elif chunk.shape[1] != dimension:
                     raise InvalidParameterError(
                         f"chunk has dimension {chunk.shape[1]}, expected {dimension}"
@@ -552,8 +554,8 @@ class MapReduceRuntime:
                 for partition_id, count in enumerate(counts):
                     stop = start + int(count)
                     if stop > start:
-                        buffers[partition_id].append(sorted_rows[start:stop])
-                        index_buffers[partition_id].append(sorted_indices[start:stop])
+                        stores[partition_id].append(sorted_rows[start:stop])
+                        stores[router.ell + partition_id].append(sorted_indices[start:stop])
                     start = stop
 
             if dimension is None:
@@ -564,20 +566,20 @@ class MapReduceRuntime:
                     f"declared {router.n_total}"
                 )
 
-            spilled = sum(buffer.spilled_bytes for buffer in buffers + index_buffers)
-            for buffer in buffers + index_buffers:
-                sealed.append(buffer.finalize())
+            spilled = sum(store.spilled_bytes for store in stores)
+            for store in stores:
+                sealed.append(store.finalize())
         except BaseException:
             # A failure (or interrupt) mid-shuffle must not strand the
             # partially-filled spill files — nor any partition already
             # sealed when a later finalize fails — until process exit.
             for handle in sealed:
                 handle.close()
-            for buffer in buffers + index_buffers:
-                buffer.close()
+            for store in stores:
+                store.close()
             raise
 
-        self._shared_arrays.extend(sealed)
+        self._sealed.extend(sealed)
         self.note_coordinator_items(chunk_peak)
         self._stats.storage_tier = tier
         self._stats.spilled_bytes += spilled
@@ -595,8 +597,8 @@ class MapReduceRuntime:
         by the caller is left running so it can be reused across
         runtimes — the caller closes it.
         """
-        while self._shared_arrays:
-            self._shared_arrays.pop().close()
+        while self._sealed:
+            self._sealed.pop().close()
         if self._own_spill_dir is not None:
             spill_dir, self._own_spill_dir = self._own_spill_dir, None
             shutil.rmtree(spill_dir, ignore_errors=True)
@@ -702,7 +704,7 @@ def shuffle_point_stream(
 
     Returns ``(partitions, n_points, ell_used)``. A stream that declares
     length 0 raises :class:`~repro.exceptions.EmptyStreamError`
-    deterministically, before any buffer is allocated.
+    deterministically, before any store is built.
     """
     if chunk_size < 1:
         raise InvalidParameterError("chunk_size must be >= 1")

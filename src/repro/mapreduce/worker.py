@@ -39,23 +39,29 @@ opcodes (coordinator to worker):
   reducer on the group. Replies RESULT with pickled
   ``(outputs, elapsed_seconds)``, or ERROR with a pickled
   ``(exception_type, message, traceback)`` summary when the reducer
-  itself raised (an application failure the coordinator must not retry).
+  itself raised or its RESULT would exceed :data:`MAX_FRAME_BYTES` (an
+  application failure the coordinator must not retry).
 * ``q`` **QUIT** — end the connection. The worker deletes every spill
   file received on it, then replies OK and closes.
 
 Response opcodes (worker to coordinator): ``o`` OK, ``R`` RESULT,
-``E`` ERROR. Anything that breaks the framing — EOF mid-frame, an
-unknown opcode — is a *transport* failure: the coordinator marks the
+``E`` ERROR. Every frame but a PUT is capped at :data:`MAX_FRAME_BYTES`:
+:func:`send_frame` raises :class:`FrameTooLargeError` before it writes a
+byte of a longer one, and the receiver refuses a header announcing more
+before it allocates anything. Anything that breaks the framing — EOF
+mid-frame, an unknown opcode, an over-cap header — is a *transport*
+failure: the coordinator marks the
 worker dead and retries its tasks on the surviving workers, while the
 worker drops the connection and cleans up its received files, a
 partly written PUT file included.
 
 The worker never translates paths. The coordinator pickles each TASK for
 one worker, and a disk-tier
-:class:`~repro.mapreduce.backends.SharedArray` in it pickles with the
+:class:`~repro.mapreduce.backends.PartitionArray` in it pickles with the
 path that worker's PUT reply named, so the reducer memory-maps the
-worker's own copy. Memory-tier partitions need no PUT at all: their
-handles pickle the rows by value inside the TASK frame.
+worker's own copy. A partition reaches a worker only this way, as a
+file: the distributed backend runs no memory tier, so no TASK frame
+carries partition rows by value.
 
 Both ends set ``TCP_NODELAY`` on every connection
 (:func:`configure_socket`), and :func:`send_frame` hands a frame's
@@ -86,7 +92,7 @@ import uuid
 
 import numpy as np
 
-from ..exceptions import InvalidParameterError
+from ..exceptions import ClusterError, InvalidParameterError
 from . import backends as _backends
 from .backends import _timed_reduce
 
@@ -101,6 +107,7 @@ __all__ = [
     "OP_ERROR",
     "CHUNK_BYTES",
     "MAX_FRAME_BYTES",
+    "FrameTooLargeError",
     "ProtocolError",
     "configure_socket",
     "send_frame",
@@ -124,12 +131,16 @@ OP_ERROR = b"E"
 
 _REQUEST_OPS = (OP_HELLO, OP_REDUCER, OP_PUT, OP_TASK, OP_QUIT)
 
-#: Upper bound on a single frame's payload, a corruption guard: a header
-#: announcing more than this is treated as a broken stream. It stays this
-#: high because memory-tier TASK frames still carry a partition's rows by
-#: value; a header within the cap costs the receiver at most one chunk
-#: until the bytes actually arrive.
-MAX_FRAME_BYTES = 1 << 40
+#: Upper bound on the payload of every frame but a PUT (256 MiB). No
+#: frame carries partition rows: partitions travel as PUT files, whose
+#: bodies are checked against their ``.npy`` header instead. The largest
+#: legitimate frame left is the round-2 TASK, which carries the union of
+#: the round-1 coresets by value: points, weights and indices, about
+#: 0.4 MiB for the 5440-point, 7-dimensional union of a 200k-point solve
+#: with 200 outliers. A receiver treats a longer announced length as a
+#: broken stream before allocating; a header within the cap costs it at
+#: most one chunk until the bytes actually arrive.
+MAX_FRAME_BYTES = 256 << 20
 
 #: Largest piece of a frame read by one ``recv_into``, and the size of
 #: the one buffer a PUT body passes through on its way into the file.
@@ -137,6 +148,14 @@ CHUNK_BYTES = 1 << 20
 
 #: Longest ``.npy`` header a PUT may carry (numpy's own parsing default).
 _MAX_NPY_HEADER_BYTES = 10000
+
+
+class FrameTooLargeError(ClusterError):
+    """A frame to send is over :data:`MAX_FRAME_BYTES`; raised before any byte is written.
+
+    Not a transport failure: the same payload is too large for any
+    worker, so the coordinator does not retry it elsewhere.
+    """
 
 
 class ProtocolError(ConnectionError):
@@ -164,8 +183,21 @@ def _send_buffers(sock: socket.socket, buffers) -> None:
             views[0] = views[0][sent:]
 
 
+def _check_frame_size(length: int) -> None:
+    """Raise :class:`FrameTooLargeError` if a non-PUT payload is over the cap."""
+    if length > MAX_FRAME_BYTES:
+        raise FrameTooLargeError(
+            f"a {length}-byte frame payload exceeds the {MAX_FRAME_BYTES >> 20} MiB cap"
+        )
+
+
 def send_frame(sock: socket.socket, opcode: bytes, payload: bytes = b"") -> None:
-    """Write one length-prefixed frame to ``sock`` in one gather write."""
+    """Write one length-prefixed frame to ``sock`` in one gather write.
+
+    Raises :class:`FrameTooLargeError`, having written nothing, when the
+    payload is over :data:`MAX_FRAME_BYTES`.
+    """
+    _check_frame_size(len(payload))
     _send_buffers(sock, (_HEADER.pack(opcode, len(payload)), payload))
 
 
@@ -218,16 +250,23 @@ def _recv_exact(sock: socket.socket, n: int) -> bytearray:
 
 def _recv_header(sock: socket.socket) -> tuple[bytes, int]:
     """Read one frame header; returns ``(opcode, payload_length)``."""
-    opcode, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    return _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+
+
+def _recv_payload(sock: socket.socket, length: int) -> bytearray:
+    """Read a non-PUT payload, refusing an over-cap length before allocating."""
     if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame announces {length} bytes; refusing")
-    return opcode, length
+        raise ProtocolError(
+            f"frame announces {length} bytes, over the {MAX_FRAME_BYTES >> 20} MiB cap; "
+            "refusing"
+        )
+    return _recv_exact(sock, length)
 
 
 def recv_frame(sock: socket.socket) -> tuple[bytes, bytearray]:
     """Read one frame; returns ``(opcode, payload)``."""
     opcode, length = _recv_header(sock)
-    return opcode, _recv_exact(sock, length)
+    return opcode, _recv_payload(sock, length)
 
 
 class _PutRefused(ValueError):
@@ -501,7 +540,7 @@ class WorkerServer:
                 if opcode == OP_PUT:
                     self._receive_put(conn, length, received)
                     continue
-                payload = _recv_exact(conn, length)
+                payload = _recv_payload(conn, length)
                 if opcode == OP_QUIT:
                     # Delete the received files *before* acknowledging, so a
                     # coordinator that saw the OK can rely on the cleanup.
@@ -537,11 +576,14 @@ class WorkerServer:
                                 "TASK received before any REDUCER on this connection"
                             )
                         key, values = pickle.loads(payload)
-                        outputs, elapsed = _timed_reduce(reducer, key, values)
+                        result = pickle.dumps(_timed_reduce(reducer, key, values))
+                        # An over-cap result is the reducer's doing, not the
+                        # wire's: answer ERROR so the coordinator does not retry.
+                        _check_frame_size(len(result))
                     except Exception as exc:
                         send_frame(conn, OP_ERROR, pickle.dumps(self._summarize(exc)))
                     else:
-                        send_frame(conn, OP_RESULT, pickle.dumps((outputs, elapsed)))
+                        send_frame(conn, OP_RESULT, result)
                         with self._lock:
                             self._tasks_completed += 1
         except (ProtocolError, OSError, EOFError, pickle.UnpicklingError):

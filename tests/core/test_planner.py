@@ -206,13 +206,32 @@ class TestPlanDistributed:
         assert plan.backend == "distributed"
         assert plan.suggested_workers == min(3, plan.ell)
 
-    def test_distributed_auto_storage_is_memory_tier(self):
-        # Distributed workers may run on other hosts: the auto tier must
-        # be by-value memory, not a coordinator-side spill file.
+    def test_distributed_auto_storage_is_disk_tier(self):
+        # A partition reaches a TCP worker only as a file: the auto tier is
+        # disk, whatever the budget says.
         plan = plan_mapreduce(
             100_000, 10, doubling_dimension=2, workers=2, point_dimension=4,
         )
-        assert plan.storage == "memory"
+        assert plan.storage == "disk"
+        assert plan.predicted_spill_bytes == plan.partition_tier_bytes
+        roomy = plan_mapreduce(
+            100_000, 10, doubling_dimension=2, workers=2, point_dimension=4,
+            memory_budget_bytes=10**12,
+        )
+        assert roomy.storage == "disk"
+
+    def test_distributed_memory_storage_rejected(self):
+        from repro.exceptions import InvalidParameterError
+
+        with pytest.raises(InvalidParameterError, match="distributed"):
+            plan_mapreduce(
+                100_000, 10, doubling_dimension=2, workers=2, storage="memory"
+            )
+        with pytest.raises(InvalidParameterError, match="distributed"):
+            plan_mapreduce(
+                100_000, 10, doubling_dimension=2, backend="distributed",
+                workers=["h1:7071"], storage="memory",
+            )
 
     def test_explicit_backend_kept_alongside_workers(self):
         plan = plan_mapreduce(

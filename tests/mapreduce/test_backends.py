@@ -17,8 +17,9 @@ from _rounds import modulo_groups
 from repro.core import MapReduceKCenter, MapReduceKCenterOutliers
 from repro.exceptions import InvalidParameterError, MemoryBudgetExceededError
 from repro.mapreduce import (
+    DiskPartitionStore,
     MapReduceRuntime,
-    PartitionBuffer,
+    MemoryPartitionStore,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -118,19 +119,19 @@ class TestRoundEquivalence:
                     runtime.execute_round(groups, summing_reducer)
 
 
-class TestSharedArray:
+class TestPartitionArray:
     def test_close_is_idempotent(self, tmp_path):
-        buffer = PartitionBuffer(2, storage="disk", spill_dir=str(tmp_path))
-        buffer.append(np.zeros((2, 2)))
-        sealed = buffer.finalize()
+        store = DiskPartitionStore(2, np.float64, str(tmp_path))
+        store.append(np.zeros((2, 2)))
+        sealed = store.finalize()
         sealed.close()
         sealed.close()
         assert list(tmp_path.glob("*.npy")) == []
 
     def test_memory_handle_close_is_idempotent(self):
-        buffer = PartitionBuffer(2, storage="memory")
-        buffer.append(np.ones((2, 2)))
-        sealed = buffer.finalize()
+        store = MemoryPartitionStore(2, np.float64, 2)
+        store.append(np.ones((2, 2)))
+        sealed = store.finalize()
         sealed.close()
         sealed.close()
         np.testing.assert_array_equal(sealed.array, np.ones((2, 2)))
@@ -138,10 +139,10 @@ class TestSharedArray:
     def test_disk_handle_reaches_a_pool_worker_as_a_mapped_file(self, tmp_path):
         # A process-pool reducer gets the spill file's path and maps it
         # read-only; the rows are never pickled.
-        buffer = PartitionBuffer(3, storage="disk", spill_dir=str(tmp_path))
+        store = DiskPartitionStore(3, np.float64, str(tmp_path))
         rows = np.arange(30.0).reshape(10, 3)
-        buffer.append(rows)
-        sealed = buffer.finalize()
+        store.append(rows)
+        sealed = store.finalize()
         try:
             with MapReduceRuntime(backend="processes", max_workers=1) as runtime:
                 output = runtime.execute_round({0: [sealed]}, describing_reducer)

@@ -1,11 +1,11 @@
 """Unit tests for the partition storage tiers behind the out-of-core shuffle.
 
-Covers the two :class:`~repro.mapreduce.backends.PartitionStore`
-implementations (in-process arrays, on-disk ``.npy`` spill files), the
-tier-resolution logic of :func:`~repro.mapreduce.backends.resolve_storage`,
+Covers the two store classes (in-process arrays, on-disk ``.npy``
+spill files), the tier-resolution logic of
+:func:`~repro.mapreduce.backends.resolve_storage` and its backend rule,
 and the contracts of the sealed
-:class:`~repro.mapreduce.backends.SharedArray` handles (pickled by path
-or by value, copied on request, rejecting a spill file whose header
+:class:`~repro.mapreduce.backends.PartitionArray` handles (pickled by
+path or by value, copied on request, rejecting a spill file whose header
 disagrees with the handle).
 """
 
@@ -18,37 +18,34 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.mapreduce import (
-    PartitionBuffer,
+    DiskPartitionStore,
+    MemoryPartitionStore,
+    PartitionArray,
     ProcessBackend,
     SerialBackend,
-    SharedArray,
     ThreadBackend,
     available_storage_tiers,
     resolve_storage,
 )
+from repro.mapreduce.backends import check_storage_tier
 
 STORAGE_TIERS = ("memory", "disk")
 
 
-def _buffer(storage, tmp_path, dimension=3, **kwargs):
-    return PartitionBuffer(
-        dimension,
-        storage=storage,
-        spill_dir=str(tmp_path) if storage == "disk" else None,
-        **kwargs,
-    )
+def _store(storage, tmp_path, dimension=3, dtype=np.float64, initial_capacity=1024):
+    if storage == "disk":
+        return DiskPartitionStore(dimension, dtype, str(tmp_path))
+    return MemoryPartitionStore(dimension, dtype, initial_capacity)
 
 
 class TestAllTiers:
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_append_and_finalize_roundtrip(self, storage, tmp_path):
         rows = np.arange(24.0).reshape(8, 3)
-        buffer = _buffer(storage, tmp_path, initial_capacity=2)
-        assert buffer.storage_tier == storage
-        buffer.append(rows[:5])
-        buffer.append(rows[5:])
-        assert buffer.n_rows == 8
-        sealed = buffer.finalize()
+        store = _store(storage, tmp_path, initial_capacity=2)
+        store.append(rows[:5])
+        store.append(rows[5:])
+        sealed = store.finalize()
         try:
             np.testing.assert_array_equal(sealed.array, rows)
             assert not sealed.array.flags.writeable
@@ -57,13 +54,13 @@ class TestAllTiers:
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_many_small_appends(self, storage, tmp_path):
-        buffer = _buffer(storage, tmp_path, dimension=2, initial_capacity=1)
+        store = _store(storage, tmp_path, dimension=2, initial_capacity=1)
         expected = []
         for block in range(10):
             rows = np.full((3, 2), float(block))
-            buffer.append(rows)
+            store.append(rows)
             expected.append(rows)
-        sealed = buffer.finalize()
+        sealed = store.finalize()
         try:
             np.testing.assert_array_equal(sealed.array, np.vstack(expected))
         finally:
@@ -71,9 +68,9 @@ class TestAllTiers:
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_one_dimensional_rows(self, storage, tmp_path):
-        buffer = _buffer(storage, tmp_path, dimension=None, dtype=np.intp)
-        buffer.append(np.arange(10))
-        sealed = buffer.finalize()
+        store = _store(storage, tmp_path, dimension=None, dtype=np.intp)
+        store.append(np.arange(10))
+        sealed = store.finalize()
         try:
             np.testing.assert_array_equal(sealed.array, np.arange(10))
         finally:
@@ -81,8 +78,8 @@ class TestAllTiers:
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_empty_partition_finalizes_to_zero_rows(self, storage, tmp_path):
-        buffer = _buffer(storage, tmp_path)
-        sealed = buffer.finalize()
+        store = _store(storage, tmp_path)
+        sealed = store.finalize()
         try:
             assert sealed.shape == (0, 3)
             assert len(sealed) == 0
@@ -90,39 +87,19 @@ class TestAllTiers:
             sealed.close()
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
-    def test_shape_validation_identical(self, storage, tmp_path):
-        buffer = _buffer(storage, tmp_path)
-        with pytest.raises(InvalidParameterError, match="shape"):
-            buffer.append(np.zeros((2, 2)))
-        with pytest.raises(InvalidParameterError, match="shape"):
-            buffer.append(np.zeros(4))
-        buffer.close()
-
-    @pytest.mark.parametrize("storage", STORAGE_TIERS)
-    def test_append_after_finalize_rejected(self, storage, tmp_path):
-        buffer = _buffer(storage, tmp_path)
-        buffer.append(np.zeros((1, 3)))
-        sealed = buffer.finalize()
-        try:
-            with pytest.raises(InvalidParameterError, match="finalized"):
-                buffer.append(np.zeros((1, 3)))
-        finally:
-            sealed.close()
-
-    @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_close_without_finalize_is_idempotent(self, storage, tmp_path):
-        buffer = _buffer(storage, tmp_path)
-        buffer.append(np.zeros((2, 3)))
-        buffer.close()
-        buffer.close()
+        store = _store(storage, tmp_path)
+        store.append(np.zeros((2, 3)))
+        store.close()
+        store.close()
         if storage == "disk":
             assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_array_copy_true_returns_a_writeable_copy(self, storage, tmp_path):
-        buffer = _buffer(storage, tmp_path)
-        buffer.append(np.arange(12.0).reshape(4, 3))
-        sealed = buffer.finalize()
+        store = _store(storage, tmp_path)
+        store.append(np.arange(12.0).reshape(4, 3))
+        sealed = store.finalize()
         try:
             copied = np.array(sealed, copy=True)
             assert copied.flags.writeable
@@ -136,9 +113,9 @@ class TestAllTiers:
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_array_copy_false_hands_out_the_stored_rows(self, storage, tmp_path):
-        buffer = _buffer(storage, tmp_path)
-        buffer.append(np.arange(12.0).reshape(4, 3))
-        sealed = buffer.finalize()
+        store = _store(storage, tmp_path)
+        store.append(np.arange(12.0).reshape(4, 3))
+        sealed = store.finalize()
         try:
             view = np.array(sealed, copy=False)
             assert np.shares_memory(view, sealed.array)
@@ -148,9 +125,9 @@ class TestAllTiers:
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_array_dtype_conversion_returns_a_converted_copy(self, storage, tmp_path):
-        buffer = _buffer(storage, tmp_path)
-        buffer.append(np.arange(12.0).reshape(4, 3))
-        sealed = buffer.finalize()
+        store = _store(storage, tmp_path)
+        store.append(np.arange(12.0).reshape(4, 3))
+        sealed = store.finalize()
         try:
             converted = np.asarray(sealed, dtype=np.float32)
             assert converted.dtype == np.float32
@@ -162,23 +139,23 @@ class TestAllTiers:
 
 class TestDiskTier:
     def test_spilled_bytes_counts_both_appends(self, tmp_path):
-        buffer = _buffer("disk", tmp_path, dimension=4)
-        buffer.append(np.zeros((10, 4)))
-        buffer.append(np.zeros((6, 4)))
-        assert buffer.spilled_bytes == 16 * 4 * 8
-        buffer.close()
+        store = _store("disk", tmp_path, dimension=4)
+        store.append(np.zeros((10, 4)))
+        store.append(np.zeros((6, 4)))
+        assert store.spilled_bytes == 16 * 4 * 8
+        store.close()
 
     def test_memory_tiers_report_zero_spill(self, tmp_path):
-        buffer = _buffer("memory", tmp_path)
-        buffer.append(np.zeros((4, 3)))
-        assert buffer.spilled_bytes == 0
-        buffer.close()
+        store = _store("memory", tmp_path)
+        store.append(np.zeros((4, 3)))
+        assert store.spilled_bytes == 0
+        store.close()
 
     def test_finalized_file_is_a_valid_npy(self, tmp_path):
         rows = np.arange(30.0).reshape(10, 3)
-        buffer = _buffer("disk", tmp_path)
-        buffer.append(rows)
-        sealed = buffer.finalize()
+        store = _store("disk", tmp_path)
+        store.append(rows)
+        sealed = store.finalize()
         try:
             (path,) = tmp_path.glob("*.npy")
             np.testing.assert_array_equal(np.load(path), rows)
@@ -187,9 +164,9 @@ class TestDiskTier:
 
     def test_sealed_handle_pickles_by_path_not_by_value(self, tmp_path):
         rows = np.arange(3000.0).reshape(1000, 3)
-        buffer = _buffer("disk", tmp_path)
-        buffer.append(rows)
-        sealed = buffer.finalize()
+        store = _store("disk", tmp_path)
+        store.append(rows)
+        sealed = store.finalize()
         try:
             payload = pickle.dumps(sealed)
             assert len(payload) < rows.nbytes // 10
@@ -202,18 +179,18 @@ class TestDiskTier:
             sealed.close()
 
     def test_owner_close_deletes_the_spill_file(self, tmp_path):
-        buffer = _buffer("disk", tmp_path)
-        buffer.append(np.ones((5, 3)))
-        sealed = buffer.finalize()
+        store = _store("disk", tmp_path)
+        store.append(np.ones((5, 3)))
+        sealed = store.finalize()
         assert len(list(tmp_path.glob("*.npy"))) == 1
         sealed.close()
         sealed.close()  # idempotent
         assert list(tmp_path.glob("*.npy")) == []
 
     def test_attached_handle_close_does_not_delete(self, tmp_path):
-        buffer = _buffer("disk", tmp_path)
-        buffer.append(np.ones((5, 3)))
-        sealed = buffer.finalize()
+        store = _store("disk", tmp_path)
+        store.append(np.ones((5, 3)))
+        sealed = store.finalize()
         try:
             attached = pickle.loads(pickle.dumps(sealed))
             attached.close()
@@ -221,24 +198,20 @@ class TestDiskTier:
         finally:
             sealed.close()
 
-    def test_requires_spill_dir(self):
-        with pytest.raises(InvalidParameterError, match="spill_dir"):
-            PartitionBuffer(3, storage="disk")
-
     def test_spill_file_disagreeing_with_the_handle_rejected(self, tmp_path):
         # A replaced or truncated spill file must fail loudly on attach,
         # not hand a reducer the wrong rows.
         path = tmp_path / "part-replaced.npy"
         np.save(path, np.zeros((5, 3)))
         with pytest.raises(InvalidParameterError, match="expected"):
-            SharedArray.from_spill_file(str(path), (4, 3), np.float64)
+            PartitionArray.from_spill_file(str(path), (4, 3), np.float64)
         with pytest.raises(InvalidParameterError, match="expected"):
-            SharedArray.from_spill_file(str(path), (5, 3), np.intp)
+            PartitionArray.from_spill_file(str(path), (5, 3), np.intp)
 
     def test_dtype_preserved(self, tmp_path):
-        buffer = _buffer("disk", tmp_path, dimension=None, dtype=np.intp)
-        buffer.append(np.arange(7))
-        sealed = buffer.finalize()
+        store = _store("disk", tmp_path, dimension=None, dtype=np.intp)
+        store.append(np.arange(7))
+        sealed = store.finalize()
         try:
             assert sealed.dtype == np.dtype(np.intp)
             attached = pickle.loads(pickle.dumps(sealed))
@@ -249,10 +222,10 @@ class TestDiskTier:
 
 class TestMemoryTierPickling:
     def test_memory_tier_pickles_by_value(self):
-        buffer = PartitionBuffer(2, storage="memory")
+        store = MemoryPartitionStore(2, np.float64, 4)
         rows = np.arange(8.0).reshape(4, 2)
-        buffer.append(rows)
-        sealed = buffer.finalize()
+        store.append(rows)
+        sealed = store.finalize()
         copied = pickle.loads(pickle.dumps(sealed))
         np.testing.assert_array_equal(copied.array, rows)
         assert not copied.array.flags.writeable
@@ -273,8 +246,22 @@ class TestResolveStorage:
             assert resolve_storage(None, backend=serial) == "memory"
             assert resolve_storage("auto", backend=ThreadBackend(2)) == "memory"
             assert resolve_storage("auto", backend=processes) == "disk"
+            assert resolve_storage("auto", backend="distributed") == "disk"
         finally:
             processes.close()
+
+    def test_distributed_takes_files_only(self):
+        # The budget cannot bring the memory tier back on the wire.
+        assert resolve_storage(
+            "auto", backend="distributed", estimated_bytes=100, memory_budget_bytes=200
+        ) == "disk"
+        assert resolve_storage("disk", backend="distributed") == "disk"
+        with pytest.raises(InvalidParameterError, match="distributed"):
+            resolve_storage("memory", backend="distributed")
+        with pytest.raises(InvalidParameterError, match="distributed"):
+            check_storage_tier("memory", "distributed")
+        # The process pool keeps its by-value memory tier.
+        assert check_storage_tier("memory", "processes") == "memory"
 
     def test_auto_spills_above_budget(self):
         backend = SerialBackend()
@@ -305,7 +292,4 @@ class TestResolveStorage:
             with pytest.raises(InvalidParameterError, match="storage tier"):
                 resolve_storage(storage)
             with pytest.raises(InvalidParameterError, match="storage tier"):
-                PartitionBuffer(2, storage=storage)
-        # A buffer needs a concrete tier; "auto" is resolved before it.
-        with pytest.raises(InvalidParameterError, match="storage tier"):
-            PartitionBuffer(2, storage="auto")
+                check_storage_tier(storage, "serial")

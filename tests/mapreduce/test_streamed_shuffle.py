@@ -1,7 +1,6 @@
 """Unit tests for the out-of-core shuffle substrate.
 
-Covers the growable :class:`~repro.mapreduce.backends.PartitionBuffer`
-(on every storage tier), the
+Covers the partition stores (on every storage tier), the
 :meth:`~repro.mapreduce.runtime.MapReduceRuntime.shuffle_stream` entry
 point on all three backends x both tiers, the coordinator-side memory
 accounting that the streamed path is designed to bound, and the
@@ -22,8 +21,10 @@ from _splits import split_contiguous
 from repro.exceptions import EmptyStreamError, InvalidParameterError
 from repro.mapreduce import (
     ChunkRouter,
+    DiskPartitionStore,
     MapReduceRuntime,
-    PartitionBuffer,
+    MemoryPartitionStore,
+    PartitionArray,
     ProcessBackend,
 )
 
@@ -54,23 +55,20 @@ def _reconstruct(parts, like):
     return reconstructed
 
 
-def _tier_buffer(storage, tmp_path, dimension, **kwargs):
-    return PartitionBuffer(
-        dimension,
-        storage=storage,
-        spill_dir=str(tmp_path) if storage == "disk" else None,
-        **kwargs,
-    )
+def _tier_store(storage, tmp_path, dimension, dtype=np.float64, initial_capacity=1024):
+    if storage == "disk":
+        return DiskPartitionStore(dimension, dtype, str(tmp_path))
+    return MemoryPartitionStore(dimension, dtype, initial_capacity)
 
 
-class TestPartitionBuffer:
+class TestPartitionStores:
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_append_and_finalize_roundtrip(self, storage, tmp_path):
         rows = np.arange(24.0).reshape(8, 3)
-        buffer = _tier_buffer(storage, tmp_path, 3, initial_capacity=2)
-        buffer.append(rows[:5])
-        buffer.append(rows[5:])
-        sealed = buffer.finalize()
+        store = _tier_store(storage, tmp_path, 3, initial_capacity=2)
+        store.append(rows[:5])
+        store.append(rows[5:])
+        sealed = store.finalize()
         try:
             np.testing.assert_array_equal(sealed.array, rows)
             assert not sealed.array.flags.writeable
@@ -79,35 +77,23 @@ class TestPartitionBuffer:
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
     def test_growth_preserves_prefix(self, storage, tmp_path):
-        buffer = _tier_buffer(storage, tmp_path, 2, initial_capacity=1)
+        store = _tier_store(storage, tmp_path, 2, initial_capacity=1)
         expected = []
         for block in range(10):
             rows = np.full((3, 2), float(block))
-            buffer.append(rows)
+            store.append(rows)
             expected.append(rows)
-        sealed = buffer.finalize()
+        sealed = store.finalize()
         try:
             np.testing.assert_array_equal(sealed.array, np.vstack(expected))
         finally:
             sealed.close()
 
     def test_one_dimensional_rows(self):
-        buffer = PartitionBuffer(None, dtype=np.intp, initial_capacity=4)
-        buffer.append(np.arange(10))
-        sealed = buffer.finalize()
+        store = MemoryPartitionStore(None, np.intp, 4)
+        store.append(np.arange(10))
+        sealed = store.finalize()
         np.testing.assert_array_equal(sealed.array, np.arange(10))
-
-    def test_append_after_finalize_rejected(self):
-        buffer = PartitionBuffer(2)
-        buffer.append(np.zeros((1, 2)))
-        buffer.finalize()
-        with pytest.raises(InvalidParameterError):
-            buffer.append(np.zeros((1, 2)))
-
-    def test_wrong_shape_rejected(self):
-        buffer = PartitionBuffer(3)
-        with pytest.raises(InvalidParameterError):
-            buffer.append(np.zeros((2, 2)))
 
 
 class TestShuffleStream:
@@ -187,6 +173,15 @@ class TestShuffleStream:
         with MapReduceRuntime() as runtime:
             with pytest.raises(InvalidParameterError, match="dimension"):
                 runtime.shuffle_stream(chunks(), ChunkRouter(2, "round_robin"))
+
+    @pytest.mark.parametrize("storage", STORAGE_TIERS)
+    def test_one_dimensional_chunk_rejected(self, storage, tmp_path):
+        # Chunks are (m, d) row blocks; a flat vector is refused before any
+        # store exists, so nothing is spilled.
+        with MapReduceRuntime(storage=storage, spill_dir=str(tmp_path)) as runtime:
+            with pytest.raises(InvalidParameterError, match=r"\(m, d\)"):
+                runtime.shuffle_stream(iter([np.zeros(6)]), ChunkRouter(2, "round_robin"))
+            assert list(tmp_path.glob("*.npy")) == []
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
@@ -404,6 +399,52 @@ class TestNoOrphansOnFailure:
             with pytest.raises(InvalidParameterError, match="declared"):
                 runtime.shuffle_stream(_chunks(np.zeros((60, 2)), 30), router)
             assert list(tmp_path.glob("*.npy")) == []
+
+    def test_failed_store_construction_leaves_no_spill_files(
+        self, medium_blobs, tmp_path, monkeypatch
+    ):
+        # Building the 2 * ell disk stores can fail part way (e.g. EMFILE
+        # under a low open-file limit); the stores built before the failure
+        # must be closed and their files unlinked.
+        built = 0
+        original_init = DiskPartitionStore.__init__
+
+        def init_failing_on_the_seventh(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            if built == 7:
+                raise OSError(24, "Too many open files")
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiskPartitionStore, "__init__", init_failing_on_the_seventh)
+        with MapReduceRuntime(storage="disk", spill_dir=str(tmp_path)) as runtime:
+            with pytest.raises(OSError, match="Too many open files"):
+                runtime.shuffle_stream(_chunks(medium_blobs, 100), ChunkRouter(5, "round_robin"))
+            assert built == 7
+            assert list(tmp_path.iterdir()) == []
+
+    def test_failed_seal_leaves_no_spill_files(self, medium_blobs, tmp_path, monkeypatch):
+        # Sealing maps each finished file; when that fails part way (the
+        # memmap's duplicated descriptor can hit EMFILE), the file being
+        # sealed is unlinked with the rest.
+        sealed = 0
+        original = PartitionArray.from_spill_file.__func__
+
+        def from_spill_file_failing_on_the_third(cls, *args, **kwargs):
+            nonlocal sealed
+            sealed += 1
+            if sealed == 3:
+                raise OSError(24, "Too many open files")
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            PartitionArray, "from_spill_file", classmethod(from_spill_file_failing_on_the_third)
+        )
+        with MapReduceRuntime(storage="disk", spill_dir=str(tmp_path)) as runtime:
+            with pytest.raises(OSError, match="Too many open files"):
+                runtime.shuffle_stream(_chunks(medium_blobs, 100), ChunkRouter(5, "round_robin"))
+            assert sealed == 3
+            assert list(tmp_path.iterdir()) == []
 
     def test_driver_fit_stream_failure_leaves_no_orphans(self, medium_blobs, tmp_path):
         from repro.core import MapReduceKCenter

@@ -2,9 +2,11 @@
 
 Framing (one gather write per frame, partial sends, chunked receives),
 ``TCP_NODELAY`` at both ends of every connection, PUT frames that stream
-a spill file into the worker's own file, and hostile frames: a PUT whose
-``.npy`` header does not match its body, a PUT cut off mid-body, and a
-header announcing far more bytes than ever arrive.
+a spill file into the worker's own file, the cap on every other frame
+(checked by the sender before writing and by the receiver before
+allocating), and hostile frames: a PUT whose ``.npy`` header does not
+match its body, a PUT cut off mid-body, and a header announcing far more
+bytes than ever arrive.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ import pytest
 
 from repro.exceptions import WorkerTaskError
 from repro.mapreduce import LocalCluster, WorkerServer
-from repro.mapreduce.backends import DiskPartitionStore, SharedArray
+from repro.mapreduce import worker as worker_module
+from repro.mapreduce.backends import DiskPartitionStore, PartitionArray
 from repro.mapreduce.worker import (
     CHUNK_BYTES,
     MAX_FRAME_BYTES,
     OP_ERROR,
+    FrameTooLargeError,
     OP_HELLO,
     OP_OK,
     OP_PUT,
@@ -47,6 +51,10 @@ def summing_reducer(key, values):
 
 def row_count_reducer(key, values):
     yield (key, len(values))
+
+
+def large_output_reducer(key, values):
+    yield (key, bytes(8192))
 
 
 class SpySocket:
@@ -225,7 +233,7 @@ class TestStreamedPut:
         # The header announces ten rows; the file holds nine.
         path = tmp_path / "lying.npy"
         path.write_bytes(_npy_bytes(np.zeros((10, 3)))[:-24])
-        handle = SharedArray(np.zeros((10, 3)), spill_meta=(str(path), (10, 3), "<f8"))
+        handle = PartitionArray(np.zeros((10, 3)), spill_meta=(str(path), (10, 3), "<f8"))
         with LocalCluster(2) as cluster:
             with cluster.backend() as backend:
                 with pytest.raises(WorkerTaskError, match="announces"):
@@ -272,11 +280,59 @@ class TestStreamedPut:
         assert _wait_for(lambda: os.listdir(server.spill_dir) == [])
 
 
+class TestFrameCap:
+    def test_cap_is_256_mib(self):
+        assert MAX_FRAME_BYTES == 256 << 20
+
+    def test_send_frame_over_the_cap_raises_before_writing(self, monkeypatch):
+        monkeypatch.setattr(worker_module, "MAX_FRAME_BYTES", 1024)
+        left, right = socket.socketpair()
+        try:
+            spy = SpySocket(left)
+            with pytest.raises(FrameTooLargeError, match="cap"):
+                send_frame(spy, OP_TASK, bytes(1025))
+            assert spy.calls == []
+            # A frame at the cap goes out, and it is the first one on the wire.
+            send_frame(spy, OP_TASK, bytes(1024))
+            assert recv_frame(right) == (OP_TASK, bytes(1024))
+        finally:
+            left.close()
+            right.close()
+
+    def test_over_cap_result_is_a_task_error_not_a_retry(self, monkeypatch):
+        monkeypatch.setattr(worker_module, "MAX_FRAME_BYTES", 4096)
+        with LocalCluster(2) as cluster:
+            with cluster.backend() as backend:
+                with pytest.raises(WorkerTaskError, match="FrameTooLargeError"):
+                    backend.run_reducers(large_output_reducer, {0: [1]})
+                # Not retried: the second worker was never even connected.
+                assert backend._links[1].sock is None
+                assert all(link.alive for link in backend._links)
+                # The worker answered ERROR in place of the RESULT: the link still works.
+                results = backend.run_reducers(summing_reducer, {0: [3], 1: [4]})
+                assert results[0][0] == [(0, 3)]
+
+    def test_over_cap_task_raises_before_a_byte_is_sent(self, monkeypatch):
+        monkeypatch.setattr(worker_module, "MAX_FRAME_BYTES", 4096)
+        with LocalCluster(2) as cluster:
+            with cluster.backend() as backend:
+                with pytest.raises(FrameTooLargeError):
+                    backend.run_reducers(row_count_reducer, {0: [bytes(8192)]})
+                _, shipped = backend.take_round_accounting()
+                # Only the REDUCER frame went out; no worker is marked dead.
+                assert 0 < shipped < 4096
+                assert backend._links[1].sock is None
+                assert all(link.alive for link in backend._links)
+                assert cluster.workers[0].tasks_completed == 0
+                results = backend.run_reducers(row_count_reducer, {0: [1, 2]})
+                assert results[0][0] == [(0, 2)]
+
+
 class TestHostileFrames:
     def test_huge_announced_frame_then_eof_allocates_one_chunk(self):
         left, right = socket.socketpair()
         try:
-            left.sendall(struct.pack("!cQ", OP_TASK, 1 << 40))
+            left.sendall(struct.pack("!cQ", OP_TASK, MAX_FRAME_BYTES))
             left.close()
             with _traced_peak() as peak:
                 with pytest.raises(ProtocolError, match="mid-frame"):

@@ -6,10 +6,9 @@ must produce **bit-identical** centers, center indices, radii and
 outlier sets compared with ``backend="serial"`` across
 
 * both MapReduce drivers (k-center and k-center-with-outliers),
-* ``fit`` and ``fit_stream`` at several chunk sizes,
-* the memory and disk partition-storage tiers (the two tiers whose
-  handles are valid across address spaces: by-value rows, and spill
-  files pushed as raw bytes),
+* ``fit`` and ``fit_stream`` at several chunk sizes, on the disk tier
+  (a partition reaches a worker only as a spill file pushed as raw
+  bytes; the memory tier is refused before the stream is read),
 * every partitioning and several chunk sizes,
 
 and a worker killed mid-job must not change the solution — only add a
@@ -25,10 +24,11 @@ import numpy as np
 import pytest
 
 from repro.core import MapReduceKCenter, MapReduceKCenterOutliers
+from repro.exceptions import InvalidParameterError
 from repro.mapreduce import LocalCluster
-from repro.streaming import ArrayStream
+from repro.streaming import ArrayStream, GeneratorStream
 
-STORAGE_TIERS = ("memory", "disk")
+STORAGE_TIERS = ("auto", "disk")
 CHUNK_SIZES = (64, 251, 4096)
 
 
@@ -80,6 +80,7 @@ class TestKCenterEquivalence:
         points = dataset.points
         reference = _kcenter().fit(points)
         distributed = _kcenter(cluster.addresses).fit(points)
+        assert distributed.stats.storage_tier == "disk"
         _assert_kcenter_equal(distributed, reference)
 
     @pytest.mark.parametrize("storage", STORAGE_TIERS)
@@ -90,8 +91,21 @@ class TestKCenterEquivalence:
         distributed = _kcenter(cluster.addresses).fit_stream(
             ArrayStream(points), chunk_size=chunk_size, storage=storage
         )
-        assert distributed.stats.storage_tier == storage
+        assert distributed.stats.storage_tier == "disk"
         _assert_kcenter_equal(distributed, reference)
+
+    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    def test_memory_tier_rejected_before_the_stream_is_read(
+        self, dataset, cluster, chunk_size
+    ):
+        chunks = iter([dataset.points])
+        stream = GeneratorStream(chunks, length_hint=len(dataset.points))
+        with pytest.raises(InvalidParameterError, match="distributed"):
+            _kcenter(cluster.addresses).fit_stream(
+                stream, chunk_size=chunk_size, storage="memory"
+            )
+        # The single-pass source still holds its first chunk.
+        assert next(chunks).shape == dataset.points.shape
 
     @pytest.mark.parametrize("partitioning", ("contiguous", "round_robin", "random"))
     def test_partitionings_match_across_paths(self, dataset, cluster, partitioning):
@@ -121,8 +135,15 @@ class TestOutliersEquivalence:
         distributed = _outliers(cluster.addresses).fit_stream(
             ArrayStream(points), chunk_size=251, storage=storage
         )
-        assert distributed.stats.storage_tier == storage
+        assert distributed.stats.storage_tier == "disk"
         _assert_outliers_equal(distributed, reference)
+
+    def test_memory_tier_rejected_before_the_stream_is_read(self, dataset, cluster):
+        chunks = iter([dataset.points])
+        stream = GeneratorStream(chunks, length_hint=len(dataset.points))
+        with pytest.raises(InvalidParameterError, match="distributed"):
+            _outliers(cluster.addresses).fit_stream(stream, chunk_size=251, storage="memory")
+        assert next(chunks).shape == dataset.points.shape
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     def test_randomized_variant_matches(self, dataset, cluster, chunk_size):
@@ -175,11 +196,12 @@ class TestWorkerKillEquivalence:
             )
         _assert_outliers_equal(distributed, reference)
 
-    def test_in_memory_fit_survives_worker_death(self, dataset):
+    def test_fit_on_disk_survives_worker_death(self, dataset):
         points = dataset.points
         reference = _outliers().fit(points)
         with LocalCluster(2, fail_after_tasks={1: 1}) as flaky:
             distributed = _outliers(flaky.addresses).fit(points)
+        assert distributed.stats.storage_tier == "disk"
         _assert_outliers_equal(distributed, reference)
 
 

@@ -204,6 +204,18 @@ class TestMain:
         assert "streamed" in capsys.readouterr().out
         assert list(tmp_path.glob("*.npy")) == []
 
+    def test_distributed_memory_storage_rejected(self):
+        from repro.exceptions import InvalidParameterError
+
+        # Refused before a worker is contacted: the address needs no daemon.
+        with pytest.raises(InvalidParameterError, match="distributed"):
+            main([
+                "solve", "mr-kcenter", "--dataset", "power",
+                "--n-points", "300", "--k", "5", "--ell", "2", "--mu", "2",
+                "--backend", "distributed", "--workers", "127.0.0.1:9",
+                "--storage", "memory",
+            ])
+
     def test_distributed_requires_worker_addresses(self):
         from repro.exceptions import InvalidParameterError
 
