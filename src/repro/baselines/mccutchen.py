@@ -20,6 +20,14 @@ different streaming model. They reproduce the qualitative behaviour the
 VLDB paper reports: solution quality comparable to (k-center) or worse
 than (outliers) the coreset algorithms, with space ``m*k`` / ``m*k*z`` and
 noticeably lower throughput for the outlier version.
+
+Every instance keeps its centers in the private center store of
+:mod:`repro.core.doubling_coreset`. A BASESTREAM instance runs the store's
+one batched update rule, :meth:`~repro.core.doubling_coreset._CenterSet.sweep`,
+with threshold ``2 * guess`` and limit ``k``; its overflow rule doubles the
+guess and keeps a ``2 * guess``-separated subset (:func:`_separated`).
+BASEOUTLIERS uses only the store: it buffers uncovered points instead of
+opening centers, so it never sweeps.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import check_batch, check_non_negative_int, check_positive_int
+from ..core.doubling_coreset import _CenterSet
 from ..exceptions import InvalidParameterError, NotFittedError
 from ..metricspace.distance import Metric, get_metric
 from ..streaming.runner import StreamingAlgorithm
@@ -41,16 +50,16 @@ __all__ = [
 ]
 
 
-def _separated(centers: list[np.ndarray], threshold: float, metric) -> list[np.ndarray]:
+def _separated(centers: _CenterSet, threshold: float) -> None:
     """Greedily keep the centers farther than ``threshold`` from every earlier kept one."""
     if len(centers) <= 1:
-        return centers
-    points = np.vstack(centers)
+        return
+    points = centers.points
     kept = [0]
     for index in range(1, points.shape[0]):
-        if metric.point_to_points(points[index], points[kept]).min() > threshold:
+        if centers.metric.point_to_points(points[index], points[kept]).min() > threshold:
             kept.append(index)
-    return [points[i] for i in kept]
+    centers.keep(np.array(kept, dtype=np.intp))
 
 
 # --------------------------------------------------------------------------------------
@@ -166,66 +175,43 @@ class _GuessInstance:
 
     def __init__(self, k: int, metric, initial_guess: float) -> None:
         self._k = k
-        self._metric = metric
         self.guess = float(initial_guess)
-        self._centers: list[np.ndarray] = []
+        self._centers = _CenterSet(metric)
         self.restarts = 0
-        #: Largest center count ever held (k + 1 transiently on escalation).
-        self.peak_size = 0
 
     @property
     def centers(self) -> np.ndarray:
-        return np.vstack(self._centers) if self._centers else np.empty((0, 0))
+        return np.array(self._centers.points) if self._centers else np.empty((0, 0))
 
     @property
     def size(self) -> int:
         return len(self._centers)
 
+    @property
+    def peak_size(self) -> int:
+        """Largest center count ever held (k + 1 transiently on escalation)."""
+        return self._centers.peak
+
     def _remerge(self) -> None:
         """Greedily keep a subset of centers with mutual distance > 2 * guess."""
-        self._centers = _separated(self._centers, 2.0 * self.guess, self._metric)
+        _separated(self._centers, 2.0 * self.guess)
 
     def process_batch(self, batch: np.ndarray) -> None:
         """Open a center at each point farther than ``2 * guess`` from all centers."""
         position = 0
         n = batch.shape[0]
+        if n and not self._centers:
+            self._centers.add(batch[0])
+            position = 1
         while position < n:
-            if not self._centers:
-                self._centers.append(np.array(batch[position]))
-                self.peak_size = max(self.peak_size, 1)
-                position += 1
-                continue
-            position = self._sweep(batch, position)
-
-    def _sweep(self, batch: np.ndarray, start: int) -> int:
-        """Process ``batch[start:]`` until exhausted or the guess escalates."""
-        tail = batch[start:]
-        dmin, _ = self._metric.nearest(tail, np.vstack(self._centers))
-        pos = 0
-        m = tail.shape[0]
-        while pos < m:
-            uncovered = np.flatnonzero(dmin[pos:] > 2.0 * self.guess)
-            if uncovered.size == 0:
-                return start + m
-            first = pos + int(uncovered[0])
-            self._centers.append(np.array(tail[first]))
-            self.peak_size = max(self.peak_size, len(self._centers))
-            pos = first + 1
-            if len(self._centers) > self._k:
+            position += self._centers.sweep(batch[position:], 2.0 * self.guess, self._k)
+            while len(self._centers) > self._k:
                 # The guess was too small: k+1 centers pairwise > 2*guess
                 # apart certify that the optimum exceeds guess. Double and
                 # re-merge.
-                while len(self._centers) > self._k:
-                    self.guess *= 2.0
-                    self.restarts += 1
-                    self._remerge()
-                # The center set and guess changed: cached distances are
-                # stale, so the caller restarts the sweep on the rest.
-                return start + pos
-            if pos < m:
-                to_new = self._metric.cdist(tail[pos:], tail[first].reshape(1, -1))[:, 0]
-                np.minimum(dmin[pos:], to_new, out=dmin[pos:])
-        return start + m
+                self.guess *= 2.0
+                self.restarts += 1
+                self._remerge()
 
 
 class BaseStreamKCenter(_GuessParallelStream):
@@ -315,7 +301,7 @@ class _OutlierGuessInstance:
         self._z = z
         self._metric = metric
         self.guess = float(initial_guess)
-        self._centers: list[np.ndarray] = []
+        self._centers = _CenterSet(metric)
         self._free: list[np.ndarray] = []
         self._capacity = buffer_capacity
         self.restarts = 0
@@ -331,7 +317,7 @@ class _OutlierGuessInstance:
 
     @property
     def centers(self) -> np.ndarray:
-        return np.vstack(self._centers) if self._centers else np.empty((0, 0))
+        return np.array(self._centers.points) if self._centers else np.empty((0, 0))
 
     @property
     def n_uncovered(self) -> int:
@@ -353,7 +339,7 @@ class _OutlierGuessInstance:
             if ball_sizes[candidate] < self._z + 1:
                 break
             center = free_points[candidate]
-            self._centers.append(np.array(center))
+            self._centers.add(center)
             self._note_memory()
             keep_mask = self._metric.point_to_points(center, free_points) > 4.0 * self.guess
             self._free = [free_points[i] for i in np.flatnonzero(keep_mask)]
@@ -362,11 +348,13 @@ class _OutlierGuessInstance:
         """The guess was too small: double it, re-merge centers, re-filter the buffer."""
         self.guess *= 2.0
         self.restarts += 1
-        self._centers = _separated(self._centers, 4.0 * self.guess, self._metric)
+        _separated(self._centers, 4.0 * self.guess)
         if self._free and self._centers:
             free_points = np.vstack(self._free)
-            centers = np.vstack(self._centers)
-            covered = self._metric.cdist(free_points, centers).min(axis=1) <= 4.0 * self.guess
+            covered = (
+                self._metric.cdist(free_points, self._centers.points).min(axis=1)
+                <= 4.0 * self.guess
+            )
             self._free = [free_points[i] for i in np.flatnonzero(~covered)]
 
     def process_batch(self, batch: np.ndarray) -> None:
@@ -383,7 +371,7 @@ class _OutlierGuessInstance:
         while position < n:
             tail = batch[position:]
             if self._centers:
-                dmin, _ = self._metric.nearest(tail, np.vstack(self._centers))
+                dmin, _ = self._metric.nearest(tail, self._centers.points)
                 uncovered = np.flatnonzero(dmin > 4.0 * self.guess)
             else:
                 uncovered = np.arange(tail.shape[0])

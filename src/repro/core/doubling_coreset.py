@@ -18,15 +18,21 @@ center if within ``8 * phi``, else open a new center) and, when the
 center budget overflows, the *merge rule* (double ``phi`` and merge
 centers closer than ``4 * phi``) until invariant (a) is restored.
 
-:meth:`StreamingCoreset.process_batch` is the only entry point: it
-applies these rules to a chunk of consecutive points with one blocked
-nearest-neighbour computation per sweep. The maximal prefix of the chunk
-that lands within ``8 * phi`` of an existing center is folded into the
-weights in bulk (:func:`numpy.bincount`), the first residual point opens
-a new center, and the sweep continues incrementally (only distances to
-the new center are computed) until the budget overflows, when the merge
-rule runs and the remaining tail is reswept. The outcome is the one the
-rules give point by point, in stream order, whatever the chunking;
+The batched form of the update rule is :meth:`_CenterSet.sweep`, the one
+sweep every streaming solver of the package runs: one blocked
+nearest-center computation over a chunk, the maximal prefix within the
+threshold folded into the weights in bulk (:func:`numpy.bincount`), the
+first row past it opened as a center, and only the distances to that new
+center computed for the rest, until the chunk is exhausted or the set
+grows past the caller's limit. The caller then runs its own overflow
+rule and sweeps the rest afresh. :meth:`StreamingCoreset.process_batch`
+sweeps with threshold ``8 * phi`` and limit ``tau``, and its overflow rule
+is the merge rule. The 2-pass outlier variant
+(:class:`~repro.core.stream_outliers.TwoPassStreamOutliers`) and BASESTREAM
+(:mod:`repro.baselines.mccutchen`) run the same sweep with their own
+thresholds and limits; BASEOUTLIERS keeps its centers in a
+:class:`_CenterSet` but never sweeps. The outcome is the one the rules
+give point by point, in stream order, whatever the chunking;
 :meth:`StreamingCoreset.process` feeds a single point as a one-row chunk.
 
 :class:`StreamingCoreset` is used by the streaming k-center algorithm
@@ -45,6 +51,95 @@ from ..metricspace.distance import Metric, get_metric
 from ..metricspace.points import WeightedPoints
 
 __all__ = ["StreamingCoreset"]
+
+
+class _CenterSet:
+    """Weighted centers of one streaming solver, in storage that doubles when full.
+
+    Rows ``[0, len)`` of :attr:`points` and :attr:`weights` are the live
+    centers; :meth:`add` appends with weight 1 and :meth:`keep` compacts.
+    :attr:`peak` is the largest count ever held.
+    """
+
+    def __init__(self, metric: Metric, capacity: int = 16) -> None:
+        self.metric = metric
+        self._capacity = capacity
+        self._points = np.empty((0, 0))
+        self._weights = np.empty(0)
+        self._size = 0
+        self.peak = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def points(self) -> np.ndarray:
+        """View of the live centers' coordinates."""
+        return self._points[: self._size]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """View of the live centers' weights."""
+        return self._weights[: self._size]
+
+    def add(self, rows: np.ndarray) -> None:
+        """Append one point or a block of points, each with weight 1."""
+        rows = np.atleast_2d(rows)
+        end = self._size + rows.shape[0]
+        if end > len(self._weights):
+            capacity = max(end, 2 * len(self._weights), self._capacity)
+            points = np.empty((capacity, rows.shape[1]))
+            weights = np.empty(capacity)
+            if self._size:
+                points[: self._size] = self.points
+                weights[: self._size] = self.weights
+            self._points, self._weights = points, weights
+        self._points[self._size : end] = rows
+        self._weights[self._size : end] = 1.0
+        self._size = end
+        self.peak = max(self.peak, end)
+
+    def keep(self, indices: np.ndarray, weights: np.ndarray | None = None) -> None:
+        """Keep only the centers at ``indices``, in that order, optionally reweighted."""
+        size = len(indices)
+        self._points[:size] = self._points[indices]
+        self._weights[:size] = self._weights[indices] if weights is None else weights
+        self._size = size
+
+    def sweep(self, tail: np.ndarray, threshold: float, limit: float) -> int:
+        """The update rule over the rows of ``tail``; returns how many it consumed.
+
+        A row within ``threshold`` of its closest center adds one to that
+        center's weight; any other row opens a center at itself. One
+        blocked nearest-center pass serves the whole sweep: after a center
+        opens, only the distances to it are computed. The sweep stops right
+        after the row that takes the set past ``limit`` centers, so the
+        caller can run its overflow rule, or at the end of ``tail``. The
+        set must hold at least one center.
+        """
+        dmin, amin = self.metric.nearest(tail, self.points)
+        pos = 0
+        m = tail.shape[0]
+        while True:
+            residual = np.flatnonzero(dmin[pos:] > threshold)
+            first = m if residual.size == 0 else pos + int(residual[0])
+            if first > pos:
+                self._weights[: self._size] += np.bincount(
+                    amin[pos:first], minlength=self._size
+                )
+            if first == m:
+                return m
+            self.add(tail[first])
+            pos = first + 1
+            if self._size > limit or pos == m:
+                return pos
+            # The new center may now be the closest for later rows; a strict
+            # comparison keeps the sequential tie-break (the lowest center
+            # index wins on exact ties).
+            to_new = self.metric.cdist(tail[pos:], tail[first : first + 1])[:, 0]
+            closer = to_new < dmin[pos:]
+            dmin[pos:][closer] = to_new[closer]
+            amin[pos:][closer] = self._size - 1
 
 
 class StreamingCoreset:
@@ -69,13 +164,10 @@ class StreamingCoreset:
         self._tau = check_positive_int(tau, name="tau")
         self._metric = get_metric(metric)
         self._buffer: list[np.ndarray] = []
-        self._centers: np.ndarray | None = None  # (tau + 1, d) storage
-        self._weights: np.ndarray | None = None
-        self._size = 0
+        self._centers: _CenterSet | None = None
         self._phi = 0.0
         self._dimension: int | None = None
         self._n_processed = 0
-        self._peak_memory = 0
 
     # -- read-only state ----------------------------------------------------------------
 
@@ -107,25 +199,24 @@ class StreamingCoreset:
     @property
     def size(self) -> int:
         """Current number of centers (0 while still buffering)."""
-        return self._size
+        return 0 if self._centers is None else len(self._centers)
 
     @property
     def working_memory_size(self) -> int:
         """Stored points: buffered points plus retained centers."""
-        return len(self._buffer) + self._size
+        return len(self._buffer) + self.size
 
     @property
     def peak_working_memory_size(self) -> int:
         """Largest working-memory size ever reached (at most ``tau + 1``).
 
-        Tracked internally at every point of growth, so it is exact no
-        matter how coarsely the harness samples, and the same at every
-        batch size.
+        Tracked at every point of growth (the buffer only grows, and the
+        centers record their own peak), so it is exact no matter how
+        coarsely the harness samples, and the same at every batch size.
         """
-        return max(self._peak_memory, self.working_memory_size)
-
-    def _note_memory(self) -> None:
-        self._peak_memory = max(self._peak_memory, len(self._buffer) + self._size)
+        if self._centers is None:
+            return len(self._buffer)
+        return self._centers.peak
 
     @property
     def centers(self) -> np.ndarray:
@@ -141,7 +232,7 @@ class StreamingCoreset:
                 return np.empty((0, 0))
             view = np.vstack(self._buffer)
         else:
-            view = self._centers[: self._size]
+            view = self._centers.points
         view.flags.writeable = False
         return view
 
@@ -154,20 +245,14 @@ class StreamingCoreset:
         if self._centers is None:
             view = np.ones(len(self._buffer))
         else:
-            view = self._weights[: self._size]
+            view = self._centers.weights
         view.flags.writeable = False
         return view
 
     # -- internal helpers -----------------------------------------------------------------
 
-    def _append_center(self, point: np.ndarray, weight: float) -> None:
-        self._centers[self._size] = point
-        self._weights[self._size] = weight
-        self._size += 1
-        self._note_memory()
-
     def _active_pairwise(self) -> np.ndarray:
-        return self._metric.pairwise(self._centers[: self._size])
+        return self._metric.pairwise(self._centers.points)
 
     @staticmethod
     def _min_positive_pairwise(pairs: np.ndarray) -> float:
@@ -186,31 +271,29 @@ class StreamingCoreset:
         discarded center's weight into the survivor closest to it, which
         conceptually re-targets the proxy function as in the paper.
         """
-        if self._size <= 1:
+        size = len(self._centers)
+        if size <= 1:
             return
         threshold = 4.0 * self._phi
         keep: list[int] = []
-        merged_weights = np.array(self._weights[: self._size])
-        discarded = np.zeros(self._size, dtype=bool)
-        for index in range(self._size):
+        merged_weights = np.array(self._centers.weights)
+        discarded = np.zeros(size, dtype=bool)
+        for index in range(size):
             if discarded[index]:
                 continue
             keep.append(index)
             # Fold every not-yet-discarded later center within threshold into
             # this survivor.
             close = np.flatnonzero(
-                (pairs[index] <= threshold) & ~discarded & (np.arange(self._size) > index)
+                (pairs[index] <= threshold) & ~discarded & (np.arange(size) > index)
             )
             if close.size:
                 merged_weights[index] += merged_weights[close].sum()
                 discarded[close] = True
-        if len(keep) == self._size:
+        if len(keep) == size:
             return
         kept_indices = np.array(keep, dtype=np.intp)
-        new_size = kept_indices.shape[0]
-        self._centers[:new_size] = self._centers[kept_indices]
-        self._weights[:new_size] = merged_weights[kept_indices]
-        self._size = new_size
+        self._centers.keep(kept_indices, merged_weights[kept_indices])
 
     def _apply_merge_rule(self, pairs: np.ndarray | None = None) -> None:
         """Double ``phi`` (handling the degenerate 0 case) and merge centers.
@@ -224,9 +307,8 @@ class StreamingCoreset:
             minimum = self._min_positive_pairwise(pairs)
             if minimum == 0.0:
                 # All centers coincide: collapse them into one.
-                total = float(self._weights[: self._size].sum())
-                self._weights[0] = total
-                self._size = 1 if self._size else 0
+                total = float(self._centers.weights.sum())
+                self._centers.keep(np.zeros(1, dtype=np.intp), total)
                 return
             self._phi = minimum / 2.0
         else:
@@ -234,15 +316,10 @@ class StreamingCoreset:
         self._merge_centers(pairs)
 
     def _initialize_from_buffer(self) -> None:
-        points = np.vstack(self._buffer)
-        self._dimension = points.shape[1]
-        # A center is only appended while at most tau are held, so tau + 1
+        # A center is only added while at most tau are held, so tau + 1
         # rows always suffice.
-        self._centers = np.zeros((self._tau + 1, self._dimension))
-        self._weights = np.zeros(self._tau + 1)
-        self._centers[: points.shape[0]] = points
-        self._weights[: points.shape[0]] = 1.0
-        self._size = points.shape[0]
+        self._centers = _CenterSet(self._metric, capacity=self._tau + 1)
+        self._centers.add(np.vstack(self._buffer))
         self._buffer = []
 
         # phi starts at half the minimum pairwise distance; exact duplicates
@@ -268,9 +345,9 @@ class StreamingCoreset:
         """Feed a chunk of consecutive stream points into the coreset.
 
         Leaves the coreset exactly as the rules applied to every row in
-        order would: one blocked nearest-center computation per sweep, bulk
-        weight accumulation for in-radius points, an incremental sweep over
-        the points that open new centers, and the merge rule on overflow.
+        order would: :meth:`_CenterSet.sweep` with threshold ``8 * phi`` up
+        to the row that overflows the budget, the merge rule, and a fresh
+        sweep over the rest.
         """
         batch = check_batch(points, self._dimension)
         if batch.shape[0] == 0:
@@ -286,59 +363,13 @@ class StreamingCoreset:
                 taken = batch[position : position + need]
                 self._buffer.extend(np.array(row) for row in taken)
                 position += taken.shape[0]
-                self._note_memory()
                 if len(self._buffer) == self._tau + 1:
                     self._initialize_from_buffer()
                 continue
-            position = self._sweep_batch(batch, position)
+            position += self._centers.sweep(batch[position:], 8.0 * self._phi, self._tau)
+            while len(self._centers) > self._tau:
+                self._apply_merge_rule()
         self._n_processed += n
-
-    def _sweep_batch(self, batch: np.ndarray, start: int) -> int:
-        """One vectorised sweep of the update rule over ``batch[start:]``.
-
-        Processes points until the chunk is exhausted or a merge rule
-        invalidates the cached nearest-center distances; returns the index
-        of the first unprocessed point.
-        """
-        tail = batch[start:]
-        dmin, amin = self._metric.nearest(tail, self._centers[: self._size])
-        pos = 0
-        m = tail.shape[0]
-        while pos < m:
-            residual = np.flatnonzero(dmin[pos:] > 8.0 * self._phi)
-            if residual.size == 0:
-                # Update rule in bulk: every remaining point is within
-                # 8 * phi of its closest center.
-                self._accumulate_weights(amin[pos:])
-                return start + m
-            first = pos + int(residual[0])
-            if first > pos:
-                self._accumulate_weights(amin[pos:first])
-            self._append_center(tail[first], 1.0)
-            new_index = self._size - 1
-            pos = first + 1
-            if self._size > self._tau:
-                while self._size > self._tau:
-                    self._apply_merge_rule()
-                # phi and the center set changed: the cached distances are
-                # stale, so hand the rest of the chunk to a fresh sweep.
-                return start + pos
-            if pos < m:
-                # The new center may now be the closest for later points;
-                # a strict comparison keeps the sequential tie-break (the
-                # lowest center index wins on exact ties).
-                to_new = self._metric.cdist(tail[pos:], tail[first].reshape(1, -1))[:, 0]
-                closer = to_new < dmin[pos:]
-                dmin[pos:][closer] = to_new[closer]
-                amin[pos:][closer] = new_index
-        return start + m
-
-    def _accumulate_weights(self, indices: np.ndarray) -> None:
-        """Bulk form of the update rule's ``weights[closest] += 1``."""
-        if indices.size:
-            self._weights[: self._size] += np.bincount(
-                indices, minlength=self._size
-            )
 
     def coreset(self) -> WeightedPoints:
         """The current weighted coreset as :class:`WeightedPoints`.
@@ -353,6 +384,6 @@ class StreamingCoreset:
             points = np.vstack(self._buffer)
             return WeightedPoints(points=points, weights=np.ones(points.shape[0]))
         return WeightedPoints(
-            points=np.array(self._centers[: self._size]),
-            weights=np.array(self._weights[: self._size]),
+            points=np.array(self._centers.points),
+            weights=np.array(self._centers.weights),
         )

@@ -16,6 +16,11 @@ Two algorithms are provided:
   of points with mutual distances above ``(eps/48) r_hat`` (each stream
   point is counted towards its closest retained point); the final centers
   again come from OUTLIERSCLUSTER + radius search.
+
+Both passes run the one batched update rule of the package,
+:meth:`~repro.core.doubling_coreset._CenterSet.sweep`: the first inside
+:class:`~repro.core.doubling_coreset.StreamingCoreset`, the second with the
+separation as threshold over a ``_CenterSet`` of retained points.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from ..exceptions import InvalidParameterError, NotFittedError
 from ..metricspace.distance import Metric, get_metric
 from ..metricspace.points import WeightedPoints
 from ..streaming.runner import StreamingAlgorithm
-from .doubling_coreset import StreamingCoreset
+from .doubling_coreset import StreamingCoreset, _CenterSet
 from .outliers_cluster import OutliersClusterSolver
 from .radius_search import search_radius
 
@@ -215,8 +220,7 @@ class TwoPassStreamOutliers(StreamingAlgorithm):
         self._first_pass = StreamingCoreset(self.k + self.z, metric=self.metric)
         self._current_pass = 0
         self._separation: float | None = None
-        self._points: list[np.ndarray] = []
-        self._weights: list[float] = []
+        self._retained = _CenterSet(self.metric)
         self._n_processed_second = 0
 
     # -- StreamingAlgorithm protocol -----------------------------------------------------
@@ -246,54 +250,21 @@ class TwoPassStreamOutliers(StreamingAlgorithm):
         n = batch.shape[0]
         self._n_processed_second += n
         position = 0
-        while position < n and not self._points:
-            self._points.append(np.array(batch[position]))
-            self._weights.append(1.0)
-            position += 1
-        if position >= n:
-            return
-
-        tail = batch[position:]
-        dmin, amin = self.metric.nearest(tail, np.vstack(self._points))
-        pos = 0
-        m = tail.shape[0]
-        while pos < m:
-            if (
-                self.max_coreset_size is not None
-                and len(self._points) >= self.max_coreset_size
-            ):
-                # At capacity every remaining point is absorbed by its
-                # closest retained point; the retained set no longer grows,
-                # so the cached assignments stay valid.
-                self._absorb(amin[pos:])
-                return
-            separated = np.flatnonzero(dmin[pos:] > self._separation)
-            if separated.size == 0:
-                self._absorb(amin[pos:])
-                return
-            first = pos + int(separated[0])
-            if first > pos:
-                self._absorb(amin[pos:first])
-            new_index = len(self._points)
-            self._points.append(np.array(tail[first]))
-            self._weights.append(1.0)
-            pos = first + 1
-            if pos < m:
-                to_new = self.metric.cdist(tail[pos:], tail[first].reshape(1, -1))[:, 0]
-                closer = to_new < dmin[pos:]
-                dmin[pos:][closer] = to_new[closer]
-                amin[pos:][closer] = new_index
-
-    def _absorb(self, indices: np.ndarray) -> None:
-        """Bulk ``weights[closest] += 1`` over a run of absorbed points."""
-        counts = np.bincount(indices, minlength=len(self._weights))
-        for index in np.flatnonzero(counts):
-            self._weights[index] += float(counts[index])
+        if n and not self._retained:
+            self._retained.add(batch[0])
+            position = 1
+        capacity = np.inf if self.max_coreset_size is None else self.max_coreset_size
+        while position < n:
+            # A full store absorbs every remaining point into its closest
+            # retained point: the infinite threshold opens no center.
+            full = len(self._retained) >= capacity
+            threshold = np.inf if full else self._separation
+            position += self._retained.sweep(batch[position:], threshold, capacity - 1)
 
     @property
     def working_memory_size(self) -> int:
         """Stored points across both passes' data structures."""
-        return self._first_pass.working_memory_size + len(self._points)
+        return self._first_pass.working_memory_size + len(self._retained)
 
     @property
     def peak_working_memory_size(self) -> int:
@@ -309,10 +280,11 @@ class TwoPassStreamOutliers(StreamingAlgorithm):
 
     def finalize(self) -> StreamOutliersSolution:
         """Extract the final centers from the second-pass weighted coreset."""
-        if not self._points:
+        if not self._retained:
             raise NotFittedError("the second pass processed no points")
         coreset = WeightedPoints(
-            points=np.vstack(self._points), weights=np.array(self._weights)
+            points=np.array(self._retained.points),
+            weights=np.array(self._retained.weights),
         )
         return _solve_on_coreset(
             coreset,

@@ -1,6 +1,6 @@
 """Saving and loading clustering solutions.
 
-Long MapReduce or streaming runs produce solutions (centers, radius,
+Long sequential or MapReduce runs produce solutions (centers, radius,
 outlier indices, configuration) that users want to persist and reload
 without re-running the solver. This module serialises the solver result
 dataclasses to a small JSON + NPZ pair:
@@ -73,9 +73,12 @@ def save_solution(result, base_path, *, metadata: dict | None = None) -> tuple[P
     Parameters
     ----------
     result:
-        Any of the package's result objects (sequential, MapReduce or
-        streaming); it must expose ``centers`` and ``radius``, and may
-        expose ``center_indices`` / ``outlier_indices``.
+        A result that carries a solution radius (the sequential, MapReduce
+        and Charikar results): it must expose ``centers`` and ``radius``,
+        and may expose ``center_indices`` / ``outlier_indices``. Streaming
+        results are refused: they report an estimated radius or a bound on
+        it (``estimated_radius``, ``coreset_radius_bound``), not the radius
+        of their centers.
     base_path:
         Target path without extension (an extension, if given, is dropped).
     metadata:
@@ -91,7 +94,10 @@ def save_solution(result, base_path, *, metadata: dict | None = None) -> tuple[P
         raise InvalidParameterError("result must expose a (k, d) 'centers' array")
     radius = getattr(result, "radius", None)
     if radius is None:
-        raise InvalidParameterError("result must expose a 'radius'")
+        raise InvalidParameterError(
+            f"{type(result).__name__} carries no solution 'radius'; only results "
+            "that do (sequential, MapReduce, Charikar) can be saved"
+        )
 
     center_indices = np.asarray(
         getattr(result, "center_indices", np.empty(0, dtype=np.intp)), dtype=np.intp

@@ -34,20 +34,19 @@ class PerPointStreamingCoreset(StreamingCoreset):
             if self._dimension is None:
                 self._dimension = int(point.shape[0])
             self._buffer.append(np.array(point))
-            self._note_memory()
             if len(self._buffer) == self._tau + 1:
                 self._initialize_from_buffer()
             return
 
-        distances = self._metric.point_to_points(point, self._centers[: self._size])
+        distances = self._metric.point_to_points(point, self._centers.points)
         closest = int(np.argmin(distances))
         if distances[closest] <= 8.0 * self._phi:
             # Update rule: the closest center becomes the point's proxy.
-            self._weights[closest] += 1.0
+            self._centers.weights[closest] += 1.0
             return
         # New center; re-establish invariant (a) if the budget overflowed.
-        self._append_center(point, 1.0)
-        while self._size > self._tau:
+        self._centers.add(point)
+        while len(self._centers) > self._tau:
             self._apply_merge_rule()
 
 
@@ -86,18 +85,17 @@ class PerPointTwoPassStreamOutliers(TwoPassStreamOutliers):
 
         point = np.asarray(point, dtype=np.float64).reshape(-1)
         self._n_processed_second += 1
-        if self._points:
-            existing = np.vstack(self._points)
+        if self._retained:
+            existing = self._retained.points
             distances = self.metric.point_to_points(point, existing)
             closest = int(np.argmin(distances))
             if distances[closest] <= self._separation or (
                 self.max_coreset_size is not None
-                and len(self._points) >= self.max_coreset_size
+                and len(self._retained) >= self.max_coreset_size
             ):
-                self._weights[closest] += 1.0
+                self._retained.weights[closest] += 1.0
                 return
-        self._points.append(np.array(point))
-        self._weights.append(1.0)
+        self._retained.add(point)
 
 
 class _PerPointInstance:
@@ -112,14 +110,13 @@ class _PerPointGuessInstance(_PerPointInstance, _GuessInstance):
     def _covered(self, point: np.ndarray) -> bool:
         if not self._centers:
             return False
-        distances = self._metric.point_to_points(point, np.vstack(self._centers))
+        distances = self._centers.metric.point_to_points(point, self._centers.points)
         return bool(distances.min() <= 2.0 * self.guess)
 
     def process(self, point: np.ndarray) -> None:
         if self._covered(point):
             return
-        self._centers.append(np.array(point))
-        self.peak_size = max(self.peak_size, len(self._centers))
+        self._centers.add(point)
         while len(self._centers) > self._k:
             # The guess was too small: k+1 centers pairwise > 2*guess apart
             # certify that the optimum exceeds guess. Double and re-merge.
@@ -132,7 +129,7 @@ class _PerPointOutlierGuessInstance(_PerPointInstance, _OutlierGuessInstance):
     def _covered_by_centers(self, point: np.ndarray) -> bool:
         if not self._centers:
             return False
-        distances = self._metric.point_to_points(point, np.vstack(self._centers))
+        distances = self._metric.point_to_points(point, self._centers.points)
         return bool(distances.min() <= 4.0 * self.guess)
 
     def process(self, point: np.ndarray) -> None:

@@ -155,6 +155,34 @@ def test_coreset_stream_internal_state_matches(medium_blobs, batch_size):
     _assert_same_coreset(batched._coreset, reference._coreset)
 
 
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("cap", [5, 30, 60])
+def test_two_pass_capacity_reached_mid_chunk_matches_per_point(medium_blobs, cap, batch_size):
+    # The uncapped second pass retains 67 points on this stream, so each cap
+    # is reached part-way through a chunk and the rest is absorbed.
+    stream = _stress_stream(medium_blobs)
+
+    reference_algorithm = _per_point.PerPointTwoPassStreamOutliers(
+        4, 10, epsilon=0.5, max_coreset_size=cap
+    )
+    reference, _, peak_memory = run_per_point(
+        reference_algorithm, ArrayStream(stream, max_passes=2)
+    )
+
+    algorithm = TwoPassStreamOutliers(4, 10, epsilon=0.5, max_coreset_size=cap)
+    report = StreamingRunner(batch_size=batch_size).run(
+        algorithm, ArrayStream(stream, max_passes=2)
+    )
+
+    retained, expected = algorithm._retained, reference_algorithm._retained
+    assert len(retained) == cap
+    assert np.array_equal(retained.points, expected.points)
+    assert np.array_equal(retained.weights, expected.weights)
+    assert retained.weights.sum() == stream.shape[0]
+    assert np.array_equal(report.result.centers, reference.centers)
+    assert report.peak_memory == peak_memory
+
+
 @pytest.mark.parametrize("name", sorted(_solver_factories()))
 def test_solver_defines_no_per_point_rule(name):
     assert type(_solver_factories()[name]()).process is StreamingAlgorithm.process

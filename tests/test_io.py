@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from repro import load_solution, save_solution
-from repro.core import MapReduceKCenterOutliers, SequentialKCenter
+from repro.core import (
+    CoresetStreamKCenter,
+    CoresetStreamOutliers,
+    MapReduceKCenterOutliers,
+    SequentialKCenter,
+)
 from repro.exceptions import InvalidParameterError
+from repro.streaming import ArrayStream, StreamingRunner
 
 
 class TestSaveAndLoad:
@@ -58,6 +64,17 @@ class TestSaveAndLoad:
 
         with pytest.raises(InvalidParameterError):
             save_solution(Bogus(), tmp_path / "bogus")
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [lambda: CoresetStreamKCenter(3), lambda: CoresetStreamOutliers(3, 5)],
+        ids=["StreamKCenterSolution", "StreamOutliersSolution"],
+    )
+    def test_streaming_results_rejected(self, small_blobs, tmp_path, algorithm):
+        result = StreamingRunner().run(algorithm(), ArrayStream(small_blobs)).result
+        with pytest.raises(InvalidParameterError, match="carries no solution 'radius'"):
+            save_solution(result, tmp_path / "streamed")
+        assert not list(tmp_path.iterdir())
 
     def test_format_version_checked(self, small_blobs, tmp_path):
         result = SequentialKCenter(2).fit(small_blobs)
