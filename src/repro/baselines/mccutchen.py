@@ -200,9 +200,6 @@ class _GuessInstance:
         """Open a center at each point farther than ``2 * guess`` from all centers."""
         position = 0
         n = batch.shape[0]
-        if n and not self._centers:
-            self._centers.add(batch[0])
-            position = 1
         while position < n:
             position += self._centers.sweep(batch[position:], 2.0 * self.guess, self._k)
             while len(self._centers) > self._k:

@@ -61,9 +61,8 @@ class _CenterSet:
     :attr:`peak` is the largest count ever held.
     """
 
-    def __init__(self, metric: Metric, capacity: int = 16) -> None:
+    def __init__(self, metric: Metric) -> None:
         self.metric = metric
-        self._capacity = capacity
         self._points = np.empty((0, 0))
         self._weights = np.empty(0)
         self._size = 0
@@ -87,7 +86,7 @@ class _CenterSet:
         rows = np.atleast_2d(rows)
         end = self._size + rows.shape[0]
         if end > len(self._weights):
-            capacity = max(end, 2 * len(self._weights), self._capacity)
+            capacity = max(end, 2 * len(self._weights))
             points = np.empty((capacity, rows.shape[1]))
             weights = np.empty(capacity)
             if self._size:
@@ -114,9 +113,14 @@ class _CenterSet:
         blocked nearest-center pass serves the whole sweep: after a center
         opens, only the distances to it are computed. The sweep stops right
         after the row that takes the set past ``limit`` centers, so the
-        caller can run its overflow rule, or at the end of ``tail``. The
-        set must hold at least one center.
+        caller can run its overflow rule, or at the end of ``tail``. An
+        empty set opens its first center at the first row.
         """
+        if not self._size:
+            self.add(tail[0])
+            if self._size > limit or tail.shape[0] == 1:
+                return 1
+            return 1 + self.sweep(tail[1:], threshold, limit)
         dmin, amin = self.metric.nearest(tail, self.points)
         pos = 0
         m = tail.shape[0]
@@ -316,9 +320,7 @@ class StreamingCoreset:
         self._merge_centers(pairs)
 
     def _initialize_from_buffer(self) -> None:
-        # A center is only added while at most tau are held, so tau + 1
-        # rows always suffice.
-        self._centers = _CenterSet(self._metric, capacity=self._tau + 1)
+        self._centers = _CenterSet(self._metric)
         self._centers.add(np.vstack(self._buffer))
         self._buffer = []
 

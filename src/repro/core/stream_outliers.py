@@ -250,9 +250,6 @@ class TwoPassStreamOutliers(StreamingAlgorithm):
         n = batch.shape[0]
         self._n_processed_second += n
         position = 0
-        if n and not self._retained:
-            self._retained.add(batch[0])
-            position = 1
         capacity = np.inf if self.max_coreset_size is None else self.max_coreset_size
         while position < n:
             # A full store absorbs every remaining point into its closest

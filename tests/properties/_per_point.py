@@ -107,6 +107,14 @@ class _PerPointInstance:
 
 
 class _PerPointGuessInstance(_PerPointInstance, _GuessInstance):
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._literal_peak = 0
+
+    @property
+    def peak_size(self) -> int:
+        return self._literal_peak
+
     def _covered(self, point: np.ndarray) -> bool:
         if not self._centers:
             return False
@@ -117,6 +125,7 @@ class _PerPointGuessInstance(_PerPointInstance, _GuessInstance):
         if self._covered(point):
             return
         self._centers.add(point)
+        self._literal_peak = max(self._literal_peak, len(self._centers))
         while len(self._centers) > self._k:
             # The guess was too small: k+1 centers pairwise > 2*guess apart
             # certify that the optimum exceeds guess. Double and re-merge.
